@@ -19,13 +19,13 @@ from .exceptions import RefinementLimit
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def _panel(f, a: float, b: float, check_finite: bool):
+def _panel(f, a: float, b: float):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     total = None
     for x, w in zip(_NODES, _WEIGHTS):
         v = f(mid + half * x)
-        if check_finite and not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v)):
             raise ValueError(f"integrand returned a non-finite value at t={mid + half * x!r}")
         total = w * v if total is None else total + w * v
     return half * total
@@ -36,19 +36,19 @@ def _err(x) -> float:
 
 
 def adaptive_gauss(f, a: float, b: float, abs_tol: float,
-                   max_panels: int = 16384, check_finite: bool = True):
+                   max_panels: int = 16384):
     """Integrate ``f`` over ``[a, b]`` to absolute accuracy ``abs_tol``.
 
     ``f`` maps a float to a scalar or a fixed-shape ndarray.  Returns the
     refined estimate; raises RefinementLimit if the panel budget runs out.
     """
     if b <= a:
-        return 0.0 * _panel(f, a, a + max(1e-12, abs(a) * 1e-12), check_finite)
+        return 0.0 * _panel(f, a, a + max(1e-12, abs(a) * 1e-12))
 
     def make(lo, hi):
-        coarse = _panel(f, lo, hi, check_finite)
+        coarse = _panel(f, lo, hi)
         mid = 0.5 * (lo + hi)
-        fine = _panel(f, lo, mid, check_finite) + _panel(f, mid, hi, check_finite)
+        fine = _panel(f, lo, mid) + _panel(f, mid, hi)
         return fine, _err(coarse - fine)
 
     counter = itertools.count()  # tiebreaker keeps heap order deterministic

@@ -52,6 +52,9 @@ def _vec(v):
     return [_num(c) for c in v]
 
 
+_EXPORT_CHUNK_ROWS = 8192
+
+
 class ScenarioError(ValueError):
     """Scenario file malformed or inconsistent."""
 
@@ -71,24 +74,20 @@ def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
         ts.append(left[left >= 0.0])
     grid = np.unique(np.concatenate(ts))
     values = mu.cumulative_all(grid)
-    cols = []
     if mu.field == "complex":
-        for k in range(mu.dim):
-            cols.append(f"F{k + 1}_re")
-            cols.append(f"F{k + 1}_im")
+        cols = [f"F{k + 1}_{part}" for k in range(mu.dim) for part in ("re", "im")]
+        values = np.stack([values.real, values.imag], axis=2).reshape(len(grid), -1)
     else:
         cols = [f"F{k + 1}" for k in range(mu.dim)]
-    lines = ["t," + ",".join(cols)]
-    for t, row in zip(grid, values):
-        if mu.field == "complex":
-            vals = []
-            for c in row:
-                vals.append(f"{c.real:.17g}")
-                vals.append(f"{c.imag:.17g}")
-        else:
-            vals = [f"{c:.17g}" for c in row]
-        lines.append(f"{t:.17g}," + ",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack([grid, values])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(cols) + "\n")
+        # format and write a chunk at a time: one string of every row
+        # would hold the whole file in memory
+        for i in range(0, len(table), _EXPORT_CHUNK_ROWS):
+            chunk = table[i:i + _EXPORT_CHUNK_ROWS]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
     return len(grid)
 
 

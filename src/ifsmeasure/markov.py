@@ -45,11 +45,15 @@ _MASS_TOL = 1e-12
 _MAX_COMPONENTS = 2_000_000
 
 
-def _check_size(mu: VectorMeasure, k: int) -> None:
-    n = mu.n_atoms + mu.n_pieces
+def _check_size(sys: IFSystem, cur: VectorMeasure, k: int) -> None:
+    # before step k allocates: apply_markov concatenates one image of cur
+    # per map, plus the base, before canonicalizing
+    n = len(sys.maps) * (cur.n_atoms + cur.n_pieces)
+    if sys.base is not None:
+        n += sys.base.n_atoms + sys.base.n_pieces
     if n > _MAX_COMPONENTS:
         raise IterationLimit(
-            f"iterate {k} holds {n} atoms/pieces (cap {_MAX_COMPONENTS}); "
+            f"iterate {k} would hold {n} atoms/pieces (cap {_MAX_COMPONENTS}); "
             "the tolerance asks for more steps than the exact representation "
             "supports -- loosen tol or reduce the number of maps")
 
@@ -219,8 +223,8 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         budget = tol * (1.0 - e) / 4.0
         cur = start
         for k in range(1, max_iter + 1):
+            _check_size(sys, cur, k)
             nxt = prune(apply_markov(sys, cur), budget)
-            _check_size(nxt, k)
             delta = (nxt - cur).variation_norm()
             bound = (e * delta + budget) / (1.0 - e)
             if on_iterate is not None:
@@ -247,8 +251,8 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
                 "to have zero total mass")
         cur = start
         for k in range(1, max_iter + 1):
+            _check_size(sys, cur, k)
             nxt = apply_markov(sys, cur)
-            _check_size(nxt, k)
             diff = nxt - cur
             dstar = mk_star_exact(diff)
             bound = c * dstar / (1.0 - c)

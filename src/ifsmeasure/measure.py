@@ -270,6 +270,23 @@ class VectorMeasure:
         return np.unique(np.concatenate(
             [self.atom_points, self.piece_lo, self.piece_hi, [0.0, 1.0]]))
 
+    def panels(self):
+        """``(bps, F, rho)``: the breakpoints, ``F = cumulative_all(bps)``
+        and the density ``rho[j]`` on the open panel (bps[j], bps[j+1]),
+        so F(t) = F[j] + (t - bps[j]) rho[j] inside it.
+        """
+        bps = self.breakpoints()
+        F = self.cumulative_all(bps)
+        rho = np.zeros((len(bps) - 1, self.dim), dtype=F.dtype)
+        if self.n_pieces:
+            # canonical pieces are disjoint, sorted and end on breakpoints;
+            # left ends, not midpoints, so a one-ulp panel cannot round over
+            left = bps[:-1]
+            k = np.searchsorted(self.piece_lo, left, side="right") - 1
+            hit = np.flatnonzero((k >= 0) & (self.piece_hi[k] > left))
+            rho[hit] = self.piece_density[k[hit]]
+        return bps, F, rho
+
     # -- algebra ------------------------------------------------------
 
     def scaled(self, a) -> "VectorMeasure":

@@ -14,6 +14,11 @@ Two independent routes are implemented and cross-checked:
   evaluation), hence a true lower bound for either ball; it is the
   independent check on the closed form.
 
+Both routes run as one array sweep over ``VectorMeasure.panels()`` (the
+breakpoints, F entering each panel, and the density on it): the closed
+form evaluates every panel at once, and the witness pairing reduces the
+measure to one influence vector per grid node.
+
 Balls: "l1" is the Lipschitz seminorm ball (zero-total measures only, the
 pairing is otherwise unbounded); "bl1" is the bounded-Lipschitz ball
 sup||f|| + Lip(f) <= 1, defined for every measure.
@@ -21,6 +26,7 @@ sup||f|| + Lip(f) <= 1, defined for every measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +39,9 @@ __all__ = ["mk_star_exact", "mk_lower_bound", "sandwich_check",
 _TOTAL_TOL = 1e-12
 
 
-def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray, h: float) -> float:
-    """integral_0^h ||f0 + s*rho|| ds in closed form.
+def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
+                           h: np.ndarray) -> np.ndarray:
+    """integral_0^h_j ||f0_j + s*rho_j|| ds in closed form, for every panel j.
 
     With a = ||rho||^2, the integrand is sqrt(a w^2 + q) in the shifted
     variable w = s + b/(2a), where q >= 0 is the discriminant remainder;
@@ -43,72 +50,62 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray, h: float) -> float:
     and subtracting loses all precision once the vertex sits far outside
     the panel (|b| >> a h, e.g. when the density is cancellation residue
     of overlapping pieces), so same-sign panels go through rationalized
-    difference forms that stay accurate in that limit.
+    difference forms that stay accurate in that limit.  Each branch is
+    evaluated on its own lanes only.
     """
-    if h <= 0.0:
-        return 0.0
-    a = float(np.sum(np.abs(rho) ** 2))
-    c = float(np.sum(np.abs(f0) ** 2))
-    if a == 0.0 or np.sqrt(a) * h <= 1e-12 * np.sqrt(c):
-        # flat, or the density moves F by a negligible fraction of ||f0||
-        return float(np.linalg.norm(f0)) * h
-    b = 2.0 * float(np.real(np.sum(f0 * np.conj(rho))))
+    a = np.sum(np.abs(rho) ** 2, axis=1)
+    c = np.sum(np.abs(f0) ** 2, axis=1)
+    # flat, or the density moves F by a negligible fraction of ||f0||
+    out = np.sqrt(c) * h
+    j = np.flatnonzero((a != 0.0) & (np.sqrt(a) * h > 1e-12 * np.sqrt(c)))
+    a, c, h = a[j], c[j], h[j]
+    b = 2.0 * np.real(np.sum(f0[j] * np.conj(rho[j]), axis=1))
     u = b / (2.0 * a)
     v = u + h
-    q = max(c - b * b / (4.0 * a), 0.0)
+    q = np.maximum(c - b * b / (4.0 * a), 0.0)
     sqrt_a = np.sqrt(a)
-
-    def g(w):
-        return w * np.sqrt(a * w * w + q)
-
-    if u < 0.0 < v:
-        # vertex inside the panel: both halves contribute with the same
-        # sign, the plain difference of antiderivatives is well posed
-        first = 0.5 * (g(v) - g(u))
-        if q <= 1e-300:
-            return float(first)
-        k = sqrt_a / np.sqrt(q)
-        return float(first + q / (2.0 * sqrt_a)
-                     * (np.arcsinh(k * v) - np.arcsinh(k * u)))
+    gu = u * np.sqrt(a * u * u + q)
+    gv = v * np.sqrt(a * v * v + q)
+    k = np.zeros_like(u)  # the asinh part vanishes with q
+    s = q > 1e-300
+    k[s] = sqrt_a[s] / np.sqrt(q[s])
+    x, y = k * u, k * v
+    term, asinh_diff = np.empty_like(u), np.zeros_like(u)
+    # vertex inside the panel: both halves contribute with the same sign,
+    # the plain difference of antiderivatives is well posed
+    inside = (u < 0.0) & (0.0 < v)
+    i = np.flatnonzero(inside)
+    term[i] = 0.5 * (gv[i] - gu[i])
+    asinh_diff[i] = np.arcsinh(y[i]) - np.arcsinh(x[i])
     # monotone panel: g(v) - g(u) = h (u+v) (a (u^2+v^2) + q) / (g(u)+g(v))
     # and asinh(y) - asinh(x) = asinh((y^2-x^2) / (y sqrt(1+x^2)
     # + x sqrt(1+y^2))), both cancellation-free for same-sign arguments
-    first = 0.5 * h * (u + v) * (a * (u * u + v * v) + q) / (g(u) + g(v))
-    if q <= 1e-300:
-        return float(first)
-    k = sqrt_a / np.sqrt(q)
-    x, y = k * u, k * v
-    arg = (k * k * h * (u + v)
-           / (y * np.sqrt(1.0 + x * x) + x * np.sqrt(1.0 + y * y)))
-    return float(first + q / (2.0 * sqrt_a) * np.arcsinh(arg))
+    i = np.flatnonzero(~inside)
+    term[i] = (0.5 * h[i] * (u[i] + v[i])
+               * (a[i] * (u[i] * u[i] + v[i] * v[i]) + q[i]) / (gu[i] + gv[i]))
+    i = np.flatnonzero(~inside & s)
+    asinh_diff[i] = np.arcsinh(
+        k[i] * k[i] * h[i] * (u[i] + v[i])
+        / (y[i] * np.sqrt(1.0 + x[i] * x[i]) + x[i] * np.sqrt(1.0 + y[i] * y[i])))
+    out[j] = term + q / (2.0 * sqrt_a) * asinh_diff
+    return out
 
 
 def mk_star_exact(mu: VectorMeasure) -> float:
     """Lipschitz-ball dual norm of a zero-total measure, evaluated exactly.
 
     Requires ||mu([0, 1])|| <= 1e-12; raises ValueError otherwise, since the
-    supremum over the unbounded ball is infinite for nonzero total.
+    supremum over the unbounded ball is infinite for nonzero total.  The
+    panel terms are summed with ``math.fsum``, so the result is their
+    correctly rounded sum.
     """
     tot = float(np.linalg.norm(mu.total()))
     if tot > _TOTAL_TOL:
         raise ValueError(
             f"defined only for zero-total measures (||total|| = {tot:g})")
-    bps = mu.breakpoints()
-    F = mu.cumulative_all(bps)  # value entering each panel from the left
-    # density in force on each open panel (bps[j], bps[j+1])
-    acc = 0.0
-    zero = np.zeros(mu.dim, dtype=mu.atom_weights.dtype)
-    piece_idx = 0
-    for j in range(len(bps) - 1):
-        a, b = bps[j], bps[j + 1]
-        rho = zero
-        while piece_idx < mu.n_pieces and mu.piece_hi[piece_idx] <= a:
-            piece_idx += 1
-        if (piece_idx < mu.n_pieces and mu.piece_lo[piece_idx] <= a
-                and mu.piece_hi[piece_idx] >= b):
-            rho = mu.piece_density[piece_idx]
-        acc += _segment_norm_integral(F[j], rho, b - a)
-    return acc
+    bps, F, rho = mu.panels()
+    return math.fsum(
+        _segment_norm_integral(F[:-1], rho, np.diff(bps)).tolist())
 
 
 @dataclass(frozen=True)
@@ -124,15 +121,7 @@ class LipschitzWitness:
     ball: str
 
     def __call__(self, t: float) -> np.ndarray:
-        out = np.empty(self.values.shape[1], dtype=self.values.dtype)
-        if np.iscomplexobj(self.values):
-            for k in range(self.values.shape[1]):
-                out[k] = (np.interp(t, self.points, self.values[:, k].real)
-                          + 1j * np.interp(t, self.points, self.values[:, k].imag))
-        else:
-            for k in range(self.values.shape[1]):
-                out[k] = np.interp(t, self.points, self.values[:, k])
-        return out
+        return np.array([np.interp(t, self.points, col) for col in self.values.T])
 
     def lipschitz(self) -> float:
         d = np.diff(self.values, axis=0)
@@ -151,41 +140,29 @@ class LipschitzWitness:
 
     def pairing(self, mu: VectorMeasure):
         """Exact integral of the interpolant against a measure."""
-        out = 0.0
-        for t, w in zip(mu.atom_points, mu.atom_weights):
-            out = out + np.sum(self(t) * np.conj(w))
-        for lo, hi, dens in zip(mu.piece_lo, mu.piece_hi, mu.piece_density):
-            # the interpolant is linear between grid cuts, so a trapezoid
-            # per overlapped segment integrates it exactly
-            cuts = np.unique(np.concatenate([[lo], np.clip(self.points, lo, hi), [hi]]))
-            for s0, s1 in zip(cuts[:-1], cuts[1:]):
-                if s1 <= s0:
-                    continue
-                avg = 0.5 * (self(s0) + self(s1))
-                out = out + (s1 - s0) * np.sum(avg * np.conj(dens))
+        out = np.sum(self.values * np.conj(_influence_vectors(mu, self.points)))
         return complex(out) if np.iscomplexobj(self.values) else float(out)
 
 
 def _influence_vectors(mu: VectorMeasure, nodes: np.ndarray) -> np.ndarray:
     """g_k with integral f dmu = sum_k (f(node_k), g_k) for every f that is
-    piecewise linear on the node grid (conjugation lives in the pairing)."""
-    m = len(nodes)
-    G = np.zeros((m, mu.dim), dtype=mu.atom_weights.dtype)
-    if mu.n_atoms:
-        idx = np.searchsorted(nodes, mu.atom_points)
-        np.add.at(G, idx, mu.atom_weights)
-    h = np.diff(nodes)
-    for lo, hi, dens in zip(mu.piece_lo, mu.piece_hi, mu.piece_density):
-        s0 = np.maximum(nodes[:-1], lo)
-        s1 = np.minimum(nodes[1:], hi)
-        ov = s1 > s0
-        ks = np.flatnonzero(ov)
-        for k in ks:
-            hk = h[k]
-            a_left = ((nodes[k + 1] - s0[k]) ** 2 - (nodes[k + 1] - s1[k]) ** 2) / (2 * hk)
-            a_right = ((s1[k] - nodes[k]) ** 2 - (s0[k] - nodes[k]) ** 2) / (2 * hk)
-            G[k] += a_left * dens
-            G[k + 1] += a_right * dens
+    piecewise linear on the node grid and constant beyond its ends
+    (conjugation lives in the pairing).  Point masses split linearly over
+    their two nodes; a density cell between consecutive cuts (nodes and
+    breakpoints) acts as a point mass at its midpoint.
+    """
+    if len(nodes) == 1:
+        return mu.total()[None, :]
+    bps, _, rho = mu.panels()
+    cuts = np.unique(np.concatenate([bps, nodes[(nodes > 0.0) & (nodes < 1.0)]]))
+    j = np.searchsorted(bps, cuts[:-1], side="right") - 1
+    t = np.concatenate([mu.atom_points, 0.5 * (cuts[:-1] + cuts[1:])])
+    w = np.concatenate([mu.atom_weights, rho[j] * np.diff(cuts)[:, None]])
+    k = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
+    lam = np.clip((t - nodes[k]) / (nodes[k + 1] - nodes[k]), 0.0, 1.0)[:, None]
+    G = np.zeros((len(nodes), mu.dim), dtype=w.dtype)
+    np.add.at(G, k, (1.0 - lam) * w)
+    np.add.at(G, k + 1, lam * w)
     return G
 
 

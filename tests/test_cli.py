@@ -182,3 +182,57 @@ def test_export_cumulative_shows_jumps(tmp_path):
 def test_export_cumulative_requires_two_samples(tmp_path):
     with pytest.raises(ValueError):
         export_cumulative(VectorMeasure.zero(1), 1, tmp_path / "x.csv")
+
+
+def _reference_csv(mu, grid):
+    """The export format row by row: %.17g floats, re/im interleaved."""
+    values = mu.cumulative_all(grid)
+    if mu.field == "complex":
+        head = [f"F{k + 1}_{p}" for k in range(mu.dim) for p in ("re", "im")]
+    else:
+        head = [f"F{k + 1}" for k in range(mu.dim)]
+    lines = ["t," + ",".join(head)]
+    for t, row in zip(grid, values):
+        if mu.field == "complex":
+            cells = [f"{x:.17g}" for c in row for x in (c.real, c.imag)]
+        else:
+            cells = [f"{c:.17g}" for c in row]
+        lines.append(f"{t:.17g}," + ",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_export_cumulative_complex_bytes(tmp_path, monkeypatch):
+    # cumulative_all never yields -0.0 (its sums start at +0.0), so zero
+    # parts are made negative here to pin how the writer formats them
+    real_cumulative = VectorMeasure.cumulative_all
+
+    def signed_zeros(self, ts):
+        out = real_cumulative(self, ts)
+        return np.where(out == 0, complex(-0.0, -0.0), out)
+    monkeypatch.setattr(VectorMeasure, "cumulative_all", signed_zeros)
+    mu = VectorMeasure(atoms=[(0.0, np.array([1.0, 0.0])),
+                              (0.5, np.array([-1.0, 0.25 + 3.0j]))],
+                       pieces=[((0.25, 0.75), np.array([0.5j, -2.0]))])
+    path = tmp_path / "c.csv"
+    rows = export_cumulative(mu, 5, path)
+    data = path.read_bytes()
+    assert data.startswith(b"t,F1_re,F1_im,F2_re,F2_im\n")
+    assert b",-0," in data and b",-0\n" in data
+    grid = np.array([float(line.split(b",")[0])
+                     for line in data.splitlines()[1:]])
+    assert len(grid) == rows
+    assert data == _reference_csv(mu, grid)
+
+
+def test_export_cumulative_real_bytes_across_chunks(tmp_path):
+    rng = np.random.default_rng(5)
+    mu = VectorMeasure(atoms=[(float(t), rng.standard_normal(2))
+                              for t in rng.uniform(0, 1, 6000)],
+                       pieces=[((0.2, 0.6), rng.standard_normal(2))])
+    path = tmp_path / "r.csv"
+    rows = export_cumulative(mu, 201, path)
+    assert rows > 10000  # more rows than one write chunk
+    data = path.read_bytes()
+    grid = np.array([float(line.split(b",")[0])
+                     for line in data.splitlines()[1:]])
+    assert data == _reference_csv(mu, grid)

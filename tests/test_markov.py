@@ -221,6 +221,43 @@ def test_iterate_mk_star_mode_blend():
     assert np.abs(mu.evaluate(QuerySet.closed(2 / 3, 1.0)) - 2 / 3).max() < 1e-6
 
 
+def overlap_system():
+    """Three overlapping slope-0.4 maps with rotation operators of
+    variation factor 0.41 and an atom-plus-density base."""
+    c, s = np.cos(1.0), np.sin(1.0)
+    rot = np.array([[c, -s], [s, c]])
+    base = VectorMeasure(atoms=[(0.0, np.array([0.02, 0.0]))],
+                         pieces=[((0.0, 1.0), np.array([0.0, 0.02]))])
+    return IFSystem([(0.4, 0.0), (0.4, 0.3), (0.4, 0.6)],
+                    [0.41 * share * rot for share in (0.5, 0.3, 0.2)],
+                    base=base)
+
+
+@pytest.mark.parametrize("system, norm, start", [
+    (overlap_system, "variation", VectorMeasure.zero(2)),
+    (blend_system, "mk_star", VectorMeasure.dirac(0.0, np.array([1.0, 1.0]))),
+])
+def test_iterate_refuses_before_outgrowing_the_cap(monkeypatch, system, norm,
+                                                   start):
+    # at tol 1e-10 the overlap iterate triples per step and would pass the
+    # cap; the cap is lowered so the refusal comes after a few small steps
+    import ifsmeasure.markov as markov
+    cap = 50_000
+    monkeypatch.setattr(markov, "_MAX_COMPONENTS", cap)
+    built = []
+    real_apply = markov.apply_markov
+
+    def spy(sys, nu):
+        out = real_apply(sys, nu)
+        built.append(out.n_atoms + out.n_pieces)
+        return out
+    monkeypatch.setattr(markov, "apply_markov", spy)
+    with pytest.raises(IterationLimit, match="would hold"):
+        iterate_fixed_point(system(), start, tol=1e-10, norm=norm,
+                            max_iter=400)
+    assert len(built) > 5 and max(built) <= cap
+
+
 def test_iterate_mk_star_mode_requires_mass_conservation():
     sys = triangular_system()  # operators do not sum to the identity
     with pytest.raises(NotContractive):

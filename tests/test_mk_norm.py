@@ -5,6 +5,7 @@ import pytest
 
 from ifsmeasure import (LipschitzWitness, VectorMeasure, combine,
                         mk_lower_bound, mk_star_exact, sandwich_check)
+from ifsmeasure.mk_norm import _segment_norm_integral
 
 
 def _dirac_pair(s, t, x):
@@ -43,12 +44,30 @@ def test_mk_star_atom_minus_density():
     assert mk_star_exact(mu) == pytest.approx(0.5, abs=1e-12)
 
 
+def _random_panel_measure(rng, dim=2):
+    """Zero-total measure on a random cut grid: adjacent pieces share
+    endpoints, some with bitwise-equal densities (merged on
+    canonicalization), and atoms sit on piece endpoints."""
+    cuts = np.sort(rng.uniform(0, 1, 7))
+    dens = rng.standard_normal(dim)
+    pieces = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if rng.uniform() < 0.5:
+            dens = rng.standard_normal(dim)
+        pieces.append(((lo, hi), dens))
+    atoms = [(float(t), rng.standard_normal(dim))
+             for t in rng.choice(cuts, 3, replace=False)]
+    mu = VectorMeasure(atoms=atoms, pieces=pieces, dim=dim)
+    return combine(1.0, mu, -1.0,
+                   VectorMeasure.dirac(float(rng.uniform()), mu.total()))
+
+
 def test_mk_star_matches_brute_force_quadrature():
     # midpoint rule on each smooth panel: the cumulative jumps at atoms,
     # so equispaced quadrature over the whole interval stalls at O(spacing)
     rng = np.random.default_rng(1)
-    for _ in range(15):
-        mu = _random_zero_mass(rng)
+    for make in [_random_zero_mass] * 15 + [_random_panel_measure] * 15:
+        mu = make(rng)
         bps = mu.breakpoints()
         brute = 0.0
         for a, b in zip(bps[:-1], bps[1:]):
@@ -57,6 +76,64 @@ def test_mk_star_matches_brute_force_quadrature():
             fm = mu.cumulative_all(mid)
             brute += np.sum(np.linalg.norm(fm, axis=1)) * (s[1] - s[0])
         assert mk_star_exact(mu) == pytest.approx(brute, abs=5e-6)
+
+
+def test_panels_density_is_the_slope_of_the_cumulative():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        mu = _random_panel_measure(rng, dim=int(rng.integers(1, 4)))
+        bps, F, rho = mu.panels()
+        assert np.array_equal(bps, mu.breakpoints())
+        assert np.array_equal(F, mu.cumulative_all(bps))
+        h = np.diff(bps)
+        for frac in (0.25, 0.75):
+            t = bps[:-1] + frac * h
+            want = F[:-1] + (t - bps[:-1])[:, None] * rho
+            assert np.abs(mu.cumulative_all(t) - want).max() < 1e-12
+
+
+def _oracle_norm_integral(f0, rho, h):
+    """integral_0^h ||f0 + s rho|| ds by mpmath quadrature at 40 digits,
+    split at the vertex where the integrand may have a kink."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        f0 = [mpmath.mpc(complex(x)) for x in f0]
+        rho = [mpmath.mpc(complex(x)) for x in rho]
+        a = sum(abs(r) ** 2 for r in rho)
+        knots = [mpmath.mpf(0), mpmath.mpf(float(h))]
+        if a:
+            vertex = -sum(mpmath.re(f * mpmath.conj(r))
+                          for f, r in zip(f0, rho)) / a
+            if 0 < vertex < h:
+                knots.insert(1, vertex)
+        val = mpmath.quad(lambda s: mpmath.sqrt(
+            sum(abs(f + s * r) ** 2 for f, r in zip(f0, rho))), knots)
+        return float(val)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_segment_norm_integral_against_mpmath(dtype):
+    cases = [
+        ([0.3, -0.4], [0.0, 0.0], 0.2),          # flat
+        ([1.0, 0.3], [-4.0, 1.0], 0.5),          # vertex inside the panel
+        ([1.0, 2.0], [3e-9, -1e-9], 0.1),        # vertex far outside, |b| >> a h
+        ([-1.0, 0.5], [2e-6, 1e-6], 0.3),        # monotone, negative side
+        ([1.0, 2.0], [-2.0, -4.0], 0.75),        # q = 0, vertex inside
+        ([1.0, 2.0], [1.0, 2.0 + 1e-12], 0.3),   # q ~ 0, monotone
+    ]
+    if dtype is complex:
+        cases += [
+            ([1 + 2j, -0.5j], [-3 + 1j, 2 - 1j], 0.4),
+            ([0.2 - 1j, 1.5], [1e-8j, -2e-8 + 1e-8j], 0.6),
+            ([1j, 2j], [-2j, -4j], 0.75),
+        ]
+    f0 = np.array([c[0] for c in cases], dtype=dtype)
+    rho = np.array([c[1] for c in cases], dtype=dtype)
+    h = np.array([c[2] for c in cases])
+    got = _segment_norm_integral(f0, rho, h)
+    for j, (a, r, hj) in enumerate(cases):
+        assert got[j] == pytest.approx(_oracle_norm_integral(a, r, hj),
+                                       rel=1e-13, abs=1e-300), cases[j]
 
 
 def test_mk_star_scales_linearly():
@@ -86,6 +163,23 @@ def test_witness_pairing_matches_direct_sum_for_atoms():
                               for t in rng.uniform(0, 1, 8)])
     direct = sum(float(np.real(np.vdot(wt, w(float(t)))))
                  for t, wt in zip(mu.atom_points, mu.atom_weights))
+    assert w.pairing(mu) == pytest.approx(direct, abs=1e-12)
+
+
+def test_witness_pairing_of_pieces_cut_by_nodes():
+    # piece endpoints fall between witness nodes, and pieces overlap
+    rng = np.random.default_rng(12)
+    pts = np.linspace(0, 1, 101)
+    w = LipschitzWitness(points=pts, ball="l1",
+                         values=rng.standard_normal((101, 2)) * 0.05)
+    mu = VectorMeasure(pieces=[((0.123, 0.456), rng.standard_normal(2)),
+                               ((0.3, 0.911), rng.standard_normal(2))])
+    direct = 0.0
+    for lo, hi, dens in zip(mu.piece_lo, mu.piece_hi, mu.piece_density):
+        # the interpolant is linear between cuts: trapezoids are exact
+        cuts = np.unique(np.concatenate([[lo, hi], pts[(pts > lo) & (pts < hi)]]))
+        f = np.array([w(float(t)) for t in cuts]) @ dens
+        direct += float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(cuts)))
     assert w.pairing(mu) == pytest.approx(direct, abs=1e-12)
 
 
