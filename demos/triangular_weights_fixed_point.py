@@ -53,5 +53,5 @@ checks = [
 ]
 print("\nexact set evaluation vs closed forms")
 for label, query, want in checks:
-    got = eval_fixed_point(system, query, tol=1e-12)
+    got = eval_fixed_point(system, query, tol=1e-12).value
     print(f"  {label}  {got}  (error {np.abs(got - want).max():.2e})")

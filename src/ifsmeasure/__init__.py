@@ -18,9 +18,9 @@ from .integral import (ContinuousFunction, SimpleFunction, integrate,
                        integrate_simple, vector_polynomial)
 from .kernelops import (PolynomialFunction, SeparableKernel, kernel_sup_bound,
                         partition_variation_estimate, solve_invariance)
-from .markov import (ContractionFactors, FixedPointResult, IFSystem,
-                     apply_markov, dual_apply, eval_fixed_point, factors,
-                     iterate_fixed_point, residual)
+from .markov import (ContractionFactors, EvalResult, FixedPointResult,
+                     IFSystem, apply_markov, dual_apply, eval_fixed_point,
+                     factors, iterate_fixed_point, residual)
 from .measure import (VectorMeasure, accumulate, apply_operator, combine,
                       prune, pushforward)
 from .mk_norm import (LipschitzWitness, SandwichReport, mk_lower_bound,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap", "ContinuousFunction", "ContractionFactors",
-    "DimensionMismatch", "ExponentialFamily", "FieldMismatch",
+    "DimensionMismatch", "EvalResult", "ExponentialFamily", "FieldMismatch",
     "FixedPointResult", "IFSystem", "Interval", "IterationLimit",
     "LipschitzWitness", "NotContractive", "PartitionError",
     "PolynomialFunction", "QuerySet", "RefinementLimit", "SandwichReport",

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import IterationLimit, NotContractive, RefinementLimit
-from .kernelops import (PolynomialFunction, SeparableKernel, kernel_sup_bound,
-                        partition_variation_estimate, solve_invariance)
+from .kernelops import (DEFAULT_INHOMOGENEITY, SeparableKernel,
+                        kernel_sup_bound, partition_variation_estimate,
+                        solve_invariance)
 from .markov import (IFSystem, apply_markov, eval_fixed_point, factors,
                      iterate_fixed_point, residual)
 from .measure import VectorMeasure
@@ -169,7 +170,8 @@ class _IFSJob:
             if len(args) != 1 or args[0] not in self.query_sets:
                 raise ScenarioError(f"eval needs a declared query set, got {args}")
             v = eval_fixed_point(self.system, self.query_sets[args[0]],
-                                 tol=self.tol)
+                                 tol=self.tol).value
+            # tol, not the achieved bound: the report format is pinned
             return {"set": args[0], "value": _vec(v),
                     "error_bound": _num(self.tol)}
         if cmd == "norm":
@@ -192,7 +194,7 @@ class _IFSJob:
                 worst = 0.0
                 for qname, q in sorted(self.query_sets.items()):
                     v1 = mu.evaluate(q)
-                    v2 = eval_fixed_point(self.system, q, tol=self.tol)
+                    v2 = eval_fixed_point(self.system, q, tol=self.tol).value
                     worst = max(worst, float(np.abs(v1 - v2).max()))
                 if self.query_sets:
                     out["solver_vs_eval"] = _num(worst)
@@ -241,8 +243,7 @@ class _KernelJob:
         if cmd == "verify":
             phi = self.phi()
             # exact back-substitution: residual polynomial of the invariance
-            g = PolynomialFunction((0, 0.5))
-            acc = g
+            acc = DEFAULT_INHOMOGENEITY
             for kern in self.kernels:
                 for u, v in kern.terms:
                     acc = acc + u.scale(kern.scale * v.times(phi).integral01())

@@ -165,6 +165,11 @@ def _solve_exact(M, rhs):
     return [A[i][k] for i in range(k)]
 
 
+# x/2, the cumulative of the half-Lebesgue base: the inhomogeneity that
+# solve_invariance assumes and the CLI's verify substitutes back
+DEFAULT_INHOMOGENEITY = PolynomialFunction((Fraction(0), Fraction(1, 2)))
+
+
 def solve_invariance(F1: SeparableKernel, F2: SeparableKernel,
                      inhomogeneity: PolynomialFunction | None = None
                      ) -> PolynomialFunction:
@@ -178,7 +183,7 @@ def solve_invariance(F1: SeparableKernel, F2: SeparableKernel,
     8 or the system is singular.
     """
     if inhomogeneity is None:
-        inhomogeneity = PolynomialFunction((Fraction(0), Fraction(1, 2)))
+        inhomogeneity = DEFAULT_INHOMOGENEITY
     g = inhomogeneity
     basis = []  # (scale, u, v) per separable term across both kernels
     for kern in (F1, F2):

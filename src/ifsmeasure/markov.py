@@ -15,12 +15,14 @@ Three contraction factors govern convergence, one per norm: the variation
 factor sum ||R_i||, the bounded-Lipschitz factor sum ||R_i|| (1 + r_i), and
 the Lipschitz-ball factor sum ||R_i|| r_i, where r_i is the map's
 contraction ratio.  Two solvers compute the fixed point: contraction
-iteration in either metric, and exact evaluation on a query set via the
-finite transition graph its preimages generate.
+iteration in either metric, and evaluation on a query set over the
+transition graph its preimages generate, solved by block sweeps whose
+stop the variation factor certifies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,11 +36,14 @@ from .measure import VectorMeasure, accumulate, apply_operator, prune, pushforwa
 from .mk_norm import mk_star_exact
 from .space import AffineMap, QuerySet, preimage
 
-__all__ = ["IFSystem", "ContractionFactors", "FixedPointResult", "factors",
-           "apply_markov", "dual_apply", "iterate_fixed_point",
+__all__ = ["IFSystem", "ContractionFactors", "FixedPointResult", "EvalResult",
+           "factors", "apply_markov", "dual_apply", "iterate_fixed_point",
            "eval_fixed_point", "residual"]
 
 _MASS_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+# set evaluation refuses tolerances that need more Jacobi sweeps than this
+_MAX_SWEEPS = 10_000
 # refuse, rather than exhaust memory, when the exact representation of an
 # iterate outgrows what pruning keeps in check (components multiply by the
 # map count per step until whole generations fall under the prune budget)
@@ -122,9 +127,6 @@ class ContractionFactors:
     mk: float
     mk_star: float
 
-    def __iter__(self):
-        return iter((self.variation, self.mk, self.mk_star))
-
 
 def factors(sys: IFSystem) -> ContractionFactors:
     """(variation, mk, mk_star) contraction factors of the system."""
@@ -186,9 +188,6 @@ class FixedPointResult:
     iterations: int
     error_bound: float
     norm: str
-
-    def __iter__(self):
-        return iter((self.measure, self.iterations, self.error_bound))
 
 
 def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
@@ -275,33 +274,14 @@ def _memo_key(B: QuerySet):
             tuple(round(a, 14) for a in B.atoms))
 
 
-def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10,
-                     max_nodes: int = 100000) -> np.ndarray:
-    """Exact fixed-point evaluation mu*(B) via the set-transition graph.
+def _set_graph(sys: IFSystem, B: QuerySet, depth_cap: int, max_nodes: int):
+    """Breadth-first preimage graph of B, memoized on canonical keys.
 
-    The fixed-point identity localizes: mu*(C) = sum_i R_i mu*(preimage_i C)
-    + mu0(C).  Preimages of an evaluable set stay evaluable, so breadth-first
-    exploration with memoized canonical sets either closes into a finite
-    graph (one dense linear solve, exact up to rounding) or is truncated at
-    a depth where the remaining contribution is below tol; truncated
-    children act as zero, adding at most ||mu0||/(1-e) * e^(D+1)/(1-e).
-
-    Requires variation factor e < 1; deterministic by construction.
+    Returns the node sets (B first) and an (nodes, maps) array whose row j
+    holds the node indices of the preimages of node j under each map.
+    Nodes at depth_cap are not expanded: their rows hold the out-of-range
+    index len(nodes), a shared zero row for the solver.
     """
-    fac = factors(sys)
-    e = fac.variation
-    if e >= 1.0:
-        raise NotContractive(
-            f"variation factor {e:.6g} >= 1; set evaluation needs a "
-            "variation contraction")
-    zero = np.zeros(sys.dim,
-                    dtype=np.complex128 if sys.field == "complex" else np.float64)
-    if sys.base is None:
-        return zero  # the only fixed point of the homogeneous contraction
-    a_bound = sys.base.variation_norm() / (1.0 - e)
-    depth_cap = 0
-    while a_bound * e ** (depth_cap + 1) / (1.0 - e) > tol:
-        depth_cap += 1
     nodes = [B]
     keys = {_memo_key(B): 0}
     depth = [0]
@@ -330,16 +310,122 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10,
                 kids.append(idx)
             children[j] = kids
         frontier = nxt_frontier
-    n = sys.dim
+    leaf = [len(nodes)] * len(sys.maps)
+    child = np.array([leaf if kids is None else kids for kids in children],
+                     dtype=np.intp)
+    return nodes, child
+
+
+@dataclass(frozen=True)
+class EvalResult:
+    """mu*(B) from set evaluation, with how it was obtained.
+
+    ``error_bound`` (at most the requested tol) is the truncation bound,
+    zero when the graph closed, plus the certified bound of the sweeps.
+    ``nodes`` counts the sets of the transition graph and ``depth_cap``
+    is the depth at which exploration stops; ``closed`` says that no
+    node was cut there.
+    """
+    value: np.ndarray
+    error_bound: float
+    nodes: int
+    depth_cap: int
+    closed: bool
+
+
+def _sweeps_to(e: float, ratio: float) -> float:
+    """Smallest j >= 1 with e**j <= ratio (inf when ratio <= 0)."""
+    if ratio <= 0.0:
+        return math.inf
+    if e == 0.0 or ratio >= 1.0:
+        return 1
+    return max(1, math.ceil(math.log(ratio) / math.log(e)))
+
+
+def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10,
+                     max_nodes: int = 100000) -> EvalResult:
+    """Fixed-point evaluation mu*(B) via the set-transition graph.
+
+    The fixed-point identity localizes: mu*(C) = sum_i R_i mu*(preimage_i C)
+    + mu0(C).  Preimages of an evaluable set stay evaluable, so breadth-first
+    exploration with memoized canonical sets either closes into a finite
+    graph or is truncated at the depth D where the remaining contribution
+    is below tol; truncated children act as zero, adding at most
+    ||mu0||/(1-e) * e^(D+1)/(1-e).
+
+    The graph's equations x_C = mu0(C) + sum_i R_i x_{child_i(C)} are
+    solved by Jacobi block sweeps over an (nodes, maps) child-index array,
+    all nodes at once.  In the norm max_C |x_C| each sweep contracts by
+    the variation factor e, so the error of sweep j is at most
+    (e |x_j - x_{j-1}| + delta) / (1-e), where delta bounds the rounding
+    of one sweep.  Sweeps go on until that bound fits in what truncation
+    left of tol, then until the step grows or vanishes (the rounding
+    floor), so the values match a direct solve of the graph to the last
+    digits.  Memory is O(nodes * maps * dim).  Refuses with IterationLimit
+    past ``max_nodes`` nodes, when tol would take more than 10,000 sweeps,
+    or when the sweep count fixed before the first sweep does not certify.
+
+    Requires variation factor e < 1; deterministic by construction.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    fac = factors(sys)
+    e = fac.variation
+    if e >= 1.0:
+        raise NotContractive(
+            f"variation factor {e:.6g} >= 1; set evaluation needs a "
+            "variation contraction")
+    dtype = np.complex128 if sys.field == "complex" else np.float64
+    if sys.base is None:
+        # the only fixed point of the homogeneous contraction
+        return EvalResult(np.zeros(sys.dim, dtype=dtype), 0.0, 0, 0, True)
+    a_bound = sys.base.variation_norm() / (1.0 - e)
+    depth_cap = 0
+    while a_bound * e ** (depth_cap + 1) / (1.0 - e) > tol:
+        depth_cap += 1
+    nodes, child = _set_graph(sys, B, depth_cap, max_nodes)
     N = len(nodes)
-    dtype = zero.dtype
-    A = np.eye(N * n, dtype=dtype)
-    b = np.zeros(N * n, dtype=dtype)
-    for j in range(N):
-        b[j * n:(j + 1) * n] = sys.base.evaluate(nodes[j])
-        if children[j] is None:
-            continue  # truncated leaf: children treated as zero
-        for r, idx in zip(sys.operators, children[j]):
-            A[j * n:(j + 1) * n, idx * n:(idx + 1) * n] -= r
-    x = np.linalg.solve(A, b)
-    return x[:n]
+    closed = bool((child < N).all())
+    trunc = 0.0 if closed else a_bound * e ** (depth_cap + 1) / (1.0 - e)
+    # sum_i R_i x[child_i] as one product: the gathered child rows side by
+    # side times the operator transposes stacked
+    ops_t = np.concatenate([r.T for r in sys.operators])
+    kn = len(sys.maps) * sys.dim
+    b = sys.base.evaluate_many(nodes).astype(dtype, copy=False)
+    x = np.zeros((N + 1, sys.dim), dtype=dtype)  # row N stays zero
+    x[:N] = b
+    scale = float(np.sqrt((np.abs(b) ** 2).sum(axis=1).max()))
+    if scale == 0.0:
+        return EvalResult(x[0].copy(), trunc, N, depth_cap, closed)
+    # a sweep in floating point is off by at most delta; the computed
+    # iterates carry 2 delta/(1-e) beyond the exact a-posteriori bound
+    fro = sum(float(np.linalg.norm(r)) for r in sys.operators)
+    delta = (kn + 2) * _EPS * scale * (1.0 + fro / (1.0 - e))
+    rounding = 2.0 * delta / (1.0 - e)
+    # with x_0 = b, |x_j - x_{j-1}| <= e^j scale, so e^(j+1) scale/(1-e)
+    # <= margin certifies: allow that many sweeps, or as many as it takes
+    # the step to reach rounding
+    margin = tol - trunc - rounding
+    need = _sweeps_to(e, margin * (1.0 - e) / scale)
+    if need > _MAX_SWEEPS:
+        raise IterationLimit(
+            f"certifying tol {tol:g} on {N} nodes would take more than "
+            f"{_MAX_SWEEPS} sweeps (variation factor {e:.6g}); loosen tol")
+    budget = max(need, min(_sweeps_to(e, _EPS), _MAX_SWEEPS)) + 2
+    best = prev = math.inf
+    for _ in range(budget):
+        nxt = b + x[child].reshape(N, kn) @ ops_t
+        step = float(np.sqrt((np.abs(nxt - x[:N]) ** 2).sum(axis=1).max()))
+        x[:N] = nxt
+        # an iterate's bound also holds for the later ones (the rounding
+        # term covers what rounding adds)
+        best = min(best, e / (1.0 - e) * step)
+        if best <= margin and (step == 0.0 or step > prev):
+            break
+        prev = step
+    if best > margin:
+        raise IterationLimit(
+            f"tolerance {tol:g} not certified in {budget} sweeps over {N} "
+            f"nodes (last bound {trunc + best + rounding:g})")
+    return EvalResult(x[0].copy(), trunc + best + rounding, N, depth_cap,
+                      closed)

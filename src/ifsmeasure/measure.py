@@ -193,17 +193,66 @@ class VectorMeasure:
 
     def evaluate(self, B: QuerySet) -> np.ndarray:
         """mu(B) for an evaluable set, exactly from the representation."""
-        out = np.zeros(self.dim, dtype=self.atom_weights.dtype)
+        return self.evaluate_many([B])[0]
+
+    def evaluate_many(self, sets) -> np.ndarray:
+        """``[mu(B) for B in sets]`` as one ``(len(sets), dim)`` array pass.
+
+        The spans of all sets are flattened and located among the sorted
+        canonical atoms and pieces by ``searchsorted``, so memory and time
+        are O(spans + points + atoms + pieces), never their product.
+        Atoms in a span are a difference of atom prefix sums, the endpoint
+        flags choosing the search side; isolated query points match atoms
+        by exact equality.  Canonical pieces are disjoint and sorted, so a
+        span meets a contiguous run of them: the two end pieces count by
+        their overlap lengths, the ones strictly inside by a difference
+        of piece-mass prefix sums.
+        """
+        sets = list(sets)
+        dtype = self.atom_weights.dtype
+        out = np.zeros((len(sets), self.dim), dtype=dtype)
+        spans = [s for B in sets for s in B.spans]
+        owner = np.repeat(np.arange(len(sets)), [len(B.spans) for B in sets])
+        lo = np.array([s.lo for s in spans], dtype=float)
+        hi = np.array([s.hi for s in spans], dtype=float)
         if self.n_atoms:
-            mask = B.membership(self.atom_points)
-            if mask.any():
-                out += self.atom_weights[mask].sum(axis=0)
-        if self.n_pieces:
-            for s in B.spans:
-                ov = np.minimum(self.piece_hi, s.hi) - np.maximum(self.piece_lo, s.lo)
-                np.clip(ov, 0.0, None, out=ov)
-                if np.any(ov):
-                    out += (self.piece_density * ov[:, None]).sum(axis=0)
+            pts, wts = self.atom_points, self.atom_weights
+            prefix = np.concatenate([np.zeros((1, self.dim), dtype=dtype),
+                                     np.cumsum(wts, axis=0)])
+            lo_incl = np.array([s.lo_incl for s in spans], dtype=bool)
+            hi_incl = np.array([s.hi_incl for s in spans], dtype=bool)
+            a0 = np.where(lo_incl, np.searchsorted(pts, lo, side="left"),
+                          np.searchsorted(pts, lo, side="right"))
+            a1 = np.where(hi_incl, np.searchsorted(pts, hi, side="right"),
+                          np.searchsorted(pts, hi, side="left"))
+            np.add.at(out, owner, prefix[a1] - prefix[a0])
+            q = np.array([t for B in sets for t in B.atoms], dtype=float)
+            q_owner = np.repeat(np.arange(len(sets)),
+                                [len(B.atoms) for B in sets])
+            i = np.minimum(np.searchsorted(pts, q), len(pts) - 1)
+            hit = pts[i] == q
+            np.add.at(out, q_owner[hit], wts[i[hit]])
+        if self.n_pieces and spans:
+            p_lo, p_hi, dens = self.piece_lo, self.piece_hi, self.piece_density
+            mass = np.concatenate([np.zeros((1, self.dim), dtype=dtype),
+                                   np.cumsum(dens * (p_hi - p_lo)[:, None],
+                                             axis=0)])
+            first = np.searchsorted(p_hi, lo, side="right")  # ends after lo
+            stop = np.searchsorted(p_lo, hi, side="left")    # starts before hi
+            last = stop - 1
+            meets = np.flatnonzero(stop > first)
+            first, last = first[meets], last[meets]
+            lo, hi = lo[meets], hi[meets]
+
+            def end_piece(k, lo, hi):
+                ov = np.minimum(p_hi[k], hi) - np.maximum(p_lo[k], lo)
+                return dens[k] * ov[:, None]
+
+            val = end_piece(first, lo, hi)
+            inner = np.flatnonzero(last > first)
+            val[inner] += mass[last[inner]] - mass[first[inner] + 1]
+            val[inner] += end_piece(last[inner], lo[inner], hi[inner])
+            np.add.at(out, owner[meets], val)
         return out
 
     def total(self) -> np.ndarray:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from ifsmeasure import (AffineMap, DimensionMismatch, IFSystem, IterationLimit,
-                        NotContractive, QuerySet, VectorMeasure, apply_markov,
-                        combine, dual_apply, eval_fixed_point, factors,
-                        integrate, iterate_fixed_point, mk_star_exact,
-                        residual, vector_polynomial)
+from ifsmeasure import (AffineMap, ContractionFactors, DimensionMismatch,
+                        IFSystem, IterationLimit, NotContractive, QuerySet,
+                        VectorMeasure, apply_markov, combine, dual_apply,
+                        eval_fixed_point, factors, integrate,
+                        iterate_fixed_point, mk_star_exact, residual,
+                        vector_polynomial)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -64,7 +65,8 @@ def test_system_validation():
 
 
 def test_factors_triangular_values():
-    e, d, c = factors(triangular_system())
+    fac = factors(triangular_system())
+    e, d, c = fac.variation, fac.mk, fac.mk_star
     assert abs(e - (1 + SQRT2) / 5) < 1e-12
     assert abs(d - (1 + SQRT2) / 5 * (4 / 3)) < 1e-12
     assert abs(c - (1 + SQRT2) / 15) < 1e-12
@@ -75,7 +77,7 @@ def test_factors_blend_and_degenerate():
     assert abs(fac.variation - 1.0) < 1e-12
     assert abs(fac.mk_star - 1 / 3) < 1e-12
     zero_sys = IFSystem([AffineMap(0.5, 0.0)], [np.zeros((2, 2))])
-    assert tuple(factors(zero_sys)) == (0.0, 0.0, 0.0)
+    assert factors(zero_sys) == ContractionFactors(0.0, 0.0, 0.0)
 
 
 def test_apply_markov_zero_and_base():
@@ -166,10 +168,9 @@ def test_mk_star_contraction_on_equal_mass_pairs():
 def test_iterate_reaches_known_totals():
     sys = triangular_system()
     res = iterate_fixed_point(sys, VectorMeasure.zero(2), tol=1e-8)
-    mu, k, bound = res
-    assert k <= 60
-    assert bound <= 1e-8
-    assert np.abs(mu.total() - np.array([5 / 16, 3 / 8])).max() < 1e-8
+    assert res.iterations <= 60
+    assert res.error_bound <= 1e-8
+    assert np.abs(res.measure.total() - np.array([5 / 16, 3 / 8])).max() < 1e-8
 
 
 def test_iterate_without_base_converges_to_zero():
@@ -274,7 +275,7 @@ def test_eval_fixed_point_known_values():
         (QuerySet.point(2 / 3), np.array([0.0, -1 / 36])),
     ]
     for b, want in cases:
-        got = eval_fixed_point(sys, b, tol=1e-10)
+        got = eval_fixed_point(sys, b, tol=1e-10).value
         assert np.abs(got - want).max() < 1e-10
 
 
@@ -289,20 +290,23 @@ def test_eval_agrees_with_iterate_on_random_sets():
     rng = np.random.default_rng(6)
     for _ in range(20):
         b = QuerySet.closed(*sorted(rng.uniform(0, 1, 2)))
-        direct = eval_fixed_point(sys, b, tol=1e-9)
+        direct = eval_fixed_point(sys, b, tol=1e-9).value
         via_iter = res.measure.evaluate(b)
         assert np.abs(direct - via_iter).max() < 2e-9
 
 
 def test_eval_truncation_on_infinite_transition_graph():
-    # maps whose preimage chains never cycle force the truncated branch;
-    # the result must still match the iterated measure to solver accuracy
+    # two maps with a gap between their images; the graph of this set
+    # closes after 9 nodes (truncated graphs are covered by the generated
+    # systems below); the result must match the iterated measure
     maps = [AffineMap(0.31, 0.0), AffineMap(0.31, 0.62)]
     ops = [0.15 * np.eye(1), 0.1 * np.eye(1)]
     base = VectorMeasure.lebesgue(np.array([0.5]))
     sys = IFSystem(maps, ops, base=base)
     b = QuerySet.closed(0.2, 0.45)
     got = eval_fixed_point(sys, b, tol=1e-8)
+    assert got.error_bound <= 1e-8
+    got = got.value
     res = iterate_fixed_point(sys, VectorMeasure.zero(1), tol=1e-9)
     assert np.abs(got - res.measure.evaluate(b)).max() < 2e-8
 
@@ -318,3 +322,148 @@ def test_residual_properties():
         assert r <= (1 + e) * mu.variation_norm() + base_norm + 1e-10
     res = iterate_fixed_point(sys, VectorMeasure.zero(2), tol=1e-9)
     assert residual(sys, res.measure) < 1e-8
+
+
+# slopes of the generated maps: 0 (a constant map), negative, and the
+# ternary/binary ones whose preimage graphs close
+_SLOPES = (0.0, 1 / 3, -1 / 3, 0.25, -0.5, 0.5, 0.4, -0.35)
+
+
+def _generated_system(rng, field):
+    """2-4 maps with slopes in [-1/2, 1/2], operators of variation factor
+    in [0.2, 0.6], and a base whose atoms sit at the maps' fixed points and
+    at 0 and 1, with a piece between two map-image endpoints.  Returns the
+    system and those special points, from which query sets are drawn."""
+    k = int(rng.integers(2, 5))
+    dim = int(rng.integers(1, 4))
+    maps = []
+    for _ in range(k):
+        s = (float(rng.choice(_SLOPES)) if rng.random() < 0.7
+             else float(rng.uniform(-0.5, 0.5)))
+        lo, hi = (0.0, 1.0 - s) if s >= 0 else (-s, 1.0)
+        grid = [lo, hi] + [o for o in (0.25, 1 / 3, 0.5, 2 / 3, 0.75)
+                           if lo <= o <= hi]
+        o = (float(rng.choice(grid)) if rng.random() < 0.6
+             else float(rng.uniform(lo, hi)))
+        maps.append(AffineMap(s, o))
+
+    def coeffs(*shape):
+        c = rng.standard_normal(shape)
+        return c + 1j * rng.standard_normal(shape) if field == "complex" else c
+    e = rng.uniform(0.2, 0.6)
+    ops = [e * w * r / np.linalg.norm(r, 2)
+           for w, r in zip(rng.dirichlet(np.ones(k)), coeffs(k, dim, dim))]
+    fixed = [m.offset / (1 - m.slope) for m in maps]
+    ends = sorted({min(max(m(t), 0.0), 1.0) for m in maps for t in (0.0, 1.0)})
+    lo, hi = sorted(rng.choice(ends + [0.0, 1.0], 2, replace=False))
+    base = VectorMeasure(atoms=[(t, coeffs(dim)) for t in {0.0, 1.0, *fixed}],
+                         pieces=[((lo, hi), coeffs(dim))], dim=dim, field=field)
+    return (IFSystem(maps, ops, base=base, dim=dim, field=field),
+            sorted(set(fixed + ends)))
+
+
+def _dense_eval(sys, B, depth_cap):
+    """Reference: the same graph assembled as one dense (N n)^2 system."""
+    from ifsmeasure.markov import _set_graph
+    nodes, child = _set_graph(sys, B, depth_cap, max_nodes=10 ** 6)
+    N, n = len(nodes), sys.dim
+    dtype = np.complex128 if sys.field == "complex" else np.float64
+    A = np.eye(N * n, dtype=dtype)
+    b = np.zeros(N * n, dtype=dtype)
+    for j in range(N):
+        b[j * n:(j + 1) * n] = sys.base.evaluate(nodes[j])
+        for r, c in zip(sys.operators, child[j]):
+            if c < N:  # truncated children act as zero
+                A[j * n:(j + 1) * n, c * n:(c + 1) * n] -= r
+    return np.linalg.solve(A, b)[:n], N
+
+
+@pytest.mark.parametrize("field, seed", [("real", 11), ("complex", 12)])
+def test_eval_matches_dense_solve_on_generated_systems(field, seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-6
+    closed = truncated = 0
+    for _ in range(16):
+        sys, pts = _generated_system(rng, field)
+        a, b = sorted(rng.choice(pts + [0.0, 1.0], 2, replace=False))
+        sets = [QuerySet.unit(), QuerySet.point(float(rng.choice(pts))),
+                QuerySet(intervals=[(float(a), float(b), bool(rng.integers(2)),
+                                     bool(rng.integers(2)))])]
+        scale = sys.base.variation_norm() / (1 - factors(sys).variation)
+        for B in sets:
+            try:
+                got = eval_fixed_point(sys, B, tol=tol, max_nodes=800)
+            except IterationLimit:
+                continue  # keeps the dense reference small
+            want, nodes = _dense_eval(sys, B, got.depth_cap)
+            assert got.nodes == nodes
+            assert np.abs(got.value - want).max() <= 1e-14 * scale
+            assert got.error_bound <= tol
+            closed += got.closed
+            truncated += not got.closed
+    assert closed >= 10 and truncated >= 2
+
+
+def four_map_system():
+    """Four overlapping slope-0.35 maps, operators of variation factor
+    0.43; its preimage graphs grow without closing."""
+    c, s = np.cos(1.0), np.sin(1.0)
+    rot = np.array([[c, -s], [s, c]])
+    base = VectorMeasure(atoms=[(0.0, np.array([0.02, 0.0]))],
+                         pieces=[((0.0, 1.0), np.array([0.0, 0.02]))])
+    return IFSystem([(0.35, o) for o in (0.0, 0.2, 0.45, 0.65)],
+                    [0.43 * w * rot for w in (0.4, 0.3, 0.2, 0.1)], base=base)
+
+
+def test_eval_memory_stays_bounded_on_four_overlapping_maps(monkeypatch):
+    # 14,426 nodes: a dense (N n)^2 float64 system would take 6.7 GB, and
+    # its LU factorization as much again; the sweeps hold O(N maps n).
+    # Tracing starts once the graph is built (its sets are O(N) objects
+    # either way), which keeps tracemalloc's overhead off the exploration.
+    import tracemalloc
+    import ifsmeasure.markov as markov
+    budget = 4 * 2 ** 20
+    build = markov._set_graph
+
+    def build_then_trace(*args):
+        graph = build(*args)
+        tracemalloc.start()
+        return graph
+    monkeypatch.setattr(markov, "_set_graph", build_then_trace)
+    try:
+        got = eval_fixed_point(four_map_system(), QuerySet.point(1 / np.pi),
+                               tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nodes > 14000 and not got.closed
+    assert peak < budget, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert got.error_bound <= 1e-10
+
+
+def test_eval_agrees_with_iteration_on_four_overlapping_maps():
+    sys = four_map_system()
+    tol = 2e-4  # iteration's representation grows fourfold per step
+    res = iterate_fixed_point(sys, VectorMeasure.zero(2), tol=tol)
+    for B in (QuerySet(intervals=[(0.1, 1 / np.e, False, True)]),
+              QuerySet.closed(1 / np.pi, 1 / np.e)):
+        got = eval_fixed_point(sys, B, tol=tol)
+        assert not got.closed
+        assert (np.linalg.norm(got.value - res.measure.evaluate(B))
+                <= got.error_bound + res.error_bound)
+
+
+def test_eval_refuses_what_it_cannot_certify():
+    with pytest.raises(ValueError):
+        eval_fixed_point(triangular_system(), QuerySet.unit(), tol=0.0)
+    # variation factor 0.999: certifying 1e-9 would take ~27,600 sweeps
+    slow = IFSystem([AffineMap(1 / 3, 0.0)], [0.999 * np.eye(1)],
+                    base=VectorMeasure.dirac(0.0, np.array([1.0])))
+    with pytest.raises(IterationLimit, match="sweeps"):
+        eval_fixed_point(slow, QuerySet.point(0.0), tol=1e-9)
+    # at 0.99 it certifies; the value is 1 / (1 - 0.99)
+    fast = IFSystem([AffineMap(1 / 3, 0.0)], [0.99 * np.eye(1)],
+                    base=VectorMeasure.dirac(0.0, np.array([1.0])))
+    got = eval_fixed_point(fast, QuerySet.point(0.0), tol=1e-9)
+    assert got.closed and got.nodes == 1
+    assert 0.0 < abs(got.value[0] - 100.0) <= got.error_bound <= 1e-9

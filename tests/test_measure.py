@@ -46,6 +46,25 @@ def test_evaluate_examples():
     assert np.allclose(_base_measure().evaluate(QuerySet.unit()), [0.25, 0.25])
 
 
+def test_evaluate_many_flags_on_atoms_and_piece_runs():
+    # atoms on both endpoints of the spans, and a span across three
+    # pieces (two partial ends and one whole piece between them)
+    mu = VectorMeasure(atoms=[(0.25, np.array([1.0j])), (0.75, np.array([2.0]))],
+                       pieces=[((0.0, 0.5), np.array([4.0])),
+                               ((0.5, 0.6), np.array([8.0])),
+                               ((0.6, 1.0), np.array([16.0j]))])
+    sets = [QuerySet(intervals=[(0.25, 0.75, lo, hi)])
+            for lo in (True, False) for hi in (True, False)]
+    sets += [QuerySet.empty(), QuerySet(atoms=[0.75, 0.3]),
+             QuerySet(intervals=[(0.0, 0.25, True, False)], atoms=[0.75])]
+    dens = 4.0 * 0.25 + 8.0 * 0.1 + 16.0j * 0.15
+    want = [dens + 1j + 2, dens + 1j, dens + 2, dens, 0.0, 2.0, 1.0 + 2.0]
+    got = mu.evaluate_many(sets)
+    assert got.shape == (len(sets), 1)
+    assert np.allclose(got[:, 0], want, rtol=0, atol=1e-15)
+    assert mu.evaluate_many([]).shape == (0, 1)
+
+
 def test_variation_norm_examples():
     v = np.array([3.0, 4.0])
     assert VectorMeasure.dirac(0.3, v).variation_norm() == 5.0
