@@ -29,15 +29,14 @@ from .semigroup import (ExponentialFamily, ThetaMaps, constant_map_transfer,
                         countable_series_fixed_point,
                         countable_series_residual, exp_decay_fixed_point,
                         hc_quadrature, transfer_residual)
-from .space import (AffineMap, Interval, QuerySet, Span, estimate_lipschitz,
-                    image, preimage)
+from .space import AffineMap, QuerySet, Span, estimate_lipschitz, preimage
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap", "ContinuousFunction", "ContractionFactors",
     "DimensionMismatch", "EvalResult", "ExponentialFamily", "FieldMismatch",
-    "FixedPointResult", "IFSystem", "Interval", "IterationLimit",
+    "FixedPointResult", "IFSystem", "IterationLimit",
     "LipschitzWitness", "NotContractive", "PartitionError",
     "PolynomialFunction", "QuerySet", "RefinementLimit", "SandwichReport",
     "SeparableKernel", "SimpleFunction", "Span", "ThetaMaps",
@@ -46,7 +45,7 @@ __all__ = [
     "countable_series_fixed_point", "countable_series_residual",
     "dual_apply", "estimate_lipschitz", "eval_fixed_point",
     "exp_decay_fixed_point", "factors", "hc_quadrature", "identity",
-    "image", "integrate", "integrate_simple", "iterate_fixed_point",
+    "integrate", "integrate_simple", "iterate_fixed_point",
     "kernel_sup_bound", "matrix_exp", "mk_lower_bound", "mk_star_exact",
     "operator_norm", "partition_variation_estimate", "preimage", "prune",
     "pushforward", "residual", "sandwich_check", "scalar_product",

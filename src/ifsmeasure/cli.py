@@ -37,12 +37,6 @@ def _fmt(x) -> str:
     return f"{float(x):.15g}"
 
 
-def _fmt_vector(v) -> str:
-    if np.iscomplexobj(v):
-        return "[" + ", ".join(f"{c.real:.15g}{c.imag:+.15g}j" for c in v) + "]"
-    return "[" + ", ".join(_fmt(c) for c in v) + "]"
-
-
 def _num(x):
     return float(f"{float(x):.15g}")
 

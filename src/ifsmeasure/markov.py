@@ -269,8 +269,8 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
 def _memo_key(B: QuerySet):
     """Hashable canonical key on a 1e-14 grid, absorbing rounding noise in
     repeated preimage arithmetic."""
-    return (tuple((round(s.lo, 14), round(s.hi, 14), s.lo_incl, s.hi_incl)
-                  for s in B.spans),
+    return (tuple((round(lo, 14), round(hi, 14), lo_incl, hi_incl)
+                  for lo, hi, lo_incl, hi_incl in B.spans),
             tuple(round(a, 14) for a in B.atoms))
 
 

@@ -11,40 +11,40 @@ closed under affine pushforward, application of a matrix operator to the
 coefficients, and linear combination, which keeps Markov-type operator
 iterates exactly representable.
 
-Canonical form: atoms sorted with coincident points merged (a configurable
-snap tolerance, default 1e-12, also merges nearly-coincident points produced
-by rounding) and zero weights dropped; pieces resolved into disjoint
-segments with densities summed, zero densities dropped, and adjacent
-segments with exactly equal densities merged.  Equality is structural on the
-canonical arrays.
+Canonical form: atoms sorted with coincident points merged (points within
+1e-12 of each other also merge, absorbing rounding in mapped positions) and
+zero weights dropped; pieces resolved into disjoint segments with densities
+summed, zero densities dropped, and adjacent segments with exactly equal
+densities merged.  Equality is structural on the canonical arrays.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from .exceptions import DimensionMismatch, FieldMismatch
-from .space import AffineMap, Interval, QuerySet
+from .space import AffineMap, QuerySet
 
 __all__ = ["VectorMeasure", "pushforward", "apply_operator", "combine",
            "accumulate", "prune"]
 
-_DEFAULT_SNAP = 1e-12
+_SNAP = 1e-12
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
 
 
-def _canonical_atoms(points, weights, snap):
+def _canonical_atoms(points, weights):
     if len(points) == 0:
         return points, weights
     order = np.argsort(points, kind="stable")
     p = points[order]
     w = weights[order]
-    starts = np.concatenate(([True], np.diff(p) > snap))
+    starts = np.concatenate(([True], np.diff(p) > _SNAP))
     idx = np.flatnonzero(starts)
     merged_w = np.add.reduceat(w, idx, axis=0)
     merged_p = p[idx]
@@ -86,10 +86,9 @@ class VectorMeasure:
     __slots__ = ("atom_points", "atom_weights", "piece_lo", "piece_hi",
                  "piece_density", "dim")
 
-    def __init__(self, atoms=(), pieces=(), dim=None, field=None,
-                 snap=_DEFAULT_SNAP):
+    def __init__(self, atoms=(), pieces=(), dim=None, field=None):
         """Build from iterables of ``(point, weight)`` and
-        ``(interval_or_pair, density)``; ``dim`` is only needed when both
+        ``((lo, hi), density)``; ``dim`` is only needed when both
         lists are empty.  ``field`` is "real", "complex", or None to infer
         from the coefficients.
         """
@@ -97,11 +96,7 @@ class VectorMeasure:
         for t, w in atoms:
             a_pts.append(float(t))
             a_wts.append(np.atleast_1d(np.asarray(w)))
-        for iv, d in pieces:
-            if isinstance(iv, Interval):
-                lo_, hi_ = iv.lo, iv.hi
-            else:
-                lo_, hi_ = iv
+        for (lo_, hi_), d in pieces:
             p_lo.append(float(lo_))
             p_hi.append(float(hi_))
             p_d.append(np.atleast_1d(np.asarray(d)))
@@ -130,14 +125,14 @@ class VectorMeasure:
         lo = np.asarray(p_lo, dtype=float)
         hi = np.asarray(p_hi, dtype=float)
         dd = cast(np.stack(p_d)) if p_d else np.zeros((0, dim), dtype=dtype)
-        self._finish(pts, wts, lo, hi, dd, dim, snap)
+        self._finish(pts, wts, lo, hi, dd, dim)
 
-    def _finish(self, pts, wts, lo, hi, dens, dim, snap):
+    def _finish(self, pts, wts, lo, hi, dens, dim):
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("atom outside [0, 1]")
         if np.any(lo > hi) or (len(lo) and (lo.min() < 0.0 or hi.max() > 1.0)):
             raise ValueError("piece interval outside [0, 1] or reversed")
-        pts, wts = _canonical_atoms(pts, wts, snap)
+        pts, wts = _canonical_atoms(pts, wts)
         lo, hi, dens = _canonical_pieces(lo, hi, dens)
         for arr in (pts, wts, lo, hi, dens):
             arr.setflags(write=False)
@@ -152,11 +147,11 @@ class VectorMeasure:
         raise AttributeError("VectorMeasure is immutable")
 
     @classmethod
-    def _from_arrays(cls, pts, wts, lo, hi, dens, dim, snap=_DEFAULT_SNAP):
+    def _from_arrays(cls, pts, wts, lo, hi, dens, dim):
         self = cls.__new__(cls)
         self._finish(np.asarray(pts, float), np.asarray(wts),
                      np.asarray(lo, float), np.asarray(hi, float),
-                     np.asarray(dens), dim, snap)
+                     np.asarray(dens), dim)
         return self
 
     # -- constructors -------------------------------------------------
@@ -211,16 +206,15 @@ class VectorMeasure:
         sets = list(sets)
         dtype = self.atom_weights.dtype
         out = np.zeros((len(sets), self.dim), dtype=dtype)
-        spans = [s for B in sets for s in B.spans]
+        spans = np.fromiter(chain.from_iterable(s for B in sets for s in B.spans),
+                            dtype=float).reshape(-1, 4)
         owner = np.repeat(np.arange(len(sets)), [len(B.spans) for B in sets])
-        lo = np.array([s.lo for s in spans], dtype=float)
-        hi = np.array([s.hi for s in spans], dtype=float)
+        lo, hi = spans[:, 0], spans[:, 1]
         if self.n_atoms:
             pts, wts = self.atom_points, self.atom_weights
             prefix = np.concatenate([np.zeros((1, self.dim), dtype=dtype),
                                      np.cumsum(wts, axis=0)])
-            lo_incl = np.array([s.lo_incl for s in spans], dtype=bool)
-            hi_incl = np.array([s.hi_incl for s in spans], dtype=bool)
+            lo_incl, hi_incl = spans[:, 2] != 0.0, spans[:, 3] != 0.0
             a0 = np.where(lo_incl, np.searchsorted(pts, lo, side="left"),
                           np.searchsorted(pts, lo, side="right"))
             a1 = np.where(hi_incl, np.searchsorted(pts, hi, side="right"),
@@ -232,7 +226,7 @@ class VectorMeasure:
             i = np.minimum(np.searchsorted(pts, q), len(pts) - 1)
             hit = pts[i] == q
             np.add.at(out, q_owner[hit], wts[i[hit]])
-        if self.n_pieces and spans:
+        if self.n_pieces and len(spans):
             p_lo, p_hi, dens = self.piece_lo, self.piece_hi, self.piece_density
             mass = np.concatenate([np.zeros((1, self.dim), dtype=dtype),
                                    np.cumsum(dens * (p_hi - p_lo)[:, None],
@@ -441,8 +435,7 @@ def apply_operator(r, mu: VectorMeasure) -> VectorMeasure:
         mu.piece_lo, mu.piece_hi, mu.piece_density @ r.T, mu.dim)
 
 
-def combine(a, mu: VectorMeasure, b, nu: VectorMeasure,
-            snap=_DEFAULT_SNAP) -> VectorMeasure:
+def combine(a, mu: VectorMeasure, b, nu: VectorMeasure) -> VectorMeasure:
     """Linear combination a*mu + b*nu in canonical form."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
@@ -456,10 +449,10 @@ def combine(a, mu: VectorMeasure, b, nu: VectorMeasure,
         np.concatenate([mu.piece_hi, nu.piece_hi]),
         np.concatenate([(a * mu.piece_density).astype(dtype),
                         (b * nu.piece_density).astype(dtype)]),
-        mu.dim, snap)
+        mu.dim)
 
 
-def accumulate(measures, dim=None, snap=_DEFAULT_SNAP) -> VectorMeasure:
+def accumulate(measures, dim=None) -> VectorMeasure:
     """Sum of a sequence of measures with a single canonicalization pass."""
     measures = list(measures)
     if not measures:
@@ -476,7 +469,7 @@ def accumulate(measures, dim=None, snap=_DEFAULT_SNAP) -> VectorMeasure:
         np.concatenate([m.piece_lo for m in measures]),
         np.concatenate([m.piece_hi for m in measures]),
         np.concatenate([m.piece_density.astype(dtype) for m in measures]),
-        dim, snap)
+        dim)
 
 
 def prune(mu: VectorMeasure, tol: float) -> VectorMeasure:

@@ -37,6 +37,7 @@ __all__ = ["mk_star_exact", "mk_lower_bound", "sandwich_check",
            "LipschitzWitness", "SandwichReport"]
 
 _TOTAL_TOL = 1e-12
+_STEP0 = 0.25  # first step of the ascent in mk_lower_bound
 
 
 def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
@@ -206,12 +207,12 @@ def _certified_value(F: np.ndarray, h: np.ndarray, G: np.ndarray, ball: str):
 
 
 def mk_lower_bound(mu: VectorMeasure, ball: str = "l1", grid: int = 200,
-                   iters: int = 2000, step0: float = 0.25):
+                   iters: int = 2000):
     """Certified lower bound for the Monge-Kantorovich pairing supremum.
 
     The witness is piecewise linear on (atom points united with an
     equispaced grid) and is driven by projected supergradient ascent with
-    step step0/sqrt(k) from the zero witness.  The ascent runs in the
+    step 0.25/sqrt(k) from the zero witness.  The ascent runs in the
     increment domain f(node_{j+1}) - f(node_j) = h_j u_j, where the
     Lipschitz polytope factorizes into independent unit balls ||u_j|| <= 1
     and projection is exact per-segment clipping; for the "bl1" ball the
@@ -257,7 +258,7 @@ def mk_lower_bound(mu: VectorMeasure, ball: str = "l1", grid: int = 200,
     best_F = np.zeros_like(G)
     prev_F = None
     for k in range(1, iters + 1):
-        step = step0 / np.sqrt(k)
+        step = _STEP0 / np.sqrt(k)
         u += step * grad_u
         if ball == "bl1":
             f0 += step * grad_f0

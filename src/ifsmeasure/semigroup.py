@@ -163,8 +163,7 @@ def constant_map_transfer(fam: ExponentialFamily, phi: Callable[[float], float],
 
 def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
                           ball_radius: Optional[float] = None,
-                          tol: float = 1e-12,
-                          verify: bool = True) -> VectorMeasure:
+                          tol: float = 1e-12) -> VectorMeasure:
     """Fixed point of the decaying constant-target transfer plus base.
 
     With family R_theta = exp(-rate * theta) I, all maps constant at
@@ -177,8 +176,8 @@ def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
     carrying total/rate, and repeated transfers sum a geometric series.
     Requires rate > 1.  If ``ball_radius`` is given, the precondition
     ||base|| <= ball_radius * (1 - 1/rate) is enforced (the radius on which
-    the operator is a self-map).  With ``verify`` the result is checked by
-    quadrature residual on a small family of polynomial integrands.
+    the operator is a self-map).  The result is checked by quadrature
+    residual on a small family of polynomial integrands.
     """
     if rate <= 1.0:
         raise ValueError("rate must exceed 1 for the transfer to contract")
@@ -190,11 +189,10 @@ def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
     tot = base.total()
     mu = combine(1.0, base, 1.0,
                  VectorMeasure.dirac(target, tot / (rate - 1.0)))
-    if verify:
-        res = transfer_residual(rate, target, base, mu, tol=tol)
-        if res > 1e-9:
-            raise ArithmeticError(
-                f"closed-form fixed point failed residual check: {res:g}")
+    res = transfer_residual(rate, target, base, mu, tol=tol)
+    if res > 1e-9:
+        raise ArithmeticError(
+            f"closed-form fixed point failed residual check: {res:g}")
     return mu
 
 

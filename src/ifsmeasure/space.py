@@ -7,45 +7,31 @@ measure never see endpoints, but Dirac atoms do, so ``[0, b]`` and
 affine maps, which is what makes exact set-evaluation of invariant measures
 possible.
 
-Sets are kept in a canonical form (intervals sorted and maximal, degenerate
-intervals collapsed to points, points at an interval boundary absorbed by
-closing the endpoint flag).  Canonical form is unique for a given point set,
-so equality is structural and sets can be memoized.
+``QuerySet`` keeps its sets in a canonical form: spans sorted and maximal,
+no two touching at a closed end, and isolated points only where no span
+reaches.  One sorted sweep builds it.  Each point enters as the closed
+degenerate span ``[a, a]`` (a half-open degenerate span is empty and
+dropped), so absorbing a point and merging touching spans are one step.
+Sorting by ``(lo, not lo_incl, hi)`` puts a closed start before an open
+one at the same point, so the sweep never has to merge backwards; closed
+degenerate spans left at the end are the points.  Canonical form is
+unique for a given point set, so equality is structural and sets can be
+memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Interval", "Span", "QuerySet", "AffineMap",
-           "preimage", "image", "estimate_lipschitz"]
+__all__ = ["Span", "QuerySet", "AffineMap", "preimage", "estimate_lipschitz"]
 
 _EDGE_TOL = 1e-12  # slack for containment checks on constructor input
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Subinterval of [0, 1] given by its endpoints.
-
-    Endpoint membership is not part of this type; it only matters for sets
-    that atoms are tested against, which is QuerySet's job.
-    """
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (-_EDGE_TOL <= self.lo <= self.hi <= 1.0 + _EDGE_TOL):
-            raise ValueError(f"invalid interval [{self.lo!r}, {self.hi!r}]")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Interval with endpoint-inclusion flags; building block of QuerySet."""
     lo: float
     hi: float
@@ -66,79 +52,39 @@ class Span:
         return self.hi - self.lo
 
 
-def _merge_spans(spans):
-    out = []
-    for s in spans:
-        if out:
-            p = out[-1]
-            touches = s.lo == p.hi and (s.lo_incl or p.hi_incl)
-            if s.lo < p.hi or touches:
-                if s.lo == p.lo:
-                    lo_incl = p.lo_incl or s.lo_incl
-                else:
-                    lo_incl = p.lo_incl
-                if s.hi > p.hi:
-                    hi, hi_incl = s.hi, s.hi_incl
-                elif s.hi < p.hi:
-                    hi, hi_incl = p.hi, p.hi_incl
-                else:
-                    hi, hi_incl = p.hi, p.hi_incl or s.hi_incl
-                out[-1] = Span(p.lo, hi, lo_incl, hi_incl)
-                continue
-        out.append(s)
-    return out
-
-
-def _absorb_atoms(spans, atoms):
-    spans = list(spans)
-    kept = []
-    for a in atoms:
-        absorbed = False
-        for i, s in enumerate(spans):
-            if s.lo < a < s.hi:
-                absorbed = True
-                break
-            if a == s.lo:
-                if not s.lo_incl:
-                    spans[i] = Span(s.lo, s.hi, True, s.hi_incl)
-                absorbed = True
-                break
-            if a == s.hi:
-                if not s.hi_incl:
-                    spans[i] = Span(s.lo, s.hi, s.lo_incl, True)
-                absorbed = True
-                break
-        if not absorbed:
-            kept.append(a)
-    return spans, kept
-
-
 def _canonicalize(raw_spans, raw_atoms):
-    spans = []
-    atoms = []
+    items = []
     for s in raw_spans:
-        if not (0.0 <= s.lo <= 1.0 and 0.0 <= s.hi <= 1.0):
+        lo, hi, lo_incl, hi_incl = s
+        if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
             raise ValueError(f"span outside [0, 1]: {s}")
-        if s.lo > s.hi:
+        if lo > hi:
             raise ValueError(f"span with lo > hi: {s}")
-        if s.lo == s.hi:
-            if s.lo_incl and s.hi_incl:
-                atoms.append(s.lo)
-            continue  # half-open degenerate span is empty
-        spans.append(s)
+        if lo < hi or (lo_incl and hi_incl):
+            items.append(s)
     for a in raw_atoms:
         if not (0.0 <= a <= 1.0):
             raise ValueError(f"point outside [0, 1]: {a!r}")
-        atoms.append(a)
-    atoms = sorted(set(atoms))
-    spans.sort(key=lambda s: (s.lo, not s.lo_incl, s.hi))
-    # closing a flag can create a new mergeable touch, so iterate to fixpoint
-    while True:
-        merged = _merge_spans(spans)
-        merged, kept = _absorb_atoms(merged, atoms)
-        if merged == spans and kept == atoms:
-            return tuple(spans), tuple(atoms)
-        spans, atoms = merged, kept
+        items.append(Span(a, a))
+    items.sort(key=lambda s: (s.lo, not s.lo_incl, s.hi))
+    out = []
+    for s in items:
+        if out:
+            lo, hi, lo_incl, hi_incl = out[-1]
+            if s.lo < hi or (s.lo == hi and (s.lo_incl or hi_incl)):
+                if s.hi > hi:
+                    out[-1] = Span(lo, s.hi, lo_incl, s.hi_incl)
+                elif s.hi == hi and s.hi_incl and not hi_incl:
+                    out[-1] = Span(lo, hi, lo_incl, True)
+                continue
+        out.append(s)
+    spans, atoms = [], []
+    for s in out:
+        if s.lo < s.hi:
+            spans.append(s)
+        else:
+            atoms.append(s.lo)
+    return tuple(spans), tuple(atoms)
 
 
 class QuerySet:
@@ -151,8 +97,6 @@ class QuerySet:
         for item in intervals:
             if isinstance(item, Span):
                 raw.append(item)
-            elif isinstance(item, Interval):
-                raw.append(Span(float(item.lo), float(item.hi)))
             else:
                 t = tuple(item)
                 if len(t) == 2:
@@ -224,21 +168,14 @@ class QuerySet:
 
     def intersect(self, other: "QuerySet") -> "QuerySet":
         spans = []
-        atoms = []
         for a in self.spans:
             for b in other.spans:
                 lo = max(a.lo, b.lo)
                 hi = min(a.hi, b.hi)
-                if lo > hi:
-                    continue
-                lo_incl = a.contains(lo) and b.contains(lo)
-                hi_incl = a.contains(hi) and b.contains(hi)
-                if lo == hi:
-                    if lo_incl:
-                        atoms.append(lo)
-                else:
-                    spans.append(Span(lo, hi, lo_incl, hi_incl))
-        atoms.extend(t for t in self.atoms if other.contains(t))
+                if lo <= hi:
+                    spans.append(Span(lo, hi, a.contains(lo) and b.contains(lo),
+                                      a.contains(hi) and b.contains(hi)))
+        atoms = [t for t in self.atoms if other.contains(t)]
         atoms.extend(t for t in other.atoms if self.contains(t))
         return QuerySet(spans, atoms)
 
@@ -292,14 +229,6 @@ class AffineMap:
         return abs(self.slope)
 
 
-def image(m: AffineMap, iv: Interval) -> Interval:
-    """Forward image of an interval; exact affine endpoint arithmetic."""
-    y0 = m.slope * iv.lo + m.offset
-    y1 = m.slope * iv.hi + m.offset
-    lo, hi = (y0, y1) if y0 <= y1 else (y1, y0)
-    return Interval(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
-
-
 def preimage(m: AffineMap, B: QuerySet) -> QuerySet:
     """Preimage of an evaluable set under an affine map, clipped to [0, 1].
 
@@ -325,11 +254,7 @@ def preimage(m: AffineMap, B: QuerySet) -> QuerySet:
             a, li = 0.0, True
         if b > 1.0:
             b, hi_ = 1.0, True
-        if a == b:
-            if li and hi_:
-                atoms.append(a)
-        else:
-            spans.append(Span(a, b, li, hi_))
+        spans.append(Span(a, b, li, hi_))
     for t in B.atoms:
         x = (t - o) / s
         if 0.0 <= x <= 1.0:

@@ -295,20 +295,24 @@ def test_eval_agrees_with_iterate_on_random_sets():
         assert np.abs(direct - via_iter).max() < 2e-9
 
 
-def test_eval_truncation_on_infinite_transition_graph():
-    # two maps with a gap between their images; the graph of this set
-    # closes after 9 nodes (truncated graphs are covered by the generated
-    # systems below); the result must match the iterated measure
-    maps = [AffineMap(0.31, 0.0), AffineMap(0.31, 0.62)]
+@pytest.mark.parametrize("slope, offset, closed", [
+    (0.31, 0.62, True),    # a gap between the images: closes after 9 nodes
+    (0.6, 0.4, False),     # overlapping images: cut at the depth cap
+], ids=["closes", "truncates"])
+def test_eval_truncation_on_infinite_transition_graph(slope, offset, closed):
+    # the result must match the iterated measure within the two bounds,
+    # whether the graph closed or was truncated
+    maps = [AffineMap(slope, 0.0), AffineMap(slope, offset)]
     ops = [0.15 * np.eye(1), 0.1 * np.eye(1)]
     base = VectorMeasure.lebesgue(np.array([0.5]))
     sys = IFSystem(maps, ops, base=base)
     b = QuerySet.closed(0.2, 0.45)
     got = eval_fixed_point(sys, b, tol=1e-8)
+    assert got.closed is closed
     assert got.error_bound <= 1e-8
-    got = got.value
     res = iterate_fixed_point(sys, VectorMeasure.zero(1), tol=1e-9)
-    assert np.abs(got - res.measure.evaluate(b)).max() < 2e-8
+    err = np.abs(got.value - res.measure.evaluate(b)).max()
+    assert err <= got.error_bound + res.error_bound
 
 
 def test_residual_properties():

@@ -1,21 +1,10 @@
-"""Tests for intervals, query sets, and affine self-maps of [0, 1]."""
+"""Tests for query sets and affine self-maps of [0, 1]."""
 
 import numpy as np
 import pytest
 
-from ifsmeasure import AffineMap, Interval, QuerySet, estimate_lipschitz, image, preimage
+from ifsmeasure import AffineMap, QuerySet, estimate_lipschitz, preimage
 from ifsmeasure.space import Span
-
-
-def test_interval_validates_bounds():
-    iv = Interval(0.25, 0.75)
-    assert iv.length == 0.5
-    with pytest.raises(ValueError):
-        Interval(0.5, 0.25)
-    with pytest.raises(ValueError):
-        Interval(-0.2, 0.5)
-    with pytest.raises(ValueError):
-        Interval(0.5, 1.2)
 
 
 def test_query_set_merges_overlaps():
@@ -37,6 +26,15 @@ def test_query_set_merges_touching_when_closed():
     assert len(q3.spans) == 1 and not q3.atoms
 
 
+def test_closed_start_sorts_before_open_start():
+    # in plain tuple order the open span at .25 sorts first, and the sweep,
+    # which never merges backwards, would leave (0, .25) and [.25, .75) apart
+    q = QuerySet(intervals=[(0.0, 0.25, False, False),
+                            (0.25, 0.375, False, True),
+                            (0.25, 0.75, True, False)])
+    assert q.spans == (Span(0.0, 0.75, False, False),) and not q.atoms
+
+
 def test_query_set_absorbs_interior_atoms():
     q = QuerySet(intervals=[(0.2, 0.8)], atoms=[0.5, 0.2, 0.9])
     assert q.atoms == (0.9,)
@@ -50,6 +48,16 @@ def test_degenerate_interval_becomes_atom():
     # degenerate with an open end is empty
     q2 = QuerySet(intervals=[(0.5, 0.5, True, False)])
     assert q2.is_empty
+
+
+def test_query_set_rejects_what_lies_outside_the_unit_interval():
+    for bad in ([(0.5, 0.25)], [(-0.2, 0.5)], [(0.5, 1.2, True, False)]):
+        with pytest.raises(ValueError):
+            QuerySet(intervals=bad)
+    with pytest.raises(ValueError):
+        QuerySet(atoms=[1.5])
+    with pytest.raises(ValueError):
+        QuerySet(intervals=[(0.1, 0.2, 0.3)])
 
 
 def test_query_set_equality_and_hash():
@@ -100,12 +108,6 @@ def test_affine_map_validation_and_call():
     assert m.lipschitz == 1 / 3
     with pytest.raises(ValueError):
         AffineMap(1.0, 0.5)  # leaves the unit interval
-
-
-def test_image_clamps_to_unit():
-    m = AffineMap(1 / 3, 0.0)
-    iv = image(m, Interval(0.0, 1.0))
-    assert iv.lo == 0.0 and abs(iv.hi - 1 / 3) < 1e-15
 
 
 def test_preimage_positive_slope():
