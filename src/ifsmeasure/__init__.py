@@ -12,8 +12,7 @@ a certified lower-bound estimator.
 
 from .exceptions import (DimensionMismatch, FieldMismatch, IterationLimit,
                          NotContractive, PartitionError, RefinementLimit)
-from .hilbert import (adjoint, identity, matrix_exp, operator_norm,
-                      scalar_product, vector_norm)
+from .hilbert import adjoint, matrix_exp, operator_norm, scalar_product
 from .integral import (ContinuousFunction, SimpleFunction, integrate,
                        integrate_simple, vector_polynomial)
 from .kernelops import (PolynomialFunction, SeparableKernel, kernel_sup_bound,
@@ -44,11 +43,11 @@ __all__ = [
     "apply_operator", "combine", "constant_map_transfer",
     "countable_series_fixed_point", "countable_series_residual",
     "dual_apply", "estimate_lipschitz", "eval_fixed_point",
-    "exp_decay_fixed_point", "factors", "hc_quadrature", "identity",
+    "exp_decay_fixed_point", "factors", "hc_quadrature",
     "integrate", "integrate_simple", "iterate_fixed_point",
     "kernel_sup_bound", "matrix_exp", "mk_lower_bound", "mk_star_exact",
     "operator_norm", "partition_variation_estimate", "preimage", "prune",
     "pushforward", "residual", "sandwich_check", "scalar_product",
-    "solve_invariance", "transfer_residual", "vector_norm",
+    "solve_invariance", "transfer_residual",
     "vector_polynomial", "__version__",
 ]

@@ -243,8 +243,7 @@ class _KernelJob:
                     acc = acc + u.scale(kern.scale * v.times(phi).integral01())
             res_poly = acc + phi.scale(-1)
             exact_zero = all(c == 0 for c in res_poly.coeffs)
-            xs = np.linspace(0.0, 1.0, 1000)
-            grid_res = max(abs(float(res_poly(float(x)))) for x in xs)
+            grid_res = float(np.abs(res_poly(np.linspace(0.0, 1.0, 1000))).max())
             return {"exact_residual_zero": exact_zero,
                     "grid_residual": _num(grid_res)}
         if cmd == "partition":

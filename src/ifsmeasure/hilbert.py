@@ -12,8 +12,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch
 
-__all__ = ["scalar_product", "vector_norm", "operator_norm", "adjoint",
-           "matrix_exp", "identity"]
+__all__ = ["scalar_product", "operator_norm", "adjoint", "matrix_exp"]
 
 
 def _as_vector(x) -> np.ndarray:
@@ -40,10 +39,6 @@ def scalar_product(x, y):
     return complex(out) if np.iscomplexobj(out) else float(out)
 
 
-def vector_norm(x) -> float:
-    return float(np.linalg.norm(_as_vector(x)))
-
-
 def operator_norm(r) -> float:
     """Largest singular value of the matrix."""
     a = _as_operator(r)
@@ -55,10 +50,6 @@ def operator_norm(r) -> float:
 def adjoint(r) -> np.ndarray:
     """Conjugate transpose; satisfies (Rx, y) = (x, adjoint(R) y)."""
     return _as_operator(r).conj().T.copy()
-
-
-def identity(n: int, complex_field: bool = False) -> np.ndarray:
-    return np.eye(n, dtype=complex if complex_field else float)
 
 
 def matrix_exp(a, t: float = 1.0) -> np.ndarray:

@@ -24,6 +24,7 @@ __all__ = ["PolynomialFunction", "SeparableKernel", "kernel_sup_bound",
            "solve_invariance", "partition_variation_estimate"]
 
 _MAX_RANK = 8
+_MAX_GRID = 2048
 
 
 def _to_fraction(x) -> Fraction:
@@ -48,6 +49,11 @@ class PolynomialFunction:
         object.__setattr__(self, "coeffs", c if c else (Fraction(0),))
 
     def __call__(self, x):
+        """p(x): exact for Fraction and int x; the float Horner rule over
+        the coefficients for floats and for arrays, elementwise."""
+        if isinstance(x, np.ndarray):
+            return np.polynomial.polynomial.polyval(
+                x, [float(c) for c in self.coeffs])
         out = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             out = out * x + c
@@ -102,11 +108,15 @@ class SeparableKernel:
     def rank(self) -> int:
         return len(self.terms)
 
-    def evaluate(self, x: float, y: float) -> float:
-        out = 0.0
+    def evaluate(self, x, y):
+        """F(x, y) for scalars; for arrays, the grid of F(x_i, y_j)."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        ys = np.atleast_1d(np.asarray(y, dtype=float))
+        out = np.zeros((len(xs), len(ys)))
         for u, v in self.terms:
-            out += float(u(x)) * float(v(y))
-        return float(self.scale) * out
+            out += np.outer(u(xs), v(ys))
+        out = float(self.scale) * out
+        return float(out[0, 0]) if np.ndim(x) == np.ndim(y) == 0 else out
 
 
 def kernel_sup_bound(F: SeparableKernel, grid: int = 64, zoom_rounds: int = 3) -> float:
@@ -116,19 +126,17 @@ def kernel_sup_bound(F: SeparableKernel, grid: int = 64, zoom_rounds: int = 3) -
     the estimate is nondecreasing in grid); each zoom round re-searches a
     one-cell neighborhood of the current maximizer at finer spacing.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    if not 2 <= grid <= _MAX_GRID:
+        # each search holds a few (grid + 1)^2 arrays at once
+        raise ValueError(f"grid must be between 2 and {_MAX_GRID}")
 
     def search(x0, x1, y0, y1, k):
         xs = np.linspace(x0, x1, k + 1)
         ys = np.linspace(y0, y1, k + 1)
-        best = (-1.0, x0, y0)
-        for x in xs:
-            for y in ys:
-                v = abs(F.evaluate(float(x), float(y)))
-                if v > best[0]:
-                    best = (v, float(x), float(y))
-        return best
+        vals = np.abs(F.evaluate(xs, ys))
+        # argmax picks the first maximum in row order
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        return float(vals[i, j]), float(xs[i]), float(ys[j])
 
     val, bx, by = search(0.0, 1.0, 0.0, 1.0, grid)
     span = 1.0 / grid

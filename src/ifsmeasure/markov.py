@@ -15,9 +15,10 @@ Three contraction factors govern convergence, one per norm: the variation
 factor sum ||R_i||, the bounded-Lipschitz factor sum ||R_i|| (1 + r_i), and
 the Lipschitz-ball factor sum ||R_i|| r_i, where r_i is the map's
 contraction ratio.  Two solvers compute the fixed point: contraction
-iteration in either metric, and evaluation on a query set over the
-transition graph its preimages generate, solved by block sweeps whose
-stop the variation factor certifies.
+iteration, one certified loop in whichever metric contracts (variation,
+or mk_star for mass-preserving systems), and evaluation on a query set
+over the transition graph its preimages generate, solved by block sweeps
+whose stop the variation factor certifies.
 """
 
 from __future__ import annotations
@@ -196,14 +197,18 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
                         ) -> FixedPointResult:
     """Contraction iteration to the fixed point with a certified error bound.
 
-    norm="variation" requires variation factor e < 1.  Each iterate is
-    pruned with budget p = tol*(1-e)/4; the a-posteriori bound
-    ||mu_k - mu*|| <= (e*||mu_k - mu_{k-1}|| + p) / (1-e) certifies the
-    stop, so the returned error_bound is rigorous despite the pruning.
+    The metric fixes the contraction factor q, the prune budget p and the
+    distance; each step prunes M(mu_{k-1}) within p, and the a-posteriori
+    bound ||mu_k - mu*|| <= (q*dist(mu_k - mu_{k-1}) + p) / (1-q) certifies
+    the stop, so the returned error_bound is rigorous despite the pruning.
+
+    norm="variation": q is the variation factor, which must be < 1,
+    p = tol*(1-q)/4 and the distance is the variation norm.
 
     norm="mk_star" serves systems that preserve mass exactly
-    (sum_i R_i = I, so e = 1) but contract the Lipschitz-ball metric
-    (mk_star factor c < 1).  Iterates are never pruned there: pruning
+    (sum_i R_i = I, so the variation factor is 1) but contract the
+    Lipschitz-ball metric: q is the mk_star factor and the distance
+    ``mk_star_exact``.  Iterates are never pruned there (p = 0): pruning
     would perturb totals, and the metric only controls measures of equal
     total mass.  A base measure, if present, must have zero total.
 
@@ -214,30 +219,17 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
             f"start dimension {start.dim} differs from system dimension {sys.dim}")
     fac = factors(sys)
     if norm == "variation":
-        e = fac.variation
-        if e >= 1.0:
+        q = fac.variation
+        if q >= 1.0:
             raise NotContractive(
-                f"variation factor {e:.6g} >= 1; iteration will not certify "
+                f"variation factor {q:.6g} >= 1; iteration will not certify "
                 "(a mass-preserving system may converge in the mk_star norm)")
-        budget = tol * (1.0 - e) / 4.0
-        cur = start
-        for k in range(1, max_iter + 1):
-            _check_size(sys, cur, k)
-            nxt = prune(apply_markov(sys, cur), budget)
-            delta = (nxt - cur).variation_norm()
-            bound = (e * delta + budget) / (1.0 - e)
-            if on_iterate is not None:
-                on_iterate(k, nxt)
-            if bound <= tol:
-                return FixedPointResult(nxt, k, bound, norm)
-            cur = nxt
-        raise IterationLimit(
-            f"tolerance {tol:g} not certified in {max_iter} iterations "
-            f"(last bound {bound:g})")
-    if norm == "mk_star":
-        c = fac.mk_star
-        if c >= 1.0:
-            raise NotContractive(f"mk_star factor {c:.6g} >= 1")
+        budget = tol * (1.0 - q) / 4.0
+        distance = VectorMeasure.variation_norm
+    elif norm == "mk_star":
+        q = fac.mk_star
+        if q >= 1.0:
+            raise NotContractive(f"mk_star factor {q:.6g} >= 1")
         op_sum = np.sum(np.stack(sys.operators), axis=0)
         if np.abs(op_sum - np.eye(sys.dim)).max() > _MASS_TOL:
             raise NotContractive(
@@ -248,22 +240,23 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
             raise NotContractive(
                 "mk_star iteration with a base measure requires the base "
                 "to have zero total mass")
-        cur = start
-        for k in range(1, max_iter + 1):
-            _check_size(sys, cur, k)
-            nxt = apply_markov(sys, cur)
-            diff = nxt - cur
-            dstar = mk_star_exact(diff)
-            bound = c * dstar / (1.0 - c)
-            if on_iterate is not None:
-                on_iterate(k, nxt)
-            if bound <= tol:
-                return FixedPointResult(nxt, k, bound, norm)
-            cur = nxt
-        raise IterationLimit(
-            f"tolerance {tol:g} not certified in {max_iter} iterations "
-            f"(last bound {bound:g})")
-    raise ValueError(f"unknown norm {norm!r}")
+        budget = 0.0
+        distance = mk_star_exact
+    else:
+        raise ValueError(f"unknown norm {norm!r}")
+    cur = start
+    for k in range(1, max_iter + 1):
+        _check_size(sys, cur, k)
+        nxt = prune(apply_markov(sys, cur), budget)
+        bound = (q * distance(nxt - cur) + budget) / (1.0 - q)
+        if on_iterate is not None:
+            on_iterate(k, nxt)
+        if bound <= tol:
+            return FixedPointResult(nxt, k, bound, norm)
+        cur = nxt
+    raise IterationLimit(
+        f"tolerance {tol:g} not certified in {max_iter} iterations "
+        f"(last bound {bound:g})")
 
 
 def _memo_key(B: QuerySet):

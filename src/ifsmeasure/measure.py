@@ -90,7 +90,8 @@ class VectorMeasure:
         """Build from iterables of ``(point, weight)`` and
         ``((lo, hi), density)``; ``dim`` is only needed when both
         lists are empty.  ``field`` is "real", "complex", or None to infer
-        from the coefficients.
+        from the coefficients.  Non-finite points, endpoints or
+        coefficients raise ValueError.
         """
         a_pts, a_wts, p_lo, p_hi, p_d = [], [], [], [], []
         for t, w in atoms:
@@ -125,6 +126,8 @@ class VectorMeasure:
         lo = np.asarray(p_lo, dtype=float)
         hi = np.asarray(p_hi, dtype=float)
         dd = cast(np.stack(p_d)) if p_d else np.zeros((0, dim), dtype=dtype)
+        if not all(np.isfinite(a).all() for a in (pts, wts, lo, hi, dd)):
+            raise ValueError("non-finite atom point, piece endpoint or coefficient")
         self._finish(pts, wts, lo, hi, dd, dim)
 
     def _finish(self, pts, wts, lo, hi, dens, dim):
@@ -210,10 +213,9 @@ class VectorMeasure:
                             dtype=float).reshape(-1, 4)
         owner = np.repeat(np.arange(len(sets)), [len(B.spans) for B in sets])
         lo, hi = spans[:, 0], spans[:, 1]
+        prefix, mass = self._prefixes()
         if self.n_atoms:
             pts, wts = self.atom_points, self.atom_weights
-            prefix = np.concatenate([np.zeros((1, self.dim), dtype=dtype),
-                                     np.cumsum(wts, axis=0)])
             lo_incl, hi_incl = spans[:, 2] != 0.0, spans[:, 3] != 0.0
             a0 = np.where(lo_incl, np.searchsorted(pts, lo, side="left"),
                           np.searchsorted(pts, lo, side="right"))
@@ -228,9 +230,6 @@ class VectorMeasure:
             np.add.at(out, q_owner[hit], wts[i[hit]])
         if self.n_pieces and len(spans):
             p_lo, p_hi, dens = self.piece_lo, self.piece_hi, self.piece_density
-            mass = np.concatenate([np.zeros((1, self.dim), dtype=dtype),
-                                   np.cumsum(dens * (p_hi - p_lo)[:, None],
-                                             axis=0)])
             first = np.searchsorted(p_hi, lo, side="right")  # ends after lo
             stop = np.searchsorted(p_lo, hi, side="left")    # starts before hi
             last = stop - 1
@@ -275,37 +274,34 @@ class VectorMeasure:
         return self.cumulative_all(np.array([float(t)]))[0]
 
     def cumulative_all(self, ts) -> np.ndarray:
-        """Vectorized ``cumulative`` for a sorted array of points.
+        """Vectorized ``cumulative`` for an array of points.
 
-        The density part runs as an event sweep: prefix integrals at the
-        piece endpoints plus the active density within each gap, so the
-        cost is (pieces + points) log pieces rather than their product.
+        Canonical pieces are disjoint and sorted, so with k the last piece
+        starting at or before t, F(t) is the atom prefix up to t, plus the
+        mass of the pieces before k, plus d_k * min(t - lo_k, hi_k - lo_k):
+        (points + atoms + pieces) log(atoms + pieces) in all.
         """
         ts = np.asarray(ts, dtype=float)
+        atoms, mass = self._prefixes()
+        # added to zeros, so a -0.0 prefix entry reads 0.0 in exports
         out = np.zeros((len(ts), self.dim), dtype=self.atom_weights.dtype)
-        if self.n_atoms:
-            prefix = np.concatenate(
-                [np.zeros((1, self.dim), dtype=self.atom_weights.dtype),
-                 np.cumsum(self.atom_weights, axis=0)])
-            pos = np.searchsorted(self.atom_points, ts, side="right")
-            out += prefix[pos]
+        out += atoms[np.searchsorted(self.atom_points, ts, side="right")]
         if self.n_pieces:
-            ev = np.unique(np.concatenate([self.piece_lo, self.piece_hi]))
-            delta = np.zeros((len(ev), self.dim), dtype=self.piece_density.dtype)
-            np.add.at(delta, np.searchsorted(ev, self.piece_lo),
-                      self.piece_density)
-            np.subtract.at(delta, np.searchsorted(ev, self.piece_hi),
-                           self.piece_density)
-            active = np.cumsum(delta, axis=0)  # density on [ev[j], ev[j+1])
-            prefix = np.concatenate(
-                [np.zeros((1, self.dim), dtype=active.dtype),
-                 np.cumsum(active[:-1] * np.diff(ev)[:, None], axis=0)])
-            pos = np.clip(np.searchsorted(ev, ts, side="right") - 1,
-                          0, len(ev) - 1)
-            frac = np.clip(ts - ev[pos], 0.0, None)
-            # beyond the last endpoint every piece is closed: active is 0
-            out += prefix[pos] + active[pos] * frac[:, None]
+            lo, hi = self.piece_lo, self.piece_hi
+            k = np.maximum(np.searchsorted(lo, ts, side="right") - 1, 0)
+            inside = np.clip(ts - lo[k], 0.0, hi[k] - lo[k])  # 0 before lo_0
+            out += mass[k] + self.piece_density[k] * inside[:, None]
         return out
+
+    def _prefixes(self):
+        """Prefix sums of the atom weights and of the piece masses, each
+        with a leading zero row."""
+        def prefix(a):
+            return np.concatenate([np.zeros((1, self.dim), dtype=a.dtype),
+                                   np.cumsum(a, axis=0)])
+        return (prefix(self.atom_weights),
+                prefix(self.piece_density
+                       * (self.piece_hi - self.piece_lo)[:, None]))
 
     def breakpoints(self) -> np.ndarray:
         """Sorted points where the cumulative changes slope or jumps,
@@ -407,7 +403,9 @@ def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
     """Image measure under an affine map: (pushforward mu)(B) = mu(preimage B).
 
     Atoms move to their image points; densities rescale by 1/|slope|.  A
-    constant map collapses everything onto one atom carrying the total.
+    constant map collapses everything onto one atom carrying the total,
+    and a piece whose image rounds to a point becomes an atom there
+    carrying the piece's mass.
     """
     s, o = m.slope, m.offset
     if s == 0.0:
@@ -421,7 +419,14 @@ def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
     if s < 0:
         lo, hi = hi, lo
     dens = mu.piece_density / abs(s)
-    return VectorMeasure._from_arrays(pts, mu.atom_weights, lo, hi, dens, mu.dim)
+    wts = mu.atom_weights
+    flat = hi <= lo
+    if flat.any():
+        pts = np.concatenate([pts, lo[flat]])
+        wts = np.concatenate([wts, mu.piece_density[flat] * (
+            mu.piece_hi - mu.piece_lo)[flat, None]])
+        lo, hi, dens = lo[~flat], hi[~flat], dens[~flat]
+    return VectorMeasure._from_arrays(pts, wts, lo, hi, dens, mu.dim)
 
 
 def apply_operator(r, mu: VectorMeasure) -> VectorMeasure:
@@ -481,6 +486,8 @@ def prune(mu: VectorMeasure, tol: float) -> VectorMeasure:
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    if tol == 0.0:
+        return mu
     na = mu.n_atoms
     contrib = np.concatenate([
         _row_norms(mu.atom_weights),

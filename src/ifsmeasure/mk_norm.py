@@ -38,6 +38,7 @@ __all__ = ["mk_star_exact", "mk_lower_bound", "sandwich_check",
 
 _TOTAL_TOL = 1e-12
 _STEP0 = 0.25  # first step of the ascent in mk_lower_bound
+_ESTIMATOR_GAP = 0.15  # declared shortfall of the bl1 estimator in sandwich_check
 
 
 def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
@@ -305,8 +306,8 @@ class SandwichReport:
                 and self.lower_vs_variation)
 
 
-def sandwich_check(mu: VectorMeasure, grid: int = 200, iters: int = 3000,
-                   estimator_gap: float = 0.15) -> SandwichReport:
+def sandwich_check(mu: VectorMeasure, grid: int = 200,
+                   iters: int = 3000) -> SandwichReport:
     """Verify the norm chain on a zero-total measure.
 
     The certified "bl1" lower bound must sit below the exact Lipschitz-ball
@@ -321,8 +322,8 @@ def sandwich_check(mu: VectorMeasure, grid: int = 200, iters: int = 3000,
         mk_star=star,
         bl1_lower=lower,
         variation=var,
-        estimator_gap=estimator_gap,
+        estimator_gap=_ESTIMATOR_GAP,
         lower_vs_star=lower <= star + 1e-9,
-        star_vs_doubled_lower=star <= 2.0 * lower / (1.0 - estimator_gap) + 1e-9,
+        star_vs_doubled_lower=star <= 2.0 * lower / (1.0 - _ESTIMATOR_GAP) + 1e-9,
         lower_vs_variation=lower <= var + 1e-9,
     )

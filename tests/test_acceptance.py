@@ -15,7 +15,7 @@ from ifsmeasure import (AffineMap, ContinuousFunction, ExponentialFamily,
                         apply_markov, combine, countable_series_fixed_point,
                         countable_series_residual, dual_apply,
                         eval_fixed_point, exp_decay_fixed_point, factors,
-                        hc_quadrature, identity, integrate,
+                        hc_quadrature, integrate,
                         iterate_fixed_point, matrix_exp, mk_lower_bound,
                         mk_star_exact, operator_norm,
                         partition_variation_estimate, sandwich_check,
@@ -115,7 +115,7 @@ def test_operator_norm_closed_forms():
     worst = max(abs(operator_norm(p1) - (1 + SQRT2)),
                 abs(operator_norm(p2) - (1 + SQRT2)))
     for t in (0.0, 1.0, 3.0):
-        worst = max(worst, abs(operator_norm(matrix_exp(-identity(2), t))
+        worst = max(worst, abs(operator_norm(matrix_exp(-np.eye(2), t))
                                - np.exp(-t)))
     ok = worst <= 1e-12
     assert _status("operator norm closed forms", ok, f"worst error {worst:.2e}")

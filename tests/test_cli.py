@@ -104,6 +104,44 @@ def test_precondition_failure_exits_3(tmp_path):
     assert code == 3 and "precondition" in report
 
 
+def _run_doc(tmp_path, doc, fmt="text"):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    return run(str(p), fmt=fmt)
+
+
+def test_non_finite_measure_is_a_validation_error(tmp_path):
+    doc = {
+        "kind": "ifs", "dimension": 1,
+        "maps": [[0.5, 0.0], [0.5, 0.5]],
+        "operators": [[[0.4]], [[0.4]]],
+        "base": {"dimension": 1, "atoms": [[float("nan"), [1.0]]]},
+        "commands": ["solve"],
+    }
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2 and "non-finite" in report
+
+
+def test_solve_and_eval_agree_when_a_map_collapses_pieces(tmp_path):
+    # slope 1e-17: every piece's image rounds to the point 0.5
+    doc = {
+        "kind": "ifs", "dimension": 1,
+        "maps": [[1e-17, 0.5]],
+        "operators": [[[0.5]]],
+        "base": {"dimension": 1, "pieces": [[0.0, 1.0, [1.0]]]},
+        "query_sets": {"unit": {"intervals": [[0.0, 1.0]]}},
+        "solver": {"tol": 1e-10},
+        "commands": ["solve", "eval unit", "verify"],
+    }
+    code, report = _run_doc(tmp_path, doc, fmt="json")
+    assert code == 0
+    solve, ev, verify = json.loads(report)["results"]
+    assert solve["total"] == pytest.approx([2.0], abs=1e-9)
+    gap = abs(solve["total"][0] - ev["value"][0])
+    assert gap <= solve["error_bound"] + ev["error_bound"]
+    assert verify["solver_vs_eval"] <= solve["error_bound"] + ev["error_bound"]
+
+
 def test_iteration_budget_failure_exits_4(tmp_path):
     # the bundled scenario with an absurd iteration cap
     from importlib import resources

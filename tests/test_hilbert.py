@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from ifsmeasure import (adjoint, identity, matrix_exp, operator_norm,
-                        scalar_product, vector_norm)
+from ifsmeasure import adjoint, matrix_exp, operator_norm, scalar_product
 
 
 def test_scalar_product_examples():
@@ -28,19 +27,12 @@ def test_scalar_product_is_sesquilinear():
                    - np.conj(scalar_product(y, x))) < 1e-12
 
 
-def test_vector_norm_matches_scalar_product():
-    x = np.array([3.0, 4.0])
-    assert vector_norm(x) == 5.0
-    z = np.array([1j, 1.0])
-    assert abs(vector_norm(z) - np.sqrt(2)) < 1e-15
-
-
 def test_operator_norm_triangular_example():
     p1 = np.array([[1.0, 0.0], [2.0, 1.0]])
     assert abs(operator_norm(p1) - (1 + np.sqrt(2))) < 1e-12
     p2 = np.array([[1.0, 0.0], [2.0, -1.0]])
     assert abs(operator_norm(p2) - (1 + np.sqrt(2))) < 1e-12
-    assert operator_norm(identity(4)) == 1.0
+    assert operator_norm(np.eye(4)) == 1.0
 
 
 def _power_iteration_norm(r, iters=2000):
@@ -106,7 +98,7 @@ def test_matrix_exp_at_zero_is_identity():
 
 def test_matrix_exp_scalar_decay():
     for t in (0.0, 1.0, 3.0):
-        e = matrix_exp(-identity(2), t)
+        e = matrix_exp(-np.eye(2), t)
         assert np.abs(e - np.exp(-t) * np.eye(2)).max() < 1e-12
         assert abs(operator_norm(e) - np.exp(-t)) < 1e-12
 
@@ -134,8 +126,3 @@ def test_matrix_exp_matches_eigen_route():
     w, v = np.linalg.eig(a)
     ref = (v @ np.diag(np.exp(w * 1.3)) @ np.linalg.inv(v)).real
     assert np.abs(matrix_exp(a, 1.3) - ref).max() < 1e-12
-
-
-def test_identity_field_tag():
-    assert identity(2).dtype == np.float64
-    assert identity(2, complex_field=True).dtype == np.complex128

@@ -79,6 +79,79 @@ def test_kernel_sup_bound_brackets_exact_supremum():
         assert est >= exact - 1e-3 * max(1.0, exact)
 
 
+def _scalar_value(F, x, y):
+    """F(x, y) by the float Horner rule through the Fraction coefficients."""
+    out = 0.0
+    for u, v in F.terms:
+        out += float(u(x)) * float(v(y))
+    return float(F.scale) * out
+
+
+def _scalar_sup_bound(F, grid, zoom_rounds=3):
+    """The lattice search one point at a time, strict ``>`` scan in row
+    order."""
+    def search(x0, x1, y0, y1, k):
+        best = (-1.0, x0, y0)
+        for x in np.linspace(x0, x1, k + 1):
+            for y in np.linspace(y0, y1, k + 1):
+                v = abs(_scalar_value(F, float(x), float(y)))
+                if v > best[0]:
+                    best = (v, float(x), float(y))
+        return best
+
+    val, bx, by = search(0.0, 1.0, 0.0, 1.0, grid)
+    span = 1.0 / grid
+    for _ in range(zoom_rounds):
+        x0, x1 = max(0.0, bx - span), min(1.0, bx + span)
+        y0, y1 = max(0.0, by - span), min(1.0, by + span)
+        v, x, y = search(x0, x1, y0, y1, grid)
+        if v > val:
+            val, bx, by = v, x, y
+        span /= grid / 2.0
+    return val
+
+
+def _random_kernel(rng):
+    def poly():
+        return tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                     for _ in range(int(rng.integers(1, 5))))
+    terms = tuple((poly(), poly()) for _ in range(int(rng.integers(1, 4))))
+    return SeparableKernel(terms=terms, scale=Fraction(
+        int(rng.integers(1, 10)), int(rng.integers(1, 10))))
+
+
+@pytest.mark.parametrize("grid,count", [(8, 40), (64, 2)])
+def test_kernel_sup_bound_matches_scalar_search(grid, count):
+    # rank 1-3, degree <= 3, rational coefficients
+    rng = np.random.default_rng(grid)
+    for k in (_random_kernel(rng) for _ in range(count)):
+        assert kernel_sup_bound(k, grid=grid) == _scalar_sup_bound(k, grid)
+        xs, ys = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5)
+        want = [[_scalar_value(k, float(x), float(y)) for y in ys] for x in xs]
+        assert np.array_equal(k.evaluate(xs, ys), want)
+        assert k.evaluate(0.3, 0.7) == _scalar_value(k, 0.3, 0.7)
+
+
+def test_kernel_sup_bound_breaks_ties_in_row_order():
+    # F = x - y - 100 w(x) (1 - y), w vanishing on the grid-4 abscissae:
+    # |F| ties at 1 on (0, 1) and (1, 0), and only the zoom around (1, 0)
+    # meets the bump of w; the first maximum in row order is (0, 1), which
+    # keeps the estimate at 1
+    w = PolynomialFunction((1,))
+    for r in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
+        w = w.times(PolynomialFunction((-r, 1)))
+    k = SeparableKernel(terms=(((0, 1), (1,)), ((1,), (0, -1)),
+                               (w.scale(-100).coeffs, (1, -1))))
+    assert kernel_sup_bound(k, grid=4) == _scalar_sup_bound(k, 4) == 1.0
+
+
+def test_kernel_sup_bound_refuses_oversized_grid():
+    k = SeparableKernel(terms=(((0, 1), (0, 1)),), scale=1)
+    for grid in (1, 2049):
+        with pytest.raises(ValueError):
+            kernel_sup_bound(k, grid=grid)
+
+
 def test_solve_invariance_worked_pair_is_exact():
     f1 = SeparableKernel(terms=(((0, 1), (0, 1)),), scale=Fraction(1, 4))
     f2 = SeparableKernel(terms=(((0, 0, 1), (0, 0, 1)),), scale=Fraction(1, 4))

@@ -222,6 +222,22 @@ def test_iterate_mk_star_mode_blend():
     assert np.abs(mu.evaluate(QuerySet.closed(2 / 3, 1.0)) - 2 / 3).max() < 1e-6
 
 
+def test_iterate_mk_star_mode_never_prunes():
+    # a 0.9 / 0.1 split of the mass makes atoms of weight 0.1^k, far below
+    # what a prune budget of tol * (1 - c) / 4 would drop; every one of
+    # them must stay, or the totals drift from the start's
+    sys = IFSystem([(1 / 3, 0.0), (1 / 3, 2 / 3)],
+                   [np.array([[0.9]]), np.array([[0.1]])])
+    seen = []
+    iterate_fixed_point(sys, VectorMeasure.dirac(0.0, np.array([1.0])),
+                        tol=1e-6, norm="mk_star",
+                        on_iterate=lambda k, m: seen.append((k, m)))
+    assert len(seen) > 5
+    for k, m in seen:
+        assert m.n_atoms == 2 ** k
+        assert abs(m.total()[0] - 1.0) < 1e-14
+
+
 def overlap_system():
     """Three overlapping slope-0.4 maps with rotation operators of
     variation factor 0.41 and an atom-plus-density base."""

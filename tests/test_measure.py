@@ -111,6 +111,31 @@ def test_pushforward_constant_map_collapses_to_atom():
     assert np.allclose(out.evaluate(QuerySet.point(0.25)), [2.0])
 
 
+@pytest.mark.parametrize("slope", [1e-17, -1e-17])
+def test_pushforward_keeps_mass_of_pieces_whose_image_is_a_point(slope):
+    # s * lo + o and s * hi + o round to the same float: each piece's mass
+    # must land on an atom there, not vanish with the empty image
+    mu = VectorMeasure(atoms=[(0.25, np.array([0.5, 0.0]))],
+                       pieces=[((0.0, 1.0), np.array([1.0, -2.0])),
+                               ((0.5, 0.75), np.array([2.0, 0.25]))])
+    out = pushforward(AffineMap(slope, 0.5), mu)
+    assert out.n_pieces == 0 and out.n_atoms == 1
+    assert np.array_equal(out.total(), mu.total())
+
+
+@pytest.mark.parametrize("field", ["point", "lo", "hi", "atom", "density"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(field, bad):
+    t, lo, hi, w, d = 0.5, 0.0, 1.0, np.array([1.0]), np.array([1.0])
+    t, lo, hi, w, d = (bad if field == "point" else t,
+                       bad if field == "lo" else lo,
+                       bad if field == "hi" else hi,
+                       np.array([bad]) if field == "atom" else w,
+                       np.array([bad]) if field == "density" else d)
+    with pytest.raises(ValueError, match="non-finite"):
+        VectorMeasure(atoms=[(t, w)], pieces=[((lo, hi), d)])
+
+
 def test_pushforward_preserves_variation_for_injective_maps():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -214,6 +239,7 @@ def test_prune_respects_budget():
         small = prune(mu, tol)
         assert (small - mu).variation_norm() <= tol + 1e-12
         assert small.n_atoms <= mu.n_atoms
+        assert prune(mu, 0.0) is mu
 
 
 def test_cumulative_has_jumps_at_atoms():
