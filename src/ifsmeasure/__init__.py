@@ -7,7 +7,8 @@ with linear operators, and the norms under which that operator
 contracts.  Fixed points are computed two independent ways — norm-
 controlled iteration and exact evaluation on query sets — and
 Monge-Kantorovich norms come with an exact one-dimensional formula plus
-a certified lower-bound estimator.
+a certified two-sided bracket: witness pairings below, a closed-form
+split bound above.
 """
 
 from .exceptions import (DimensionMismatch, FieldMismatch, IterationLimit,
@@ -23,12 +24,12 @@ from .markov import (ContractionFactors, EvalResult, FixedPointResult,
 from .measure import (VectorMeasure, accumulate, apply_operator, combine,
                       prune, pushforward)
 from .mk_norm import (LipschitzWitness, SandwichReport, mk_lower_bound,
-                      mk_star_exact, sandwich_check)
+                      mk_star_exact, mk_upper_bound, sandwich_check)
 from .semigroup import (ExponentialFamily, ThetaMaps, constant_map_transfer,
                         countable_series_fixed_point,
                         countable_series_residual, exp_decay_fixed_point,
                         hc_quadrature, transfer_residual)
-from .space import AffineMap, QuerySet, Span, estimate_lipschitz, preimage
+from .space import AffineMap, QuerySet, Span, preimage
 
 __version__ = "0.1.0"
 
@@ -42,10 +43,11 @@ __all__ = [
     "VectorMeasure", "accumulate", "adjoint", "apply_markov",
     "apply_operator", "combine", "constant_map_transfer",
     "countable_series_fixed_point", "countable_series_residual",
-    "dual_apply", "estimate_lipschitz", "eval_fixed_point",
+    "dual_apply", "eval_fixed_point",
     "exp_decay_fixed_point", "factors", "hc_quadrature",
     "integrate", "integrate_simple", "iterate_fixed_point",
     "kernel_sup_bound", "matrix_exp", "mk_lower_bound", "mk_star_exact",
+    "mk_upper_bound",
     "operator_norm", "partition_variation_estimate", "preimage", "prune",
     "pushforward", "residual", "sandwich_check", "scalar_product",
     "solve_invariance", "transfer_residual",

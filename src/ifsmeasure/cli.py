@@ -26,7 +26,7 @@ from .kernelops import (DEFAULT_INHOMOGENEITY, SeparableKernel,
 from .markov import (IFSystem, apply_markov, eval_fixed_point, factors,
                      iterate_fixed_point, residual)
 from .measure import VectorMeasure
-from .mk_norm import mk_lower_bound, mk_star_exact
+from .mk_norm import mk_lower_bound, mk_star_exact, mk_upper_bound
 from .semigroup import exp_decay_fixed_point, transfer_residual
 from .space import QuerySet
 
@@ -128,8 +128,6 @@ class _IFSJob:
         self.max_iter = int(solver.get("max_iter", 200))
         self.norm = solver.get("norm", "variation")
         self.samples = int(solver.get("samples", 201))
-        self.grid = int(solver.get("grid", 200))
-        self.iters = int(solver.get("iters", 3000))
         start = solver.get("start")
         self.start = (_parse_measure(start, field) if start is not None
                       else VectorMeasure.zero(dim, field))
@@ -175,9 +173,9 @@ class _IFSJob:
             if args[0] == "variation":
                 return {"norm": "variation", "value": _num(mu.variation_norm())}
             if args[0] == "mk":
-                val, _ = mk_lower_bound(mu, ball="bl1", grid=self.grid,
-                                        iters=self.iters)
-                return {"norm": "mk", "value": _num(val), "tag": "estimate"}
+                lower, _ = mk_lower_bound(mu, ball="bl1")
+                return {"norm": "mk", "lower": _num(lower),
+                        "upper": _num(mk_upper_bound(mu))}
             return {"norm": "mk_star", "value": _num(mk_star_exact(mu))}
         if cmd == "verify":
             mu = self.solution().measure

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Span", "QuerySet", "AffineMap", "preimage", "estimate_lipschitz"]
+__all__ = ["Span", "QuerySet", "AffineMap", "preimage"]
 
 _EDGE_TOL = 1e-12  # slack for containment checks on constructor input
 
@@ -261,19 +261,3 @@ def preimage(m: AffineMap, B: QuerySet) -> QuerySet:
             atoms.append(x)
     return QuerySet(spans, atoms)
 
-
-def estimate_lipschitz(f, grid_size: int = 1000) -> float:
-    """Largest difference quotient of ``f`` over an equispaced grid.
-
-    A certified lower bound on the Lipschitz constant; for smooth functions
-    on [0, 1] it converges to the true constant as the grid refines.
-    """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    ts = np.linspace(0.0, 1.0, grid_size)
-    vals = np.stack([np.atleast_1d(np.asarray(f(t))) for t in ts])
-    diff = vals[:, None, :] - vals[None, :, :]
-    num = np.sqrt((np.abs(diff) ** 2).sum(axis=-1))
-    den = np.abs(ts[:, None] - ts[None, :])
-    mask = den > 0
-    return float((num[mask] / den[mask]).max())

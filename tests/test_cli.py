@@ -1,10 +1,12 @@
 """Tests for the scenario runner and CSV export."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ifsmeasure
 from ifsmeasure import VectorMeasure
 from ifsmeasure.cli import export_cumulative, main, run
 
@@ -274,3 +276,45 @@ def test_export_cumulative_real_bytes_across_chunks(tmp_path):
     grid = np.array([float(line.split(b",")[0])
                      for line in data.splitlines()[1:]])
     assert data == _reference_csv(mu, grid)
+
+
+def _blend_doc():
+    path = Path(ifsmeasure.__file__).parent / "scenarios" / "cantor_blend.json"
+    doc = json.loads(path.read_text())
+    doc["commands"] = ["solve", "norm mk"]
+    return doc
+
+
+def test_norm_mk_brackets_the_blend_fixed_point(tmp_path):
+    # total (1, 1): the constant witness and the split bound meet at sqrt 2
+    doc = _blend_doc()
+    code, text = _run_doc(tmp_path, doc)
+    assert code == 0
+    line = text.splitlines()[-1]
+    assert line.startswith("norm mk: ") and "tag" not in line
+    fields = dict(kv.split("=") for kv in line.split()[2:])
+    code, report = _run_doc(tmp_path, doc, fmt="json")
+    assert code == 0
+    result = json.loads(report)["results"][1]
+    assert set(result) == {"command", "norm", "lower", "upper"}
+    assert float(fields["lower"]) == result["lower"]
+    assert float(fields["upper"]) == result["upper"]
+    lower, upper = result["lower"], result["upper"]
+    assert abs(lower - np.sqrt(2.0)) <= 1e-12
+    assert abs(upper - np.sqrt(2.0)) <= 1e-12
+    assert abs(upper - lower) <= 1e-12
+
+
+def test_retired_estimator_keys_are_ignored(tmp_path):
+    doc = {
+        "kind": "ifs", "dimension": 1,
+        "maps": [[0.5, 0.0], [0.5, 0.5]],
+        "operators": [[[0.4]], [[0.4]]],
+        "base": {"dimension": 1, "pieces": [[0.0, 1.0, [1.0]]]},
+        "solver": {"grid": 50, "iters": 10},
+        "commands": ["solve", "norm mk"],
+    }
+    code, report = _run_doc(tmp_path, doc, fmt="json")
+    assert code == 0
+    result = json.loads(report)["results"][1]
+    assert 0.0 < result["lower"] <= result["upper"]

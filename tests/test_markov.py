@@ -85,7 +85,7 @@ def test_apply_markov_zero_and_base():
     out = apply_markov(sys, VectorMeasure.zero(2))
     assert (out - sys.base).variation_norm() < 1e-15
     nobase = blend_system()
-    assert apply_markov(nobase, VectorMeasure.zero(2)).is_zero
+    assert apply_markov(nobase, VectorMeasure.zero(2)).is_zero()
 
 
 def test_apply_markov_matches_hand_expansion():

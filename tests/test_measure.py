@@ -23,7 +23,7 @@ def test_atoms_at_same_point_merge():
 
 def test_cancelling_atoms_vanish():
     mu = VectorMeasure(atoms=[(0.5, np.array([1.0])), (0.5, np.array([-1.0]))])
-    assert mu.is_zero
+    assert mu.is_zero()
 
 
 def test_overlapping_pieces_split_and_merge():
@@ -221,8 +221,8 @@ def test_arithmetic_operators():
     nu = VectorMeasure.lebesgue(np.array([1.0]))
     s = mu + nu
     assert s.variation_norm() == pytest.approx(3.0)
-    assert (s - mu - nu).is_zero
-    assert ((-1.0) * mu + mu).is_zero
+    assert (s - mu - nu).is_zero()
+    assert ((-1.0) * mu + mu).is_zero()
     assert (mu * 2.0).variation_norm() == pytest.approx(4.0)
 
 
@@ -297,6 +297,6 @@ def test_nearby_atoms_snap_together():
 
 def test_zero_measure_properties():
     z = VectorMeasure.zero(3)
-    assert z.is_zero and z.variation_norm() == 0.0
+    assert z.is_zero() and z.variation_norm() == 0.0
     assert np.array_equal(z.total(), np.zeros(3))
     assert z.dim == 3

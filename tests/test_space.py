@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ifsmeasure import AffineMap, QuerySet, estimate_lipschitz, preimage
+from ifsmeasure import AffineMap, QuerySet, preimage
 from ifsmeasure.space import Span
 
 
@@ -149,12 +149,6 @@ def test_preimage_membership_agrees_with_composition():
         pre = preimage(m, b)
         direct = np.array([b.contains(float(m(t))) for t in grid])
         assert np.array_equal(pre.membership(grid), direct)
-
-
-def test_estimate_lipschitz_of_affine_map():
-    m = AffineMap(1 / 3, 0.5)
-    est = estimate_lipschitz(lambda t: np.array([m(t)]))
-    assert abs(est - 1 / 3) < 1e-9
 
 
 def test_span_contains_respects_flags():
