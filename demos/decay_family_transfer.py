@@ -12,8 +12,8 @@ residual checks computed independently of the solvers.
 
 import numpy as np
 
-from ifsmeasure import (ContinuousFunction, ExponentialFamily, ThetaMaps,
-                        VectorMeasure, countable_series_fixed_point,
+from ifsmeasure import (ContinuousFunction, VectorMeasure,
+                        countable_series_fixed_point,
                         countable_series_residual, exp_decay_fixed_point,
                         hc_quadrature, transfer_residual)
 
@@ -43,11 +43,9 @@ print(f"  residual {countable_series_residual(P, points, base, nu):.3e}")
 x = np.array([1.0, -0.5])
 f = ContinuousFunction(lambda s: s * x, dim=2,
                        sup_bound=float(np.linalg.norm(x)))
-fam = ExponentialFamily.scalar(1.0, 2)
-profile = ThetaMaps.default()
 harmonic_exp = 0.596347362323194074  # integral_0^inf e^-theta/(1+theta)
 for t in (0.25, 1.0):
-    got = hc_quadrature(fam, profile, f, t, tol=1e-10)
+    got = hc_quadrature(f, t, tol=1e-10)
     want = t * x * harmonic_exp
     print(f"\nH(f)({t}) = {got}")
     print(f"  reference {want}  (error {np.abs(got - want).max():.2e})")

@@ -25,8 +25,7 @@ from .measure import (VectorMeasure, accumulate, apply_operator, combine,
                       prune, pushforward)
 from .mk_norm import (LipschitzWitness, SandwichReport, mk_lower_bound,
                       mk_star_exact, mk_upper_bound, sandwich_check)
-from .semigroup import (ExponentialFamily, ThetaMaps, constant_map_transfer,
-                        countable_series_fixed_point,
+from .semigroup import (constant_map_transfer, countable_series_fixed_point,
                         countable_series_residual, exp_decay_fixed_point,
                         hc_quadrature, transfer_residual)
 from .space import AffineMap, QuerySet, Span, preimage
@@ -35,11 +34,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap", "ContinuousFunction", "ContractionFactors",
-    "DimensionMismatch", "EvalResult", "ExponentialFamily", "FieldMismatch",
+    "DimensionMismatch", "EvalResult", "FieldMismatch",
     "FixedPointResult", "IFSystem", "IterationLimit",
     "LipschitzWitness", "NotContractive", "PartitionError",
     "PolynomialFunction", "QuerySet", "RefinementLimit", "SandwichReport",
-    "SeparableKernel", "SimpleFunction", "Span", "ThetaMaps",
+    "SeparableKernel", "SimpleFunction", "Span",
     "VectorMeasure", "accumulate", "adjoint", "apply_markov",
     "apply_operator", "combine", "constant_map_transfer",
     "countable_series_fixed_point", "countable_series_residual",

@@ -15,10 +15,11 @@ Three contraction factors govern convergence, one per norm: the variation
 factor sum ||R_i||, the bounded-Lipschitz factor sum ||R_i|| (1 + r_i), and
 the Lipschitz-ball factor sum ||R_i|| r_i, where r_i is the map's
 contraction ratio.  Two solvers compute the fixed point: contraction
-iteration, one certified loop in whichever metric contracts (variation,
-or mk_star for mass-preserving systems), and evaluation on a query set
-over the transition graph its preimages generate, solved by block sweeps
-whose stop the variation factor certifies.
+iteration, one certified loop in the metric the system decides (mk_star
+when the operators sum to the identity, variation otherwise), and
+evaluation on a query set over the transition graph its preimages
+generate, solved by block sweeps whose stop the variation factor
+certifies.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ class FixedPointResult:
 
 
 def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
-                        max_iter: int = 200, norm: str = "variation",
+                        max_iter: int = 200,
                         on_iterate: Optional[Callable[[int, VectorMeasure], None]] = None
                         ) -> FixedPointResult:
     """Contraction iteration to the fixed point with a certified error bound.
@@ -202,15 +203,16 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     bound ||mu_k - mu*|| <= (q*dist(mu_k - mu_{k-1}) + p) / (1-q) certifies
     the stop, so the returned error_bound is rigorous despite the pruning.
 
-    norm="variation": q is the variation factor, which must be < 1,
-    p = tol*(1-q)/4 and the distance is the variation norm.
-
-    norm="mk_star" serves systems that preserve mass exactly
-    (sum_i R_i = I, so the variation factor is 1) but contract the
-    Lipschitz-ball metric: q is the mk_star factor and the distance
-    ``mk_star_exact``.  Iterates are never pruned there (p = 0): pruning
-    would perturb totals, and the metric only controls measures of equal
-    total mass.  A base measure, if present, must have zero total.
+    The system decides the metric.  A system that preserves mass
+    (sum_i R_i = I within 1e-12) has variation factor sum ||R_i|| >=
+    ||sum R_i||, about 1, so it iterates in mk_star, where q is the
+    mk_star factor and the distance ``mk_star_exact``.  Iterates are never
+    pruned there (p = 0): pruning would perturb totals, and the metric only
+    controls measures of equal total mass.  A base measure, if present,
+    must have zero total.  Every other system iterates in the variation
+    norm: q is the variation factor, p = tol*(1-q)/4 and the distance is
+    the variation norm.  Either way q must be < 1; ``FixedPointResult.norm``
+    names the metric used.
 
     ``on_iterate(k, mu_k)`` is called after every step when provided.
     """
@@ -218,23 +220,12 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         raise DimensionMismatch(
             f"start dimension {start.dim} differs from system dimension {sys.dim}")
     fac = factors(sys)
-    if norm == "variation":
-        q = fac.variation
+    op_sum = np.sum(np.stack(sys.operators), axis=0)
+    if np.abs(op_sum - np.eye(sys.dim)).max() <= _MASS_TOL:
+        norm, q = "mk_star", fac.mk_star
         if q >= 1.0:
             raise NotContractive(
-                f"variation factor {q:.6g} >= 1; iteration will not certify "
-                "(a mass-preserving system may converge in the mk_star norm)")
-        budget = tol * (1.0 - q) / 4.0
-        distance = VectorMeasure.variation_norm
-    elif norm == "mk_star":
-        q = fac.mk_star
-        if q >= 1.0:
-            raise NotContractive(f"mk_star factor {q:.6g} >= 1")
-        op_sum = np.sum(np.stack(sys.operators), axis=0)
-        if np.abs(op_sum - np.eye(sys.dim)).max() > _MASS_TOL:
-            raise NotContractive(
-                "mk_star iteration requires exact mass preservation "
-                "(operators must sum to the identity)")
+                f"mk_star factor {q:.6g} >= 1 for a mass-preserving system")
         if sys.base is not None and float(
                 np.linalg.norm(sys.base.total())) > _MASS_TOL:
             raise NotContractive(
@@ -243,7 +234,14 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         budget = 0.0
         distance = mk_star_exact
     else:
-        raise ValueError(f"unknown norm {norm!r}")
+        norm, q = "variation", fac.variation
+        if q >= 1.0:
+            raise NotContractive(
+                f"variation factor {q:.6g} >= 1; iteration will not certify "
+                "(the operators do not sum to the identity, so the mk_star "
+                "metric does not apply)")
+        budget = tol * (1.0 - q) / 4.0
+        distance = VectorMeasure.variation_norm
     cur = start
     for k in range(1, max_iter + 1):
         _check_size(sys, cur, k)

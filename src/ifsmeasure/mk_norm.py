@@ -99,18 +99,23 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
     return out
 
 
+def _require_zero_total(mu: VectorMeasure, tot: float, what: str) -> None:
+    """Refuse a total above rounding residue: ||total|| must be at most
+    1e-12 max(1, ||mu||_var), relative to the mass that rounded into it."""
+    if tot > _TOTAL_TOL and tot > _TOTAL_TOL * mu.variation_norm():
+        raise ValueError(f"{what} (||total|| = {tot:g})")
+
+
 def mk_star_exact(mu: VectorMeasure) -> float:
     """Lipschitz-ball dual norm of a zero-total measure, evaluated exactly.
 
-    Requires ||mu([0, 1])|| <= 1e-12; raises ValueError otherwise, since the
-    supremum over the unbounded ball is infinite for nonzero total.  The
-    panel terms are summed with ``math.fsum``, so the result is their
-    correctly rounded sum.
+    Requires ||mu([0, 1])|| <= 1e-12 max(1, ||mu||_var); raises ValueError
+    otherwise, since the supremum over the unbounded ball is infinite for
+    nonzero total.  The panel terms are summed with ``math.fsum``, so the
+    result is their correctly rounded sum.
     """
-    tot = float(np.linalg.norm(mu.total()))
-    if tot > _TOTAL_TOL:
-        raise ValueError(
-            f"defined only for zero-total measures (||total|| = {tot:g})")
+    _require_zero_total(mu, float(np.linalg.norm(mu.total())),
+                        "defined only for zero-total measures")
     bps, F, rho = mu.panels()
     return math.fsum(
         _segment_norm_integral(F[:-1], rho, np.diff(bps)).tolist())
@@ -246,12 +251,10 @@ def mk_lower_bound(mu: VectorMeasure, ball: str = "l1"):
         raise ValueError(f"unknown ball {ball!r}")
     total = mu.total()
     tot = float(np.linalg.norm(total))
-    if ball == "l1" and tot > _TOTAL_TOL:
-        raise ValueError(
-            f"l1 ball requires zero total mass (||total|| = {tot:g})")
-    nodes, values = _unit_derivative_witness(mu)
     if ball == "l1":
-        return _certify(mu, nodes, values, ball)
+        _require_zero_total(mu, tot, "l1 ball requires zero total mass")
+        return _certify(mu, *_unit_derivative_witness(mu), ball)
+    nodes, values = _unit_derivative_witness(mu)
     half = LipschitzWitness(nodes, values, ball)(0.5)
     best = [_certify(mu, nodes, values - c[None, :], ball)
             for c in (half, _midrange(values))]
@@ -274,9 +277,7 @@ def mk_upper_bound(mu: VectorMeasure) -> float:
     gives T otherwise.  t is the breakpoint minimizing
     m_t = integral_0^t ||F|| + integral_t^1 ||F - T||, found by one
     prefix-sum sweep over the panels; m_t is then the ``math.fsum`` of its
-    panel terms, as ``mk_star_exact(mu - T delta_t)`` would sum them.  That
-    call itself would refuse a measure of large mass, whose difference
-    keeps a rounding residue of its total above 1e-12.
+    panel terms, as ``mk_star_exact(mu - T delta_t)`` would sum them.
     """
     total = mu.total()
     tot = float(np.linalg.norm(total))

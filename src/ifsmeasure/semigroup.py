@@ -1,11 +1,10 @@
 """Transfer operators averaged over a continuum of contractions.
 
 Instead of finitely many maps, a family indexed by theta in [0, inf) acts
-through operators R_theta = exp(theta * A) with a declared decay rate
-(||R_theta|| <= exp(-rho * theta)) and maps whose contraction profile
-a(theta) shrinks as theta grows.  Pairings against the transferred measure
-become weighted improper integrals, evaluated by truncating the exponential
-tail and integrating adaptively.
+through the scalar operators R_theta = exp(-rate * theta) I and maps that
+shrink as theta grows.  Pairings against the transferred measure become
+weighted improper integrals, evaluated by truncating the exponential tail
+and integrating adaptively.
 
 Two closed-form fixed points are provided: the single-constant-target
 family (every map collapses to one point, the fixed point is the base plus
@@ -16,7 +15,6 @@ point is a convergent series of atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,136 +25,58 @@ from .hilbert import matrix_exp, operator_norm, scalar_product
 from .integral import ContinuousFunction, integrate
 from .measure import VectorMeasure, combine
 
-__all__ = ["ExponentialFamily", "ThetaMaps", "hc_quadrature",
-           "constant_map_transfer", "exp_decay_fixed_point",
+__all__ = ["hc_quadrature", "constant_map_transfer", "exp_decay_fixed_point",
            "transfer_residual", "countable_series_fixed_point",
            "countable_series_residual"]
 
-_DECAY_SLACK = 1e-10
 
+def hc_quadrature(f: ContinuousFunction, t: float,
+                  tol: float = 1e-10) -> np.ndarray:
+    """Dual transfer value H(f)(t) = integral_0^inf e^-theta f(t/(1+theta)) dtheta.
 
-@dataclass(frozen=True)
-class ExponentialFamily:
-    """Operator family R_theta = exp(theta * generator) with declared decay.
-
-    ``decay_rate`` rho asserts ||R_theta|| <= exp(-rho * theta); the claim
-    is sampled defensively wherever the family is integrated.  For a scalar
-    generator -rate * I the bound is exact and ``scalar_rate`` short-cuts
-    the matrix exponential.
+    The unit-rate family R_theta = e^-theta I with maps
+    omega_theta(t) = t/(1+theta): the exponential weight is exactly the
+    operator norm and the tail truncates at Theta with
+    e^-Theta * sup||f|| <= tol/2; the finite part is integrated adaptively
+    with the other half of the budget.
     """
-    generator: np.ndarray
-    decay_rate: float
-    scalar_rate: Optional[float] = None
-
-    def __post_init__(self):
-        g = np.asarray(self.generator)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionMismatch(f"generator of shape {g.shape} is not square")
-        if self.decay_rate <= 0:
-            raise ValueError("decay_rate must be positive")
-        gg = g.copy()
-        gg.setflags(write=False)
-        object.__setattr__(self, "generator", gg)
-
-    @classmethod
-    def scalar(cls, rate: float, dim: int) -> "ExponentialFamily":
-        return cls(-rate * np.eye(dim), decay_rate=rate, scalar_rate=rate)
-
-    @property
-    def dim(self) -> int:
-        return self.generator.shape[0]
-
-    def operator(self, theta: float) -> np.ndarray:
-        if self.scalar_rate is not None:
-            return np.exp(-self.scalar_rate * theta) * np.eye(self.dim)
-        return matrix_exp(self.generator, theta)
-
-    def check_decay(self, theta: float):
-        if self.scalar_rate is not None:
-            return
-        nrm = operator_norm(self.operator(theta))
-        bound = np.exp(-self.decay_rate * theta)
-        if nrm > bound + _DECAY_SLACK:
-            raise ValueError(
-                f"declared decay violated: ||R({theta:g})|| = {nrm:.12g} "
-                f"> exp(-rho theta) = {bound:.12g}")
-
-
-@dataclass(frozen=True)
-class ThetaMaps:
-    """Map family omega_theta(t) = profile(theta) * u(t) with u Lipschitz.
-
-    ``profile`` is the contraction amplitude a(theta); the default family
-    uses u = identity and a(theta) = 1/(1 + theta).
-    """
-    u: Callable[[float], float]
-    u_lip: float
-    profile: Callable[[float], float]
-
-    @classmethod
-    def default(cls) -> "ThetaMaps":
-        return cls(u=lambda t: t, u_lip=1.0, profile=lambda th: 1.0 / (1.0 + th))
-
-    def __call__(self, theta: float, t: float) -> float:
-        return self.profile(theta) * self.u(t)
-
-
-def hc_quadrature(fam: ExponentialFamily, maps: ThetaMaps,
-                  f: ContinuousFunction, t: float, tol: float = 1e-10) -> np.ndarray:
-    """Dual transfer value H(f)(t) = integral_0^inf e^-theta f(omega_theta(t)) dtheta.
-
-    Requires the unit-decay scalar family (generator -I): the exponential
-    weight is then exactly the operator norm and the tail truncates at
-    Theta with e^-Theta * sup||f|| <= tol/2; the finite part is integrated
-    adaptively with the other half of the budget.
-    """
-    if fam.scalar_rate != 1.0:
-        raise ValueError("hc_quadrature requires the unit-decay family "
-                         "(generator -I, scalar rate 1)")
-    if fam.dim != f.dim:
-        raise DimensionMismatch(
-            f"family dimension {fam.dim} differs from integrand dimension {f.dim}")
     sup = max(f.sup_bound, 1e-300)
     theta_max = max(1.0, np.log(2.0 * sup / tol))
 
     def integrand(theta):
-        return np.exp(-theta) * f(maps(theta, t))
+        return np.exp(-theta) * f((1.0 / (1.0 + theta)) * t)
 
     return adaptive_gauss(integrand, 0.0, theta_max, tol / 2.0)
 
 
-def constant_map_transfer(fam: ExponentialFamily, phi: Callable[[float], float],
+def constant_map_transfer(rate: float, phi: Callable[[float], float],
                           nu: VectorMeasure, f: ContinuousFunction,
                           tol: float = 1e-10):
     """Pairing of f with the transfer of nu through constant maps.
 
-    When every map omega_theta is constant at phi(theta), the transferred
-    measure acts on f only through nu's total mass:
+    With R_theta = exp(-rate * theta) I and every map omega_theta constant
+    at phi(theta), the transferred measure acts on f only through nu's
+    total mass:
 
         integral f d(transfer nu)
-            = integral_0^inf (f(phi(theta)), adjoint(R_theta)(nu total)) dtheta.
+            = integral_0^inf e^(-rate theta) (f(phi(theta)), nu total) dtheta.
 
-    The declared decay rate truncates the tail; the decay claim is checked
-    at every quadrature node for non-scalar generators.
+    The rate (> 0) truncates the tail at tol/2; the finite part is
+    integrated adaptively with the other half of the budget.
     """
-    if fam.dim != f.dim or nu.dim != f.dim:
-        raise DimensionMismatch("family, measure, and integrand dimensions differ")
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    if nu.dim != f.dim:
+        raise DimensionMismatch("measure and integrand dimensions differ")
     tot = nu.total()
     tnorm = float(np.linalg.norm(tot))
     if tnorm == 0.0:
         return 0.0
-    rho = fam.decay_rate
     sup = max(f.sup_bound, 1e-300)
-    theta_max = max(1.0, np.log(2.0 * sup * tnorm / (rho * tol)) / rho)
-    adj_gen = fam.generator.conj().T
+    theta_max = max(1.0, np.log(2.0 * sup * tnorm / (rate * tol)) / rate)
 
     def integrand(theta):
-        if fam.scalar_rate is not None:
-            weighted = np.exp(-fam.scalar_rate * theta) * tot
-        else:
-            fam.check_decay(theta)
-            weighted = matrix_exp(adj_gen, theta) @ tot
-        return scalar_product(f(phi(theta)), weighted)
+        return scalar_product(f(phi(theta)), np.exp(-rate * theta) * tot)
 
     return adaptive_gauss(integrand, 0.0, theta_max, tol / 2.0)
 
@@ -200,7 +120,6 @@ def transfer_residual(rate: float, target: float, base: VectorMeasure,
                       mu: VectorMeasure, tol: float = 1e-12) -> float:
     """max_k |integral f_k d(transfer(mu) + base) - integral f_k dmu| over
     polynomial test integrands t^p e_j, p <= 3."""
-    fam = ExponentialFamily.scalar(rate, base.dim)
     worst = 0.0
     for p in range(4):
         for j in range(base.dim):
@@ -209,7 +128,7 @@ def transfer_residual(rate: float, target: float, base: VectorMeasure,
             f = ContinuousFunction(
                 lambda t, _p=p, _e=ej: (t ** _p) * _e, dim=base.dim,
                 sup_bound=1.0, lip_bound=float(max(p, 1)))
-            lhs = (constant_map_transfer(fam, lambda th: target, mu, f, tol=tol)
+            lhs = (constant_map_transfer(rate, lambda th: target, mu, f, tol=tol)
                    + integrate(f, base, tol=tol))
             rhs = integrate(f, mu, tol=tol)
             worst = max(worst, abs(lhs - rhs))

@@ -9,9 +9,9 @@ import time
 
 import numpy as np
 
-from ifsmeasure import (AffineMap, ContinuousFunction, ExponentialFamily,
-                        IFSystem, PolynomialFunction, QuerySet,
-                        SeparableKernel, ThetaMaps, VectorMeasure,
+from ifsmeasure import (AffineMap, ContinuousFunction, IFSystem,
+                        PolynomialFunction, QuerySet, SeparableKernel,
+                        VectorMeasure,
                         apply_markov, combine, countable_series_fixed_point,
                         countable_series_residual, dual_apply,
                         eval_fixed_point, exp_decay_fixed_point, factors,
@@ -149,7 +149,7 @@ def test_blend_iteration_stays_symmetric_and_fills_cylinders():
 
     start = VectorMeasure.dirac(0.0, np.array([1.0, 1.0]))
     res = iterate_fixed_point(sys, start, tol=1e-8, max_iter=400,
-                              norm="mk_star", on_iterate=watch)
+                              on_iterate=watch)
     left = res.measure.evaluate(QuerySet.closed(0.0, 1 / 3))
     right = res.measure.evaluate(QuerySet.closed(2 / 3, 1.0))
     cyl_err = max(float(np.abs(left - alpha).max()),
@@ -235,8 +235,7 @@ def test_decay_family_quadrature_and_fixed_points():
     x = np.array([1.0, -0.5])
     f = ContinuousFunction(lambda s: s * x, dim=2,
                            sup_bound=float(np.linalg.norm(x)))
-    fam = ExponentialFamily.scalar(1.0, 2)
-    got = hc_quadrature(fam, ThetaMaps.default(), f, 1.0, tol=1e-10)
+    got = hc_quadrature(f, 1.0, tol=1e-10)
     quad_err = float(np.abs(got - x * reference).max())
 
     base = VectorMeasure(atoms=[(0.5, np.array([0.25, 0.0]))],

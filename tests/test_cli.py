@@ -96,8 +96,7 @@ def test_precondition_failure_exits_3(tmp_path):
     doc = {
         "kind": "ifs", "dimension": 1,
         "maps": [[0.3333333333333333, 0.0], [0.3333333333333333, 0.6666666666666666]],
-        "operators": [[[0.5]], [[0.5]]],
-        "solver": {"norm": "variation"},
+        "operators": [[[0.6]], [[0.6]]],
         "commands": ["solve"],
     }
     p = tmp_path / "s.json"
@@ -318,3 +317,16 @@ def test_retired_estimator_keys_are_ignored(tmp_path):
     assert code == 0
     result = json.loads(report)["results"][1]
     assert 0.0 < result["lower"] <= result["upper"]
+
+
+def test_solver_norm_key_is_ignored(tmp_path):
+    # the system decides the metric: a mass-preserving blend asked for
+    # the variation norm still solves and verifies in mk_star
+    doc = _blend_doc()
+    doc["solver"]["norm"] = "variation"
+    doc["commands"] = ["solve", "verify"]
+    code, report = _run_doc(tmp_path, doc, fmt="json")
+    assert code == 0
+    solve, verify = json.loads(report)["results"]
+    assert solve["norm"] == "mk_star"
+    assert set(verify) == {"command", "residual_mk_star"}

@@ -196,10 +196,17 @@ def test_iterate_discrete_decay_analogue():
     assert residual(sys, want) < 1e-12
 
 
+def overweight_system():
+    """Operators 0.6 + 0.6: variation factor 1.2, and they do not sum to
+    the identity, so neither metric can certify."""
+    return IFSystem([(1 / 3, 0.0), (1 / 3, 2 / 3)],
+                    [np.array([[0.6]]), np.array([[0.6]])])
+
+
 def test_iterate_refuses_non_contractive_variation():
-    sys = blend_system()
-    with pytest.raises(NotContractive):
-        iterate_fixed_point(sys, VectorMeasure.zero(2), tol=1e-6)
+    with pytest.raises(NotContractive, match="variation factor 1.2 >= 1"):
+        iterate_fixed_point(overweight_system(), VectorMeasure.zero(1),
+                            tol=1e-6)
 
 
 def test_iterate_iteration_limit():
@@ -212,9 +219,10 @@ def test_iterate_mk_star_mode_blend():
     sys = blend_system()
     start = VectorMeasure.dirac(0.0, np.array([1.0, 1.0]))
     seen = []
-    res = iterate_fixed_point(sys, start, tol=1e-8, norm="mk_star",
-                              max_iter=400, on_iterate=lambda k, m: seen.append(k))
+    res = iterate_fixed_point(sys, start, tol=1e-8, max_iter=400,
+                              on_iterate=lambda k, m: seen.append(k))
     assert seen, "progress callback never invoked"
+    assert res.norm == "mk_star"
     mu = res.measure
     assert np.abs(mu.total() - 1.0).max() < 1e-9
     # cylinder masses reproduce the operator weights
@@ -230,8 +238,7 @@ def test_iterate_mk_star_mode_never_prunes():
                    [np.array([[0.9]]), np.array([[0.1]])])
     seen = []
     iterate_fixed_point(sys, VectorMeasure.dirac(0.0, np.array([1.0])),
-                        tol=1e-6, norm="mk_star",
-                        on_iterate=lambda k, m: seen.append((k, m)))
+                        tol=1e-6, on_iterate=lambda k, m: seen.append((k, m)))
     assert len(seen) > 5
     for k, m in seen:
         assert m.n_atoms == 2 ** k
@@ -257,7 +264,9 @@ def overlap_system():
 def test_iterate_refuses_before_outgrowing_the_cap(monkeypatch, system, norm,
                                                    start):
     # at tol 1e-10 the overlap iterate triples per step and would pass the
-    # cap; the cap is lowered so the refusal comes after a few small steps
+    # cap; the cap is lowered so the refusal comes after a few small steps.
+    # Each case runs the loop in the metric it is labelled with.
+    assert iterate_fixed_point(system(), start, tol=1e-2).norm == norm
     import ifsmeasure.markov as markov
     cap = 50_000
     monkeypatch.setattr(markov, "_MAX_COMPONENTS", cap)
@@ -270,16 +279,58 @@ def test_iterate_refuses_before_outgrowing_the_cap(monkeypatch, system, norm,
         return out
     monkeypatch.setattr(markov, "apply_markov", spy)
     with pytest.raises(IterationLimit, match="would hold"):
-        iterate_fixed_point(system(), start, tol=1e-10, norm=norm,
-                            max_iter=400)
+        iterate_fixed_point(system(), start, tol=1e-10, max_iter=400)
     assert len(built) > 5 and max(built) <= cap
 
 
 def test_iterate_mk_star_mode_requires_mass_conservation():
-    sys = triangular_system()  # operators do not sum to the identity
-    with pytest.raises(NotContractive):
-        iterate_fixed_point(sys, VectorMeasure.zero(2), tol=1e-8,
-                            norm="mk_star")
+    # operators that do not sum to the identity iterate in the variation
+    # norm, and are refused there even when their mk_star factor is < 1
+    res = iterate_fixed_point(triangular_system(), VectorMeasure.zero(2),
+                              tol=1e-8)
+    assert res.norm == "variation"
+    sys = overweight_system()
+    assert factors(sys).mk_star < 1.0
+    with pytest.raises(NotContractive, match="do not sum to the identity"):
+        iterate_fixed_point(sys, VectorMeasure.dirac(0.0, np.array([1.0])),
+                            tol=1e-8)
+
+
+def test_iterate_picks_mk_star_by_mass_not_by_variation_factor():
+    # the operators sum to the identity within 1e-12, yet their variation
+    # factor 1 - 5e-13 is below one: the variation loop would run out of
+    # steps, the transport loop certifies
+    sys = IFSystem([(1 / 3, 0.0), (1 / 3, 2 / 3)],
+                   [np.array([[0.5 - 5e-13]]), np.array([[0.5]])])
+    assert factors(sys).variation < 1.0
+    res = iterate_fixed_point(sys, VectorMeasure.dirac(0.0, np.array([1.0])),
+                              tol=1e-8, max_iter=100)
+    assert res.norm == "mk_star" and res.iterations == 17
+    assert res.error_bound <= 1e-8
+
+
+def test_iterate_mk_star_mode_refusals():
+    # 3 - 2 = 1 preserves mass, but (3 + 2) / 3 > 1
+    sys = IFSystem([(1 / 3, 0.0), (1 / 3, 2 / 3)],
+                   [np.array([[3.0]]), np.array([[-2.0]])])
+    with pytest.raises(NotContractive, match="mk_star factor 1.66667 >= 1"):
+        iterate_fixed_point(sys, VectorMeasure.zero(1))
+    sys = IFSystem([(1 / 3, 0.0), (1 / 3, 2 / 3)],
+                   [np.array([[0.5]]), np.array([[0.5]])],
+                   base=VectorMeasure.dirac(0.5, np.array([1.0])))
+    with pytest.raises(NotContractive, match="zero total mass"):
+        iterate_fixed_point(sys, VectorMeasure.zero(1))
+
+
+def test_iterate_mk_star_tolerates_rounding_residue_of_large_mass():
+    # the blend from an atom of mass 1e4 per coordinate: step differences
+    # keep a total of about 1e-12 from rounding alone, which an absolute
+    # zero-total check refused mid-iteration
+    res = iterate_fixed_point(blend_system(),
+                              VectorMeasure.dirac(0.0, np.array([1e4, 1e4])),
+                              tol=1e-4, max_iter=400)
+    assert res.norm == "mk_star" and res.error_bound <= 1e-4
+    assert np.abs(res.measure.total() - 1e4).max() < 1e-8
 
 
 def test_eval_fixed_point_known_values():
@@ -293,6 +344,25 @@ def test_eval_fixed_point_known_values():
     for b, want in cases:
         got = eval_fixed_point(sys, b, tol=1e-10).value
         assert np.abs(got - want).max() < 1e-10
+
+
+def test_eval_memo_absorbs_preimage_rounding():
+    # the preimage of [0, 1] under 0.2 t + 0.8 rounds to
+    # [0, 0.9999999999999998]; snapped on the 1e-14 memo grid it is [0, 1]
+    # again and the graph closes on one node.  Hashed exactly, that
+    # near-copy loses the atom at 1 and a 25-node "closed" graph returns
+    # 1.99999987.
+    base = VectorMeasure(atoms=[(1.0, np.array([1.0]))],
+                         pieces=[((0.0, 1.0), np.array([0.5]))])
+    sys = IFSystem([AffineMap(0.2, 0.8)], [np.array([[0.5]])], base=base)
+    res = eval_fixed_point(sys, QuerySet.unit(), tol=1e-10)
+    assert res.nodes == 1 and res.closed
+    assert abs(res.value[0] - 3.0) <= res.error_bound  # (1 - 0.5)^-1 * 1.5
+    # the iterate agrees at the default tol; at 1e-10 its pushforward
+    # rounding (see ROADMAP, "Certificates that survive rounding") puts
+    # it 1.4e-9 off against a certificate of 7.3e-11
+    it = iterate_fixed_point(sys, VectorMeasure.zero(1))
+    assert abs(it.measure.total()[0] - 3.0) <= it.error_bound
 
 
 def test_eval_refuses_non_contractive():

@@ -31,6 +31,23 @@ def test_mk_star_requires_zero_total():
         mk_star_exact(VectorMeasure.dirac(0.3, np.array([1.0])))
 
 
+def test_zero_total_check_is_relative_to_the_variation():
+    # a total at 1e-13 of the variation is rounding residue of a large
+    # mass and passes; one at 1e-9 of it refuses at every scale
+    def pair_plus(weight, residue):
+        return combine(1.0, _dirac_pair(0.2, 0.8, np.array([weight])), 1.0,
+                       VectorMeasure.dirac(0.5, np.array([residue])))
+    mu = pair_plus(1e4, 2e-9)
+    assert abs(mk_star_exact(mu) - 6e3) < 1e-8
+    assert mk_lower_bound(mu, ball="l1")[0] <= 6e3 * (1 + 1e-12)
+    for weight in (1.0, 1e4):
+        mu = pair_plus(weight, 2e-9 * weight)
+        with pytest.raises(ValueError, match="zero-total"):
+            mk_star_exact(mu)
+        with pytest.raises(ValueError, match="zero total"):
+            mk_lower_bound(mu, ball="l1")
+
+
 def test_mk_star_dirac_pair_formula():
     rng = np.random.default_rng(0)
     for _ in range(30):
@@ -236,7 +253,6 @@ def test_bracket_closes_on_known_norms():
 
 def test_upper_bound_of_a_large_mass_measure():
     # mu - total delta_t keeps a rounding residue of its total near 1e-9
-    # here, which mk_star_exact would refuse
     rng = np.random.default_rng(8)
     mu = VectorMeasure(atoms=[(float(t), 1e4 * rng.standard_normal(2))
                               for t in rng.uniform(0, 1, 2000)],

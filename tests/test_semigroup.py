@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ifsmeasure import (ContinuousFunction, DimensionMismatch,
-                        ExponentialFamily, ThetaMaps, VectorMeasure, combine,
-                        constant_map_transfer, countable_series_fixed_point,
+from ifsmeasure import (ContinuousFunction, DimensionMismatch, VectorMeasure,
+                        combine, constant_map_transfer,
+                        countable_series_fixed_point,
                         countable_series_residual, exp_decay_fixed_point,
                         hc_quadrature, matrix_exp, operator_norm,
                         transfer_residual)
@@ -23,58 +23,43 @@ def test_reference_constant_against_mpmath():
     assert abs(float(val) - EXP_HARMONIC) < 1e-16
 
 
-def test_scalar_family_operator_and_decay():
-    fam = ExponentialFamily.scalar(2.0, 3)
-    assert fam.dim == 3
-    op = fam.operator(0.7)
-    assert np.abs(op - np.exp(-1.4) * np.eye(3)).max() < 1e-13
-    fam.check_decay(5.0)  # must not raise
-
-
-def test_family_rejects_wrong_decay_claim():
-    gen = np.array([[0.0, 2.0], [0.0, 0.0]])  # norm of exp(theta*gen) grows
-    fam = ExponentialFamily(generator=gen, decay_rate=1.0)
-    with pytest.raises(ValueError):
-        fam.check_decay(1.0)
-
-
 def test_hc_quadrature_matches_reference_integral():
     x = np.array([1.0, -0.5])
     f = ContinuousFunction(lambda s: s * x, dim=2,
                            sup_bound=float(np.linalg.norm(x)))
-    fam = ExponentialFamily.scalar(1.0, 2)
-    maps = ThetaMaps.default()
     for t in (0.25, 1.0):
-        got = hc_quadrature(fam, maps, f, t, tol=1e-10)
+        got = hc_quadrature(f, t, tol=1e-10)
         assert np.abs(got - t * x * EXP_HARMONIC).max() < 1e-8
 
 
-def test_hc_quadrature_requires_unit_decay():
-    fam = ExponentialFamily.scalar(2.0, 1)
-    f = ContinuousFunction(lambda s: np.array([s]), dim=1, sup_bound=1.0)
-    with pytest.raises(ValueError):
-        hc_quadrature(fam, ThetaMaps.default(), f, 0.5)
-
-
 def test_constant_map_transfer_zero_measure_vanishes():
-    fam = ExponentialFamily.scalar(2.0, 2)
     f = ContinuousFunction(lambda s: np.array([s, s]), dim=2, sup_bound=2.0)
-    out = constant_map_transfer(fam, lambda th: 0.5, VectorMeasure.zero(2), f)
+    out = constant_map_transfer(2.0, lambda th: 0.5, VectorMeasure.zero(2), f)
     assert out == 0.0
 
 
-def test_constant_map_transfer_scalar_vs_matrix_routes():
-    # the same decay expressed as a scalar rate and as a full generator
+def test_constant_map_transfer_constant_target_closed_form():
+    # phi = c: the pairing is (f(c), total) times integral e^(-rate theta)
     rng = np.random.default_rng(1)
     nu = VectorMeasure(atoms=[(0.4, rng.standard_normal(2))],
                        pieces=[((0.0, 1.0), rng.standard_normal(2))])
     f = ContinuousFunction(lambda s: np.array([s, s ** 2]), dim=2,
                            sup_bound=2.0)
-    fam_s = ExponentialFamily.scalar(1.5, 2)
-    fam_m = ExponentialFamily(generator=-1.5 * np.eye(2), decay_rate=1.5)
-    a = constant_map_transfer(fam_s, lambda th: 1 / (1 + th), nu, f, tol=1e-11)
-    b = constant_map_transfer(fam_m, lambda th: 1 / (1 + th), nu, f, tol=1e-11)
-    assert abs(a - b) < 1e-9
+    for rate, c in ((1.5, 0.3), (0.5, 1.0), (4.0, 0.0)):
+        got = constant_map_transfer(rate, lambda th: c, nu, f, tol=1e-11)
+        want = np.dot(f(c), nu.total()) / rate
+        assert abs(got - want) <= 1e-11
+
+
+def test_constant_map_transfer_requires_positive_rate():
+    f = ContinuousFunction(lambda s: np.array([s]), dim=1, sup_bound=1.0)
+    nu = VectorMeasure.dirac(0.5, np.array([1.0]))
+    for rate in (0.0, -1.0):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            constant_map_transfer(rate, lambda th: 0.5, nu, f)
+    with pytest.raises(DimensionMismatch):
+        constant_map_transfer(1.0, lambda th: 0.5,
+                              VectorMeasure.dirac(0.5, np.array([1.0, 1.0])), f)
 
 
 def test_exp_decay_fixed_point_structure():
@@ -142,9 +127,3 @@ def test_countable_series_input_validation():
         countable_series_fixed_point(p, [0.1, 0.2], base, tol=1e-14)
     with pytest.raises(DimensionMismatch):
         countable_series_fixed_point(np.eye(3), [0.1, 0.2, 0.3], base)
-
-
-def test_theta_maps_default_profile():
-    maps = ThetaMaps.default()
-    assert maps(0.0, 0.7) == pytest.approx(0.7)
-    assert maps(3.0, 0.8) == pytest.approx(0.8 / 4.0)
