@@ -7,8 +7,8 @@ operator conserves total mass and the variation factor equals one, so the
 variation norm cannot certify.  The same system still contracts the
 transport (Lipschitz-dual) metric, where distance between equal-mass
 measures is the integral of the norm of the cumulative difference, and
-the solver, seeing the operators sum to the identity, iterates in that
-metric.  Explicit witness functions, each certified feasible by
+the solver, seeing a variation factor of one and operators that sum to
+the identity, iterates in that metric.  Explicit witness functions, each certified feasible by
 measurement, bound the closed-form norm from below, and the
 bounded-Lipschitz norm comes as a two-sided bracket.
 """
@@ -29,8 +29,9 @@ fac = factors(system)
 print(f"variation factor {fac.variation:.3f}, transport factor "
       f"{fac.mk_star:.6f}")
 
-# iterate from a unit atom at the left endpoint; the operators sum to the
-# identity, so the solver certifies in the transport metric
+# iterate from a unit atom at the left endpoint; the variation factor is
+# one and the operators sum to the identity, so the solver certifies in
+# the transport metric
 start = VectorMeasure.dirac(0.0, np.array([1.0, 1.0]))
 result = iterate_fixed_point(system, start, tol=1e-8, max_iter=400)
 mu = result.measure

@@ -15,11 +15,11 @@ Three contraction factors govern convergence, one per norm: the variation
 factor sum ||R_i||, the bounded-Lipschitz factor sum ||R_i|| (1 + r_i), and
 the Lipschitz-ball factor sum ||R_i|| r_i, where r_i is the map's
 contraction ratio.  Two solvers compute the fixed point: contraction
-iteration, one certified loop in the metric the system decides (mk_star
-when the operators sum to the identity, variation otherwise), and
-evaluation on a query set over the transition graph its preimages
-generate, solved by block sweeps whose stop the variation factor
-certifies.
+iteration, one certified loop in the metric the system decides (variation
+when its factor is below one, else mk_star for operators that sum to the
+identity), and evaluation on a query set over the transition graph its
+preimages generate, solved by block sweeps whose stop the variation
+factor certifies.
 """
 
 from __future__ import annotations
@@ -203,16 +203,19 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     bound ||mu_k - mu*|| <= (q*dist(mu_k - mu_{k-1}) + p) / (1-q) certifies
     the stop, so the returned error_bound is rigorous despite the pruning.
 
-    The system decides the metric.  A system that preserves mass
-    (sum_i R_i = I within 1e-12) has variation factor sum ||R_i|| >=
-    ||sum R_i||, about 1, so it iterates in mk_star, where q is the
-    mk_star factor and the distance ``mk_star_exact``.  Iterates are never
-    pruned there (p = 0): pruning would perturb totals, and the metric only
-    controls measures of equal total mass.  A base measure, if present,
-    must have zero total.  Every other system iterates in the variation
-    norm: q is the variation factor, p = tol*(1-q)/4 and the distance is
-    the variation norm.  Either way q must be < 1; ``FixedPointResult.norm``
-    names the metric used.
+    The system decides the metric.  When the variation factor is < 1 it
+    iterates in the variation norm: q is that factor, p = tol*(1-q)/4 and
+    the distance is the variation norm.  Otherwise only a system that
+    preserves mass (sum_i R_i = I within 1e-12; its variation factor
+    sum ||R_i|| >= ||sum R_i|| is about 1) can contract, and it iterates
+    in mk_star: q is the mk_star factor, which must be < 1, and the
+    distance ``mk_star_exact``.  Iterates are never pruned there (p = 0):
+    pruning would perturb totals, and the metric only controls measures
+    of equal total mass.  A base measure, if present, must have zero
+    total.  The variation norm goes first because inside the 1e-12 band a
+    system can lose mass (variation factor just below 1, fixed point
+    zero); mk_star would certify a measure of the wrong total there.
+    ``FixedPointResult.norm`` names the metric used.
 
     ``on_iterate(k, mu_k)`` is called after every step when provided.
     """
@@ -220,9 +223,18 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         raise DimensionMismatch(
             f"start dimension {start.dim} differs from system dimension {sys.dim}")
     fac = factors(sys)
-    op_sum = np.sum(np.stack(sys.operators), axis=0)
-    if np.abs(op_sum - np.eye(sys.dim)).max() <= _MASS_TOL:
+    if fac.variation < 1.0:
+        norm, q = "variation", fac.variation
+        budget = tol * (1.0 - q) / 4.0
+        distance = VectorMeasure.variation_norm
+    else:
         norm, q = "mk_star", fac.mk_star
+        op_sum = np.sum(np.stack(sys.operators), axis=0)
+        if np.abs(op_sum - np.eye(sys.dim)).max() > _MASS_TOL:
+            raise NotContractive(
+                f"variation factor {fac.variation:.6g} >= 1; iteration will "
+                "not certify (the operators do not sum to the identity, so "
+                "the mk_star metric does not apply)")
         if q >= 1.0:
             raise NotContractive(
                 f"mk_star factor {q:.6g} >= 1 for a mass-preserving system")
@@ -233,15 +245,6 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
                 "to have zero total mass")
         budget = 0.0
         distance = mk_star_exact
-    else:
-        norm, q = "variation", fac.variation
-        if q >= 1.0:
-            raise NotContractive(
-                f"variation factor {q:.6g} >= 1; iteration will not certify "
-                "(the operators do not sum to the identity, so the mk_star "
-                "metric does not apply)")
-        budget = tol * (1.0 - q) / 4.0
-        distance = VectorMeasure.variation_norm
     cur = start
     for k in range(1, max_iter + 1):
         _check_size(sys, cur, k)

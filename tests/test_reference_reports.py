@@ -7,7 +7,6 @@ satisfy its independent certificate checks, so the worst error ratio stays
 at or below one.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -19,20 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 
 
-def _workloads():
-    path = BENCH / "workloads.py"
-    if not path.is_file():
-        pytest.skip("bench/ is not part of this checkout")
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", ["cantor_blend", "cantor_triangular",
                                   "decay_transfer", "separable_kernel"])
-def test_bundled_report_matches_the_reference(tmp_path, name):
-    wl = _workloads()
+def test_bundled_report_matches_the_reference(tmp_path, bench_module, name):
+    wl = bench_module("workloads")
     references = json.loads((BENCH / "reference.json").read_text())
     code, report = run(name, out_dir=str(tmp_path), fmt="json")
     assert code == 0, report

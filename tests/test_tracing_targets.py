@@ -6,26 +6,11 @@ bindings breaks only traced benchmark runs, so it is checked here.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
-
-import pytest
-
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def _targets():
-    if not TRACING.is_file():
-        pytest.skip("bench/ is not part of this checkout")
-    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._TARGETS
-
-
-def test_every_tracer_target_resolves():
+def test_every_tracer_target_resolves(bench_module):
     package = importlib.import_module("ifsmeasure")
-    targets = _targets()
+    targets = bench_module("tracing")._TARGETS
     pairs = {(where, attr) for where, attr, _, _ in targets}
     assert ("markov", "preimage") in pairs
     assert ("measure.VectorMeasure", "evaluate") in pairs
