@@ -54,7 +54,8 @@ diff = mu - start
 star = mk_star_exact(diff)
 # the bound divides the witness pairing by the Lipschitz constant measured
 # on its node values; on these 3^-17 wide cells rounding puts that
-# constant, and the one of the stored scaled witness, a few 1e-9 above 1
+# constant a few 1e-9 above 1, and the witness keeps it as its scale, so
+# the constant it reports is 1
 lower, witness = mk_lower_bound(diff, ball="l1")
 report = sandwich_check(diff)
 print(f"\ntransport norm of (fixed point - start): {star:.12f}")

@@ -17,6 +17,7 @@ import numpy as np
 from .exceptions import RefinementLimit
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+_MAX_PANELS = 16384
 
 
 def _panel(f, a: float, b: float):
@@ -35,12 +36,11 @@ def _err(x) -> float:
     return float(np.linalg.norm(np.atleast_1d(np.asarray(x))))
 
 
-def adaptive_gauss(f, a: float, b: float, abs_tol: float,
-                   max_panels: int = 16384):
+def adaptive_gauss(f, a: float, b: float, abs_tol: float):
     """Integrate ``f`` over ``[a, b]`` to absolute accuracy ``abs_tol``.
 
     ``f`` maps a float to a scalar or a fixed-shape ndarray.  Returns the
-    refined estimate; raises RefinementLimit if the panel budget runs out.
+    refined estimate; raises RefinementLimit past 16384 panels.
     """
     if b <= a:
         return 0.0 * _panel(f, a, a + max(1e-12, abs(a) * 1e-12))
@@ -57,9 +57,9 @@ def adaptive_gauss(f, a: float, b: float, abs_tol: float,
     n_panels = 1
     total_err = err
     while total_err > abs_tol:
-        if n_panels >= max_panels:
+        if n_panels >= _MAX_PANELS:
             raise RefinementLimit(
-                f"quadrature needs more than {max_panels} panels for tol={abs_tol:g}")
+                f"quadrature needs more than {_MAX_PANELS} panels for tol={abs_tol:g}")
         _, _, lo, hi, _, popped_err = heapq.heappop(heap)
         total_err -= popped_err
         mid = 0.5 * (lo + hi)

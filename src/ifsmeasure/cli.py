@@ -7,8 +7,9 @@ commands.  An iterated-map system is solved in the metric it decides
 are reproducible byte for byte: fixed command order, fixed formatting
 (15 significant digits), no randomness.
 
-Exit codes: 0 success, 2 scenario parse/validation error, 3 solver
-precondition violated, 4 tolerance not reached within budget.
+Exit codes: 0 success, 2 scenario parse/validation error (a malformed
+document, value or command argument), 3 solver precondition violated, 4
+tolerance not reached within budget.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import IterationLimit, NotContractive, RefinementLimit
+from .exceptions import IterationLimit, RefinementLimit
 from .kernelops import (DEFAULT_INHOMOGENEITY, SeparableKernel,
                         kernel_sup_bound, partition_variation_estimate,
                         solve_invariance)
@@ -50,10 +51,28 @@ def _vec(v):
 
 
 _EXPORT_CHUNK_ROWS = 8192
+# cap on the equispaced export samples, checked before allocating
+_MAX_SAMPLES = 1 << 20
 
 
 class ScenarioError(ValueError):
     """Scenario file malformed or inconsistent."""
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{what} must be an object")
+    return doc
+
+
+def _count(args, default: int) -> int:
+    """The integer argument of a command, ``default`` when there is none."""
+    if not args:
+        return default
+    try:
+        return int(args[0])
+    except ValueError:
+        raise ScenarioError(f"expected an integer, got {args[0]!r}") from None
 
 
 def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
@@ -62,9 +81,10 @@ def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
     Rows cover equispaced sample points plus every breakpoint; atoms also
     get the float immediately to their left, so jumps are visible as two
     adjacent rows.  Values re-evaluate through ``cumulative`` exactly.
+    Raises ScenarioError unless 2 <= samples <= 2^20.
     """
-    if samples < 2:
-        raise ScenarioError("samples must be at least 2")
+    if not 2 <= samples <= _MAX_SAMPLES:
+        raise ScenarioError(f"samples must be between 2 and {_MAX_SAMPLES}")
     ts = [np.linspace(0.0, 1.0, samples), mu.breakpoints()]
     if mu.n_atoms:
         left = np.nextafter(mu.atom_points, -np.inf)
@@ -89,21 +109,7 @@ def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
 
 
 def _parse_measure(doc, field) -> VectorMeasure:
-    if not isinstance(doc, dict):
-        raise ScenarioError("measure must be an object")
-    try:
-        d = dict(doc)
-        d.setdefault("field", field)
-        return VectorMeasure.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad measure: {exc}") from exc
-
-
-def _parse_query_set(doc) -> QuerySet:
-    try:
-        return QuerySet.from_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad query set: {exc}") from exc
+    return VectorMeasure.from_dict({"field": field, **_object(doc, "measure")})
 
 
 class _IFSJob:
@@ -112,20 +118,17 @@ class _IFSJob:
         dim = doc.get("dimension")
         if dim is None:
             raise ScenarioError("ifs scenario needs a dimension")
-        try:
-            maps = [tuple(m) for m in doc["maps"]]
-            ops = [np.array(self._op(o, field)) for o in doc["operators"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad maps/operators: {exc}") from exc
+        dtype = float if field == "real" else complex
+        maps = [tuple(m) for m in doc["maps"]]
+        ops = [np.array(o, dtype=dtype) for o in doc["operators"]]
         base = doc.get("base")
         base_m = _parse_measure(base, field) if base is not None else None
-        try:
-            self.system = IFSystem(maps, ops, base=base_m, dim=dim, field=field)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-        self.query_sets = {name: _parse_query_set(q)
-                           for name, q in doc.get("query_sets", {}).items()}
-        solver = doc.get("solver", {})
+        self.system = IFSystem(maps, ops, base=base_m, dim=dim, field=field)
+        self.query_sets = {
+            name: QuerySet.from_dict(_object(q, "query set"))
+            for name, q in _object(doc.get("query_sets", {}),
+                                   "query_sets").items()}
+        solver = _object(doc.get("solver", {}), "solver")
         self.tol = float(solver.get("tol", 1e-8))
         self.max_iter = int(solver.get("max_iter", 200))
         self.samples = int(solver.get("samples", 201))
@@ -133,11 +136,6 @@ class _IFSJob:
         self.start = (_parse_measure(start, field) if start is not None
                       else VectorMeasure.zero(dim, field))
         self._solution = None
-
-    @staticmethod
-    def _op(o, field):
-        a = np.array(o, dtype=float if field == "real" else complex)
-        return a
 
     def solution(self):
         if self._solution is None:
@@ -205,14 +203,10 @@ class _IFSJob:
 
 class _KernelJob:
     def __init__(self, doc):
-        try:
-            kernels = []
-            for kd in doc["kernels"]:
-                terms = tuple((tuple(u), tuple(v)) for u, v in kd["terms"])
-                kernels.append(SeparableKernel(terms=terms,
-                                               scale=kd.get("scale", 1)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad kernels: {exc}") from exc
+        kernels = []
+        for kd in doc["kernels"]:
+            terms = tuple((tuple(u), tuple(v)) for u, v in kd["terms"])
+            kernels.append(SeparableKernel(terms=terms, scale=kd.get("scale", 1)))
         if len(kernels) != 2:
             raise ScenarioError("kernel scenario needs exactly two kernels")
         self.kernels = kernels
@@ -225,7 +219,7 @@ class _KernelJob:
 
     def command(self, cmd, args, out_dir, name):
         if cmd == "supbound":
-            grid = int(args[0]) if args else 64
+            grid = _count(args, 64)
             return {"grid": grid,
                     "values": [_num(kernel_sup_bound(k, grid))
                                for k in self.kernels]}
@@ -246,7 +240,7 @@ class _KernelJob:
             return {"exact_residual_zero": exact_zero,
                     "grid_residual": _num(grid_res)}
         if cmd == "partition":
-            n = int(args[0]) if args else 4096
+            n = _count(args, 4096)
             return {"n": n, "value": _num(partition_variation_estimate(n))}
         raise ScenarioError(f"unknown kernel command {cmd!r}")
 
@@ -254,25 +248,16 @@ class _KernelJob:
 class _SemigroupJob:
     def __init__(self, doc):
         field = doc.get("field", "real")
-        try:
-            self.rate = float(doc["rate"])
-            self.target = float(doc["target"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad semigroup scenario: {exc}") from exc
-        base = doc.get("base")
-        if base is None:
-            raise ScenarioError("semigroup scenario needs a base measure")
-        self.base = _parse_measure(base, field)
-        self.tol = float(doc.get("solver", {}).get("tol", 1e-12))
+        self.rate = float(doc["rate"])
+        self.target = float(doc["target"])
+        self.base = _parse_measure(doc["base"], field)
+        self.tol = float(_object(doc.get("solver", {}), "solver").get("tol", 1e-12))
         self._solution = None
 
     def solution(self):
         if self._solution is None:
-            try:
-                self._solution = exp_decay_fixed_point(
-                    self.rate, self.target, self.base, tol=self.tol)
-            except ValueError as exc:
-                raise NotContractive(str(exc)) from exc
+            self._solution = exp_decay_fixed_point(
+                self.rate, self.target, self.base, tol=self.tol)
         return self._solution
 
     def command(self, cmd, args, out_dir, name):
@@ -307,24 +292,25 @@ def _load_scenario(spec: str) -> tuple[dict, str]:
 
 def run(spec: str, out_dir: str = ".", tol: float | None = None,
         fmt: str = "text") -> tuple[int, str]:
-    """Execute a scenario; returns (exit_code, report)."""
+    """Execute a scenario; returns (exit_code, report).  Any KeyError,
+    TypeError or ValueError raised while loading the scenario and building
+    its job exits 2: that is the one parse boundary."""
     try:
         doc, name = _load_scenario(spec)
-        kind = doc.get("kind")
+        kind = _object(doc, "scenario").get("kind")
         if kind not in _JOBS:
             raise ScenarioError(f"unknown scenario kind {kind!r}")
         if tol is not None:
-            doc = dict(doc)
-            solver = dict(doc.get("solver", {}))
-            solver["tol"] = tol
-            doc["solver"] = solver
+            doc = {**doc, "solver": {**doc.get("solver", {}), "tol": tol}}
         commands = doc.get("commands", [])
         if not isinstance(commands, list):
             raise ScenarioError("commands must be a list")
         job = _JOBS[kind](doc)
     except FileNotFoundError as exc:
         return 2, f"error: {exc}"
-    except (ScenarioError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        return 2, f"error: invalid scenario: missing key {exc}"
+    except (TypeError, ValueError, OverflowError) as exc:
         return 2, f"error: invalid scenario: {exc}"
     name = doc.get("name", name)
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -334,22 +320,15 @@ def run(spec: str, out_dir: str = ".", tol: float | None = None,
             parts = str(line).split()
             if not parts:
                 raise ScenarioError("empty command")
-            cmd, args = parts[0], parts[1:]
-            try:
-                results.append((line, job.command(cmd, args, out_dir, name)))
-            except ScenarioError:
-                raise
-            except NotContractive as exc:
-                return 3, _render(name, results, fmt,
-                                  error=f"precondition: {exc}")
-            except (IterationLimit, RefinementLimit) as exc:
-                return 4, _render(name, results, fmt,
-                                  error=f"tolerance not reached: {exc}")
-            except ValueError as exc:
-                return 3, _render(name, results, fmt,
-                                  error=f"precondition: {exc}")
+            results.append((line, job.command(parts[0], parts[1:], out_dir,
+                                              name)))
     except ScenarioError as exc:
         return 2, f"error: invalid scenario: {exc}"
+    except (IterationLimit, RefinementLimit) as exc:
+        return 4, _render(name, results, fmt,
+                          error=f"tolerance not reached: {exc}")
+    except ValueError as exc:  # NotContractive among them
+        return 3, _render(name, results, fmt, error=f"precondition: {exc}")
     return 0, _render(name, results, fmt)
 
 

@@ -25,6 +25,8 @@ __all__ = ["PolynomialFunction", "SeparableKernel", "kernel_sup_bound",
 
 _MAX_RANK = 8
 _MAX_GRID = 2048
+_MAX_CELLS = 1 << 20  # partition cells, refused beyond before allocating
+_ZOOM_ROUNDS = 3
 
 
 def _to_fraction(x) -> Fraction:
@@ -119,12 +121,13 @@ class SeparableKernel:
         return float(out[0, 0]) if np.ndim(x) == np.ndim(y) == 0 else out
 
 
-def kernel_sup_bound(F: SeparableKernel, grid: int = 64, zoom_rounds: int = 3) -> float:
+def kernel_sup_bound(F: SeparableKernel, grid: int = 64) -> float:
     """sup |F| over the unit square, by lattice search with local refinement.
 
     The coarse lattice uses points i/grid (nested under grid doubling, so
-    the estimate is nondecreasing in grid); each zoom round re-searches a
-    one-cell neighborhood of the current maximizer at finer spacing.
+    the estimate is nondecreasing in grid); each of three zoom rounds
+    re-searches a one-cell neighborhood of the current maximizer at finer
+    spacing.
     """
     if not 2 <= grid <= _MAX_GRID:
         # each search holds a few (grid + 1)^2 arrays at once
@@ -140,7 +143,7 @@ def kernel_sup_bound(F: SeparableKernel, grid: int = 64, zoom_rounds: int = 3) -
 
     val, bx, by = search(0.0, 1.0, 0.0, 1.0, grid)
     span = 1.0 / grid
-    for _ in range(zoom_rounds):
+    for _ in range(_ZOOM_ROUNDS):
         x0, x1 = max(0.0, bx - span), min(1.0, bx + span)
         y0, y1 = max(0.0, by - span), min(1.0, by + span)
         v, x, y = search(x0, x1, y0, y1, grid)
@@ -178,21 +181,17 @@ def _solve_exact(M, rhs):
 DEFAULT_INHOMOGENEITY = PolynomialFunction((Fraction(0), Fraction(1, 2)))
 
 
-def solve_invariance(F1: SeparableKernel, F2: SeparableKernel,
-                     inhomogeneity: PolynomialFunction | None = None
-                     ) -> PolynomialFunction:
+def solve_invariance(F1: SeparableKernel, F2: SeparableKernel) -> PolynomialFunction:
     """Exact fixed-point density of phi = g + (T1 + T2) phi.
 
-    T_j integrates against kernel F_j; g defaults to x/2, the cumulative
-    slope of the half-Lebesgue base.  Writing phi = g + sum scale_j u_jk
-    a_jk with moments a_jk = integral v_jk phi, the moments solve a linear
-    system with exact rational entries; the returned polynomial has exact
-    Fraction coefficients.  Raises ValueError if the combined rank exceeds
-    8 or the system is singular.
+    T_j integrates against kernel F_j; g is ``DEFAULT_INHOMOGENEITY``, x/2,
+    the cumulative slope of the half-Lebesgue base.  Writing phi = g +
+    sum scale_j u_jk a_jk with moments a_jk = integral v_jk phi, the
+    moments solve a linear system with exact rational entries; the
+    returned polynomial has exact Fraction coefficients.  Raises
+    ValueError if the combined rank exceeds 8 or the system is singular.
     """
-    if inhomogeneity is None:
-        inhomogeneity = DEFAULT_INHOMOGENEITY
-    g = inhomogeneity
+    g = DEFAULT_INHOMOGENEITY
     basis = []  # (scale, u, v) per separable term across both kernels
     for kern in (F1, F2):
         for u, v in kern.terms:
@@ -219,10 +218,10 @@ def partition_variation_estimate(n: int) -> float:
     For a cell B = [alpha, beta], the representer's L2 norm is
     sqrt((beta - alpha)^3 / 3 + (beta - alpha)^2 (1 - beta)); the returned
     value is the sum over the n equal cells of [0, 1].  Nondecreasing under
-    refinement with supremum 2/3.
+    refinement with supremum 2/3.  Raises ValueError unless 1 <= n <= 2^20.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= _MAX_CELLS:
+        raise ValueError(f"n must be between 1 and {_MAX_CELLS}")
     i = np.arange(n)
     w = 1.0 / n
     return float(np.sum(np.sqrt(w ** 3 / 3.0 + w ** 2 * (1.0 - (i + 1) * w))))

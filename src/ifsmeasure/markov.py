@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,6 +50,8 @@ _MAX_SWEEPS = 10_000
 # iterate outgrows what pruning keeps in check (components multiply by the
 # map count per step until whole generations fall under the prune budget)
 _MAX_COMPONENTS = 2_000_000
+# set evaluation refuses, rather than exhaust memory, past this many nodes
+_MAX_NODES = 100_000
 
 
 def _check_size(sys: IFSystem, cur: VectorMeasure, k: int) -> None:
@@ -193,9 +195,7 @@ class FixedPointResult:
 
 
 def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
-                        max_iter: int = 200,
-                        on_iterate: Optional[Callable[[int, VectorMeasure], None]] = None
-                        ) -> FixedPointResult:
+                        max_iter: int = 200) -> FixedPointResult:
     """Contraction iteration to the fixed point with a certified error bound.
 
     The metric fixes the contraction factor q, the prune budget p and the
@@ -217,8 +217,13 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     zero); mk_star would certify a measure of the wrong total there.
     ``FixedPointResult.norm`` names the metric used.
 
-    ``on_iterate(k, mu_k)`` is called after every step when provided.
+    An mk_star certificate is about the system whose operators sum to the
+    identity exactly: inside the 1e-12 band it certifies that idealised
+    system, not the rounded one (the float operators I/3 and 2I/3 sum to
+    1 - 5.6e-17, for example).
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if start.dim != sys.dim:
         raise DimensionMismatch(
             f"start dimension {start.dim} differs from system dimension {sys.dim}")
@@ -245,13 +250,11 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
                 "to have zero total mass")
         budget = 0.0
         distance = mk_star_exact
-    cur = start
+    cur, bound = start, math.inf
     for k in range(1, max_iter + 1):
         _check_size(sys, cur, k)
         nxt = prune(apply_markov(sys, cur), budget)
         bound = (q * distance(nxt - cur) + budget) / (1.0 - q)
-        if on_iterate is not None:
-            on_iterate(k, nxt)
         if bound <= tol:
             return FixedPointResult(nxt, k, bound, norm)
         cur = nxt
@@ -268,7 +271,7 @@ def _memo_key(B: QuerySet):
             tuple(round(a, 14) for a in B.atoms))
 
 
-def _set_graph(sys: IFSystem, B: QuerySet, depth_cap: int, max_nodes: int):
+def _set_graph(sys: IFSystem, B: QuerySet, depth_cap: int):
     """Breadth-first preimage graph of B, memoized on canonical keys.
 
     Returns the node sets (B first) and an (nodes, maps) array whose row j
@@ -292,9 +295,9 @@ def _set_graph(sys: IFSystem, B: QuerySet, depth_cap: int, max_nodes: int):
                 key = _memo_key(C)
                 idx = keys.get(key)
                 if idx is None:
-                    if len(nodes) >= max_nodes:
+                    if len(nodes) >= _MAX_NODES:
                         raise IterationLimit(
-                            f"set-transition graph exceeded {max_nodes} nodes")
+                            f"set-transition graph exceeded {_MAX_NODES} nodes")
                     idx = len(nodes)
                     keys[key] = idx
                     nodes.append(C)
@@ -336,8 +339,8 @@ def _sweeps_to(e: float, ratio: float) -> float:
     return max(1, math.ceil(math.log(ratio) / math.log(e)))
 
 
-def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10,
-                     max_nodes: int = 100000) -> EvalResult:
+def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
+                     ) -> EvalResult:
     """Fixed-point evaluation mu*(B) via the set-transition graph.
 
     The fixed-point identity localizes: mu*(C) = sum_i R_i mu*(preimage_i C)
@@ -356,7 +359,7 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10,
     left of tol, then until the step grows or vanishes (the rounding
     floor), so the values match a direct solve of the graph to the last
     digits.  Memory is O(nodes * maps * dim).  Refuses with IterationLimit
-    past ``max_nodes`` nodes, when tol would take more than 10,000 sweeps,
+    past 100,000 nodes, when tol would take more than 10,000 sweeps,
     or when the sweep count fixed before the first sweep does not certify.
 
     Requires variation factor e < 1; deterministic by construction.
@@ -377,7 +380,7 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10,
     depth_cap = 0
     while a_bound * e ** (depth_cap + 1) / (1.0 - e) > tol:
         depth_cap += 1
-    nodes, child = _set_graph(sys, B, depth_cap, max_nodes)
+    nodes, child = _set_graph(sys, B, depth_cap)
     N = len(nodes)
     closed = bool((child < N).all())
     trunc = 0.0 if closed else a_bound * e ** (depth_cap + 1) / (1.0 - e)

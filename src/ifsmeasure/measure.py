@@ -457,13 +457,11 @@ def combine(a, mu: VectorMeasure, b, nu: VectorMeasure) -> VectorMeasure:
         mu.dim)
 
 
-def accumulate(measures, dim=None) -> VectorMeasure:
-    """Sum of a sequence of measures with a single canonicalization pass."""
+def accumulate(measures) -> VectorMeasure:
+    """Sum of a nonempty sequence of measures in one canonicalization pass."""
     measures = list(measures)
     if not measures:
-        if dim is None:
-            raise ValueError("dim required to sum an empty sequence")
-        return VectorMeasure.zero(dim)
+        raise ValueError("cannot sum an empty sequence of measures")
     dim = measures[0].dim
     if any(m.dim != dim for m in measures):
         raise DimensionMismatch("measures of different dimension in sum")

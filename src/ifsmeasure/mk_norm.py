@@ -29,7 +29,7 @@ its norm as the bracket [``mk_lower_bound``, ``mk_upper_bound``].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,7 +123,8 @@ def mk_star_exact(mu: VectorMeasure) -> float:
 
 @dataclass(frozen=True)
 class LipschitzWitness:
-    """Piecewise-linear witness function: values at sorted grid nodes.
+    """Piecewise-linear witness function: values at sorted grid nodes,
+    divided by ``scale`` on the way out (rescaled values would round again).
 
     The interpolant's Lipschitz constant equals the largest consecutive
     difference quotient and its sup norm the largest node value norm, so
@@ -132,29 +133,33 @@ class LipschitzWitness:
     points: np.ndarray
     values: np.ndarray
     ball: str
+    scale: float = 1.0
 
     def __call__(self, t: float) -> np.ndarray:
-        return np.array([np.interp(t, self.points, col) for col in self.values.T])
+        return np.array([np.interp(t, self.points, col)
+                         for col in self.values.T]) / self.scale
 
     def lipschitz(self) -> float:
         d = np.diff(self.values, axis=0)
         h = np.diff(self.points)
         if len(h) == 0:
             return 0.0
-        return float((np.sqrt(np.sum(np.abs(d) ** 2, axis=1)) / h).max())
+        return float((np.sqrt(np.sum(np.abs(d) ** 2, axis=1)) / h).max()) / self.scale
 
     def sup_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1)).max())
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1)).max()) / self.scale
+
+    def size(self) -> float:
+        """The ball's gauge: Lip(f), plus sup||f|| for "bl1"."""
+        return self.lipschitz() + (self.sup_norm() if self.ball == "bl1" else 0.0)
 
     def is_feasible(self, tol: float = 1e-9) -> bool:
-        if self.ball == "l1":
-            return self.lipschitz() <= 1.0 + tol
-        return self.sup_norm() + self.lipschitz() <= 1.0 + tol
+        return self.size() <= 1.0 + tol
 
     def pairing(self, mu: VectorMeasure):
         """Exact integral of the interpolant against a measure."""
         out = np.sum(self.values * np.conj(_influence_vectors(mu, self.points)))
-        return complex(out) if np.iscomplexobj(self.values) else float(out)
+        return (complex(out) if np.iscomplexobj(self.values) else float(out)) / self.scale
 
 
 def _influence_vectors(mu: VectorMeasure, nodes: np.ndarray) -> np.ndarray:
@@ -217,27 +222,24 @@ def _unit_derivative_witness(mu: VectorMeasure):
 
 def _certify(mu: VectorMeasure, points: np.ndarray, values: np.ndarray,
              ball: str):
-    """``(|pairing| / max(size, 1), witness scaled into the ball)``.
+    """``(|pairing|, witness)``, the witness scaled into the ball.
 
-    The size (Lipschitz constant, plus the sup norm for "bl1") is measured
-    on the stored values, so the quotient is the pairing of an interpolant
-    that lies in the ball however the values were rounded on the way: on
-    1e-8 wide cells the rounding of a cumulative sum moves difference
-    quotients by about 1e-8.  The returned witness stores the values
-    divided by that factor, which re-rounds them by as much again.
+    Its scale is max(size, 1), the size (Lipschitz constant, plus the sup
+    norm for "bl1") measured on the stored values, so the value is the
+    pairing of an interpolant that lies in the ball however the values
+    were rounded on the way: on 1e-8 wide cells the rounding of a
+    cumulative sum moves difference quotients by about 1e-8.
     """
     w = LipschitzWitness(points, values, ball)
-    scale = max(w.lipschitz() + (w.sup_norm() if ball == "bl1" else 0.0),
-                1.0)
-    return abs(w.pairing(mu)) / scale, LipschitzWitness(points, values / scale,
-                                                        ball)
+    w = replace(w, scale=max(w.size(), 1.0))
+    return abs(w.pairing(mu)), w
 
 
 def mk_lower_bound(mu: VectorMeasure, ball: str = "l1"):
     """Certified lower bound for the Monge-Kantorovich pairing supremum.
 
-    Returns ``(value, witness)``: the witness is scaled into the ball, up
-    to the rounding of its stored values (see ``_certify``).
+    Returns ``(value, witness)``: the witness lies in the ball and pairs
+    to the value (see ``_certify``).
     "l1" pairs the unit-derivative witness, which falls short of
     ``mk_star_exact`` only where F turns within a cell.  "bl1" takes the
     best of the constant witness total/||total|| (pairing to ||total||)

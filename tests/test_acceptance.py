@@ -130,14 +130,18 @@ def test_partition_variation_approaches_two_thirds():
                    f"estimate(4096) = {vals[-1]:.10f}, monotone = {monotone}")
 
 
-def test_blend_iteration_stays_symmetric_and_fills_cylinders():
+def test_blend_iteration_stays_symmetric_and_fills_cylinders(monkeypatch):
+    import ifsmeasure.markov as markov
     alpha = 1 / 3
     maps = [AffineMap(1 / 3, 0.0), AffineMap(1 / 3, 2 / 3)]
     ops = [alpha * np.eye(2), (1 - alpha) * np.eye(2)]
     sys = IFSystem(maps, ops)
     asym = []
+    real_prune = markov.prune
 
-    def watch(_k, m):
+    def watch(mu, tol):
+        # each step's iterate is what prune returns
+        m = real_prune(mu, tol)
         worst = 0.0
         if m.n_atoms:
             worst = float(np.abs(m.atom_weights[:, 0]
@@ -146,10 +150,11 @@ def test_blend_iteration_stays_symmetric_and_fills_cylinders():
             worst = max(worst, float(np.abs(m.piece_density[:, 0]
                                             - m.piece_density[:, 1]).max()))
         asym.append(worst)
+        return m
+    monkeypatch.setattr(markov, "prune", watch)
 
     start = VectorMeasure.dirac(0.0, np.array([1.0, 1.0]))
-    res = iterate_fixed_point(sys, start, tol=1e-8, max_iter=400,
-                              on_iterate=watch)
+    res = iterate_fixed_point(sys, start, tol=1e-8, max_iter=400)
     left = res.measure.evaluate(QuerySet.closed(0.0, 1 / 3))
     right = res.measure.evaluate(QuerySet.closed(2 / 3, 1.0))
     cyl_err = max(float(np.abs(left - alpha).max()),

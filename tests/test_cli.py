@@ -330,3 +330,61 @@ def test_solver_norm_key_is_ignored(tmp_path):
     solve, verify = json.loads(report)["results"]
     assert solve["norm"] == "mk_star"
     assert set(verify) == {"command", "residual_mk_star"}
+
+
+_IFS = {"kind": "ifs", "dimension": 1, "maps": [[0.5, 0.0], [0.5, 0.5]],
+        "operators": [[[0.4]], [[0.4]]], "commands": ["solve"]}
+_KERNEL = {"kind": "kernel",
+           "kernels": [{"scale": 1, "terms": [[[0, 1], [0, 1]]]},
+                       {"scale": 1, "terms": [[[0, 1], [0, 1]]]}]}
+_SEMIGROUP = {"kind": "semigroup", "rate": 1.0, "target": 0.5,
+              "base": {"dimension": 1, "pieces": [[0.0, 1.0, [1.0]]]},
+              "commands": ["solve"]}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {**_IFS, "solver": [1]},
+    {**_IFS, "query_sets": [1]},
+    {**_IFS, "query_sets": {"a": [0.0, 1.0]}},
+    {**_IFS, "base": [1]},
+    {**_IFS, "maps": [[0.5], [0.5, 0.5]]},
+    {**_IFS, "solver": {"tol": "abc"}},
+    {**_IFS, "solver": {"max_iter": "x"}},
+    {**_IFS, "solver": {"samples": None}},
+    {**_SEMIGROUP, "solver": {"tol": "x"}},
+    {**_KERNEL, "kernels": [[1], [2]]},
+    {**_KERNEL, "commands": ["supbound x"]},
+    {**_KERNEL, "commands": ["partition x"]},
+], ids=["array", "solver-list", "query-sets-list", "query-set-list",
+        "measure-list", "one-number-map", "tol-abc", "max-iter-x",
+        "samples-null", "semigroup-tol-x", "kernel-list", "supbound-x",
+        "partition-x"])
+def test_malformed_value_is_a_parse_error(tmp_path, doc):
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2 and "invalid scenario" in report
+
+
+def test_infinite_count_is_a_parse_error(tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({**_IFS, "solver": {"max_iter": 1.0}})
+                 .replace("1.0}", "1e400}"))
+    code, report = run(str(p))
+    assert code == 2 and "infinity" in report
+
+
+def test_zero_iteration_budget_exits_4(tmp_path):
+    code, report = _run_doc(tmp_path, {**_IFS, "solver": {"max_iter": 0}})
+    assert code == 4 and "0 iterations" in report
+
+
+def test_partition_size_is_capped_before_allocating(tmp_path):
+    code, report = _run_doc(
+        tmp_path, {**_KERNEL, "commands": ["partition 1000000000000"]})
+    assert code == 3 and "between 1 and 1048576" in report
+
+
+def test_export_samples_are_capped_before_allocating(tmp_path):
+    doc = {**_IFS, "solver": {"samples": 10 ** 12}, "commands": ["export"]}
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2 and "between 2 and 1048576" in report

@@ -107,12 +107,13 @@ def test_adaptive_gauss_handles_kinks():
     assert val == pytest.approx(want, abs=1e-11)
 
 
-def test_adaptive_gauss_panel_budget():
+def test_adaptive_gauss_panel_budget(monkeypatch):
     # highly oscillatory integrand with an absurd tolerance and a tiny
     # panel budget must refuse rather than return a wrong answer
+    import ifsmeasure._quadrature as quadrature
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(RefinementLimit):
-        adaptive_gauss(lambda t: np.sin(1000.0 * t), 0.0, 1.0, 1e-14,
-                       max_panels=4)
+        adaptive_gauss(lambda t: np.sin(1000.0 * t), 0.0, 1.0, 1e-14)
 
 
 def test_adaptive_gauss_rejects_non_finite():

@@ -215,13 +215,35 @@ def test_iterate_iteration_limit():
         iterate_fixed_point(sys, VectorMeasure.zero(2), tol=1e-12, max_iter=2)
 
 
-def test_iterate_mk_star_mode_blend():
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_iterate_refuses_a_tolerance_it_can_never_meet(tol):
+    # one mass-preserving map keeps the iterate a single atom, so neither
+    # the prune budget nor the size cap would stop it before max_iter
+    sys = IFSystem([AffineMap(0.5, 0.25)], [np.eye(1)])
+    with pytest.raises(ValueError, match="tol must be positive"):
+        iterate_fixed_point(sys, VectorMeasure.dirac(0.0, np.array([1.0])),
+                            tol=tol, max_iter=10_000)
+
+
+def _record_iterates(monkeypatch):
+    """Spy on ``markov.prune``: each step's iterate is what it returns."""
+    import ifsmeasure.markov as markov
+    seen = []
+    real_prune = markov.prune
+
+    def spy(mu, tol):
+        seen.append(real_prune(mu, tol))
+        return seen[-1]
+    monkeypatch.setattr(markov, "prune", spy)
+    return seen
+
+
+def test_iterate_mk_star_mode_blend(monkeypatch):
     sys = blend_system()
     start = VectorMeasure.dirac(0.0, np.array([1.0, 1.0]))
-    seen = []
-    res = iterate_fixed_point(sys, start, tol=1e-8, max_iter=400,
-                              on_iterate=lambda k, m: seen.append(k))
-    assert seen, "progress callback never invoked"
+    seen = _record_iterates(monkeypatch)
+    res = iterate_fixed_point(sys, start, tol=1e-8, max_iter=400)
+    assert len(seen) == res.iterations and seen[-1] is res.measure
     assert res.norm == "mk_star"
     mu = res.measure
     assert np.abs(mu.total() - 1.0).max() < 1e-9
@@ -230,17 +252,17 @@ def test_iterate_mk_star_mode_blend():
     assert np.abs(mu.evaluate(QuerySet.closed(2 / 3, 1.0)) - 2 / 3).max() < 1e-6
 
 
-def test_iterate_mk_star_mode_never_prunes():
+def test_iterate_mk_star_mode_never_prunes(monkeypatch):
     # a 0.9 / 0.1 split of the mass makes atoms of weight 0.1^k, far below
     # what a prune budget of tol * (1 - c) / 4 would drop; every one of
     # them must stay, or the totals drift from the start's
     sys = IFSystem([(1 / 3, 0.0), (1 / 3, 2 / 3)],
                    [np.array([[0.9]]), np.array([[0.1]])])
-    seen = []
+    seen = _record_iterates(monkeypatch)
     iterate_fixed_point(sys, VectorMeasure.dirac(0.0, np.array([1.0])),
-                        tol=1e-6, on_iterate=lambda k, m: seen.append((k, m)))
+                        tol=1e-6)
     assert len(seen) > 5
-    for k, m in seen:
+    for k, m in enumerate(seen, start=1):
         assert m.n_atoms == 2 ** k
         assert abs(m.total()[0] - 1.0) < 1e-14
 
@@ -455,7 +477,7 @@ def _generated_system(rng, field):
 def _dense_eval(sys, B, depth_cap):
     """Reference: the same graph assembled as one dense (N n)^2 system."""
     from ifsmeasure.markov import _set_graph
-    nodes, child = _set_graph(sys, B, depth_cap, max_nodes=10 ** 6)
+    nodes, child = _set_graph(sys, B, depth_cap)
     N, n = len(nodes), sys.dim
     dtype = np.complex128 if sys.field == "complex" else np.float64
     A = np.eye(N * n, dtype=dtype)
@@ -469,7 +491,10 @@ def _dense_eval(sys, B, depth_cap):
 
 
 @pytest.mark.parametrize("field, seed", [("real", 11), ("complex", 12)])
-def test_eval_matches_dense_solve_on_generated_systems(field, seed):
+def test_eval_matches_dense_solve_on_generated_systems(monkeypatch, field,
+                                                      seed):
+    import ifsmeasure.markov as markov
+    monkeypatch.setattr(markov, "_MAX_NODES", 800)
     rng = np.random.default_rng(seed)
     tol = 1e-6
     closed = truncated = 0
@@ -482,7 +507,7 @@ def test_eval_matches_dense_solve_on_generated_systems(field, seed):
         scale = sys.base.variation_norm() / (1 - factors(sys).variation)
         for B in sets:
             try:
-                got = eval_fixed_point(sys, B, tol=tol, max_nodes=800)
+                got = eval_fixed_point(sys, B, tol=tol)
             except IterationLimit:
                 continue  # keeps the dense reference small
             want, nodes = _dense_eval(sys, B, got.depth_cap)

@@ -214,6 +214,17 @@ def test_accumulate_matches_repeated_combine():
     for p in parts[1:]:
         step = combine(1.0, step, 1.0, p)
     assert (total - step).variation_norm() < 1e-12
+    with pytest.raises(ValueError):
+        accumulate([])
+
+
+@pytest.mark.xfail(strict=True, reason="_canonical_pieces builds segment "
+                   "densities by a running cumsum, so a small density comes "
+                   "out as huge minus huge")
+def test_small_density_next_to_a_huge_one_keeps_its_mass():
+    mu = VectorMeasure(pieces=[((0.0, 0.5), [1e9]), ((0.5, 1.0), [1e-3])])
+    got = mu.evaluate(QuerySet.closed(0.5, 1.0))[0]
+    assert abs(got / 5e-4 - 1.0) <= 1e-12
 
 
 def test_arithmetic_operators():
