@@ -108,13 +108,20 @@ def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
     return len(grid)
 
 
+def _field(doc) -> str:
+    field = doc.get("field", "real")
+    if field not in ("real", "complex"):
+        raise ScenarioError(f"field must be 'real' or 'complex', got {field!r}")
+    return field
+
+
 def _parse_measure(doc, field) -> VectorMeasure:
     return VectorMeasure.from_dict({"field": field, **_object(doc, "measure")})
 
 
 class _IFSJob:
     def __init__(self, doc):
-        field = doc.get("field", "real")
+        field = _field(doc)
         dim = doc.get("dimension")
         if dim is None:
             raise ScenarioError("ifs scenario needs a dimension")
@@ -247,7 +254,7 @@ class _KernelJob:
 
 class _SemigroupJob:
     def __init__(self, doc):
-        field = doc.get("field", "real")
+        field = _field(doc)
         self.rate = float(doc["rate"])
         self.target = float(doc["target"])
         self.base = _parse_measure(doc["base"], field)

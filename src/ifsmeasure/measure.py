@@ -16,6 +16,17 @@ Canonical form: atoms sorted with coincident points merged (points within
 zero weights dropped; pieces resolved into disjoint segments with densities
 summed, zero densities dropped, and adjacent segments with exactly equal
 densities merged.  Equality is structural on the canonical arrays.
+
+Only input that needs it is resolved.  Atoms already sorted with gaps
+above 1e-12, and pieces already sorted and disjoint, keep their
+coefficients as given: only zero rows go, and equal contiguous pieces
+merge.  ``pushforward`` (which reverses the image of a negative slope),
+``apply_operator`` and ``prune`` produce such input from a canonical
+measure.  Overlapping or unsorted pieces, as ``accumulate`` and
+``combine`` produce, go through an event sweep, a running sum of +d where
+a piece starts and -d where it ends, so a segment's density there can
+carry the rounding of larger densities that overlap it.  A sum that
+overflows raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,50 +45,109 @@ __all__ = ["VectorMeasure", "pushforward", "apply_operator", "combine",
 _SNAP = 1e-12
 
 
+# rows whose norm comes out outside this range are recomputed, scaled by
+# their largest entry, so that no square overflows or underflows to zero;
+# every other row keeps the plain formula's result
+_NORM_LO, _NORM_HI = 1e-150, 1e150
+
+
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
+    mag = np.abs(a)
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.sum(mag ** 2, axis=1))
+    odd = (out < _NORM_LO) | (out > _NORM_HI)
+    if odd.any():
+        m = mag[odd]
+        top = np.max(m, axis=1, initial=0.0)
+        top[top == 0.0] = 1.0  # zero rows stay zero
+        out[odd] = np.sqrt(np.sum((m / top[:, None]) ** 2, axis=1)) * top
+    return out
+
+
+def _rows_differ(a: np.ndarray, b) -> np.ndarray:
+    """``np.any(a != b, axis=1)`` for ``b`` an array of a's shape or 0.
+
+    A loop over the few columns runs several times faster than a
+    reduction along the short axis.
+    """
+    b = np.broadcast_to(b, a.shape)
+    out = np.zeros(len(a), dtype=bool)
+    for j in range(a.shape[1]):
+        out |= a[:, j] != b[:, j]
+    return out
 
 
 def _canonical_atoms(points, weights):
-    if len(points) == 0:
+    if len(points) > 1 and not np.all(np.diff(points) > _SNAP):
+        order = np.argsort(points, kind="stable")
+        p = points[order]
+        w = weights[order]
+        starts = np.concatenate(([True], np.diff(p) > _SNAP))
+        idx = np.flatnonzero(starts)
+        points, weights = p[idx], np.add.reduceat(w, idx, axis=0)
+    keep = _rows_differ(weights, 0)
+    if keep.all():
         return points, weights
-    order = np.argsort(points, kind="stable")
-    p = points[order]
-    w = weights[order]
-    starts = np.concatenate(([True], np.diff(p) > _SNAP))
-    idx = np.flatnonzero(starts)
-    merged_w = np.add.reduceat(w, idx, axis=0)
-    merged_p = p[idx]
-    keep = _row_norms(merged_w) != 0.0
-    return merged_p[keep], merged_w[keep]
+    return points[keep], weights[keep]
+
+
+def _resolve(lo, hi, dens):
+    """Disjoint segments and summed densities of overlapping pieces.
+
+    Each distinct endpoint is an event carrying +d for every piece that
+    starts there and -d for every piece that ends there; a cumulative sum
+    over the events gives the segment densities.  The events are ranked
+    by one stable sort of the endpoints, which merges the sorted runs
+    that sums of canonical measures arrive in, and summed by
+    ``np.bincount`` in input order (all starts, then all ends), one
+    column at a time, so each event adds its terms in the order of the
+    ``np.add.at`` scatter this replaced.  Segments of zero density are
+    dropped.
+    """
+    ends = np.concatenate([lo, hi])
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    first = np.empty(len(ends), dtype=bool)
+    first[0] = True
+    np.not_equal(ends[1:], ends[:-1], out=first[1:])
+    events = ends[first]
+    del ends
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    del order, first
+    n = len(events)
+    delta = np.empty((n, dens.shape[1]), dtype=dens.dtype)
+    parts = [(delta.real, dens.real)]
+    if np.iscomplexobj(dens):
+        parts.append((delta.imag, dens.imag))
+    for out, d in parts:
+        for j in range(d.shape[1]):
+            col = d[:, j]
+            out[:, j] = np.bincount(rank, weights=np.concatenate([col, -col]),
+                                     minlength=n)
+    del rank
+    seg_d = np.cumsum(delta[:-1], axis=0)
+    keep = _rows_differ(seg_d, 0)
+    return events[:-1][keep], events[1:][keep], seg_d[keep]
 
 
 def _canonical_pieces(lo, hi, dens):
-    keep = (hi > lo) & (_row_norms(dens) != 0.0)
-    lo, hi, dens = lo[keep], hi[keep], dens[keep]
-    if len(lo) == 0:
+    keep = (hi > lo) & _rows_differ(dens, 0)
+    if not keep.all():
+        lo, hi, dens = lo[keep], hi[keep], dens[keep]
+    if np.any(lo[1:] < hi[:-1]):  # out of order or overlapping
+        lo, hi, dens = _resolve(lo, hi, dens)
+    if len(lo) < 2:
         return lo, hi, dens
-    events = np.unique(np.concatenate([lo, hi]))
-    n = dens.shape[1]
-    delta = np.zeros((len(events), n), dtype=dens.dtype)
-    i0 = np.searchsorted(events, lo)
-    i1 = np.searchsorted(events, hi)
-    np.add.at(delta, i0, dens)
-    np.subtract.at(delta, i1, dens)
-    seg_d = np.cumsum(delta[:-1], axis=0)
-    seg_lo = events[:-1]
-    seg_hi = events[1:]
-    keep = _row_norms(seg_d) != 0.0
-    seg_lo, seg_hi, seg_d = seg_lo[keep], seg_hi[keep], seg_d[keep]
-    if len(seg_lo) == 0:
-        return seg_lo, seg_hi, seg_d
     # merge runs of contiguous segments carrying bitwise-equal densities
-    contiguous = seg_lo[1:] == seg_hi[:-1]
-    same = np.all(seg_d[1:] == seg_d[:-1], axis=1)
+    contiguous = lo[1:] == hi[:-1]
+    same = ~_rows_differ(dens[1:], dens[:-1])
     starts = np.concatenate(([True], ~(contiguous & same)))
+    if starts.all():
+        return lo, hi, dens
     idx = np.flatnonzero(starts)
-    ends = np.concatenate((idx[1:], [len(seg_lo)])) - 1
-    return seg_lo[idx], seg_hi[ends], seg_d[idx]
+    ends = np.concatenate((idx[1:], [len(lo)])) - 1
+    return lo[idx], hi[ends], dens[idx]
 
 
 class VectorMeasure:
@@ -135,8 +205,13 @@ class VectorMeasure:
             raise ValueError("atom outside [0, 1]")
         if np.any(lo > hi) or (len(lo) and (lo.min() < 0.0 or hi.max() > 1.0)):
             raise ValueError("piece interval outside [0, 1] or reversed")
-        pts, wts = _canonical_atoms(pts, wts)
-        lo, hi, dens = _canonical_pieces(lo, hi, dens)
+        # sums of finite coefficients can overflow; the check below
+        # refuses the inf or nan that results, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts, wts = _canonical_atoms(pts, wts)
+            lo, hi, dens = _canonical_pieces(lo, hi, dens)
+        if not (np.isfinite(wts).all() and np.isfinite(dens).all()):
+            raise ValueError("a coefficient overflows to a non-finite value")
         for arr in (pts, wts, lo, hi, dens):
             arr.setflags(write=False)
         object.__setattr__(self, "atom_points", pts)
@@ -413,18 +488,20 @@ def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
             np.array([o]), mu.total()[None, :],
             np.zeros(0), np.zeros(0),
             np.zeros((0, mu.dim), dtype=mu.atom_weights.dtype), mu.dim)
-    pts = s * mu.atom_points + o
-    lo = s * mu.piece_lo + o
-    hi = s * mu.piece_hi + o
-    if s < 0:
-        lo, hi = hi, lo
-    dens = mu.piece_density / abs(s)
-    wts = mu.atom_weights
+    a_pts, wts = mu.atom_points, mu.atom_weights
+    p_lo, p_hi, p_d = mu.piece_lo, mu.piece_hi, mu.piece_density
+    if s < 0:  # reversed, so that the image is sorted as mu is
+        a_pts, wts = a_pts[::-1], wts[::-1]
+        p_lo, p_hi, p_d = p_hi[::-1], p_lo[::-1], p_d[::-1]
+    pts = s * a_pts + o
+    lo = s * p_lo + o
+    hi = s * p_hi + o
+    dens = p_d / abs(s)
     flat = hi <= lo
     if flat.any():
         pts = np.concatenate([pts, lo[flat]])
-        wts = np.concatenate([wts, mu.piece_density[flat] * (
-            mu.piece_hi - mu.piece_lo)[flat, None]])
+        width = np.abs(p_hi[flat] - p_lo[flat])
+        wts = np.concatenate([wts, p_d[flat] * width[:, None]])
         lo, hi, dens = lo[~flat], hi[~flat], dens[~flat]
     return VectorMeasure._from_arrays(pts, wts, lo, hi, dens, mu.dim)
 

@@ -356,13 +356,22 @@ _SEMIGROUP = {"kind": "semigroup", "rate": 1.0, "target": 0.5,
     {**_KERNEL, "kernels": [[1], [2]]},
     {**_KERNEL, "commands": ["supbound x"]},
     {**_KERNEL, "commands": ["partition x"]},
+    {**_IFS, "field": "foo"},
+    {**_SEMIGROUP, "field": "foo"},
 ], ids=["array", "solver-list", "query-sets-list", "query-set-list",
         "measure-list", "one-number-map", "tol-abc", "max-iter-x",
         "samples-null", "semigroup-tol-x", "kernel-list", "supbound-x",
-        "partition-x"])
+        "partition-x", "field-foo", "semigroup-field-foo"])
 def test_malformed_value_is_a_parse_error(tmp_path, doc):
     code, report = _run_doc(tmp_path, doc)
     assert code == 2 and "invalid scenario" in report
+
+
+def test_base_that_overflows_when_resolved_is_a_validation_error(tmp_path):
+    # each density is finite; their sum on the overlap is not
+    base = {"dimension": 1, "pieces": [[0.0, 1.0, [1e308]], [0.0, 1.0, [1e308]]]}
+    code, report = _run_doc(tmp_path, {**_IFS, "base": base})
+    assert code == 2 and "non-finite" in report
 
 
 def test_infinite_count_is_a_parse_error(tmp_path):

@@ -4,7 +4,8 @@ Each bundled scenario runs through ``cli.run`` and its JSON report is
 scored by ``bench/workloads.check_call`` against ``bench/reference.json``:
 every value must agree with the stored one within the summed bounds and
 satisfy its independent certificate checks, so the worst error ratio stays
-at or below one.
+at or below one.  The generated overlap workloads (seed 1) are scored the
+same way, against the closed-form total of their fixed point.
 """
 
 import json
@@ -28,3 +29,14 @@ def test_bundled_report_matches_the_reference(tmp_path, bench_module, name):
     ratio = wl.check_call(wl.bundled_doc(ROOT, name), json.loads(report),
                           tmp_path, references)
     assert ratio <= 1.0
+
+
+@pytest.mark.parametrize("name", ["overlap_iterate", "overlap_histogram"])
+def test_generated_workload_meets_its_checks(tmp_path, bench_module, name):
+    wl = bench_module("workloads")
+    doc = getattr(wl, name)(1)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(str(path), out_dir=str(tmp_path), fmt="json")
+    assert code == 0, report
+    assert wl.check_call(doc, json.loads(report), tmp_path, {}) <= 1.0
