@@ -23,7 +23,8 @@ class NotContractive(ValueError):
 
 
 class IterationLimit(RuntimeError):
-    """Requested tolerance not certified within the iteration budget."""
+    """Requested tolerance not certified: the iteration budget ran out, or
+    rounding moved the result by more than the bound it would certify."""
 
 
 class RefinementLimit(RuntimeError):

@@ -221,6 +221,18 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     identity exactly: inside the 1e-12 band it certifies that idealised
     system, not the rounded one (the float operators I/3 and 2I/3 sum to
     1 - 5.6e-17, for example).
+
+    The bound does not cover floating-point rounding.  Where rounding is
+    large, as for image pieces a few ulps wide that carry big densities,
+    the iterate settles on the fixed point of the rounded operator, and
+    the bound certifies that one.  The exact operator maps totals by
+    t -> sum_i R_i t + mu0([0, 1]); what the certifying step adds to the
+    total beyond that and beyond the prune budget p is rounding, its
+    drift.  Iteration refuses with IterationLimit when drift / (1-q)
+    exceeds the bound: repeated at every step, a drift moves the fixed
+    point's total by up to that much when ||sum_i R_i|| <= q, as in the
+    variation metric.  This checks that rounding stays below the bound;
+    it does not bound it.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -228,13 +240,13 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         raise DimensionMismatch(
             f"start dimension {start.dim} differs from system dimension {sys.dim}")
     fac = factors(sys)
+    op_sum = np.sum(np.stack(sys.operators), axis=0)
     if fac.variation < 1.0:
         norm, q = "variation", fac.variation
         budget = tol * (1.0 - q) / 4.0
         distance = VectorMeasure.variation_norm
     else:
         norm, q = "mk_star", fac.mk_star
-        op_sum = np.sum(np.stack(sys.operators), axis=0)
         if np.abs(op_sum - np.eye(sys.dim)).max() > _MASS_TOL:
             raise NotContractive(
                 f"variation factor {fac.variation:.6g} >= 1; iteration will "
@@ -250,12 +262,21 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
                 "to have zero total mass")
         budget = 0.0
         distance = mk_star_exact
+    base_total = 0.0 if sys.base is None else sys.base.total()
     cur, bound = start, math.inf
     for k in range(1, max_iter + 1):
         _check_size(sys, cur, k)
         nxt = prune(apply_markov(sys, cur), budget)
         bound = (q * distance(nxt - cur) + budget) / (1.0 - q)
         if bound <= tol:
+            # pruning moves the total by at most the budget
+            drift = float(np.linalg.norm(
+                nxt.total() - op_sum @ cur.total() - base_total)) - budget
+            if drift / (1.0 - q) > bound:
+                raise IterationLimit(
+                    f"rounding moves the total by {drift:.3g} per step, up to "
+                    f"{drift / (1.0 - q):.3g} at the fixed point, more than "
+                    f"the bound {bound:.3g}; not certified")
             return FixedPointResult(nxt, k, bound, norm)
         cur = nxt
     raise IterationLimit(

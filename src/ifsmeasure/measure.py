@@ -96,36 +96,13 @@ def _resolve(lo, hi, dens):
 
     Each distinct endpoint is an event carrying +d for every piece that
     starts there and -d for every piece that ends there; a cumulative sum
-    over the events gives the segment densities.  The events are ranked
-    by one stable sort of the endpoints, which merges the sorted runs
-    that sums of canonical measures arrive in, and summed by
-    ``np.bincount`` in input order (all starts, then all ends), one
-    column at a time, so each event adds its terms in the order of the
-    ``np.add.at`` scatter this replaced.  Segments of zero density are
-    dropped.
+    over the events gives the segment densities.  Segments of zero
+    density are dropped.
     """
-    ends = np.concatenate([lo, hi])
-    order = np.argsort(ends, kind="stable")
-    ends = ends[order]
-    first = np.empty(len(ends), dtype=bool)
-    first[0] = True
-    np.not_equal(ends[1:], ends[:-1], out=first[1:])
-    events = ends[first]
-    del ends
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.cumsum(first) - 1
-    del order, first
-    n = len(events)
-    delta = np.empty((n, dens.shape[1]), dtype=dens.dtype)
-    parts = [(delta.real, dens.real)]
-    if np.iscomplexobj(dens):
-        parts.append((delta.imag, dens.imag))
-    for out, d in parts:
-        for j in range(d.shape[1]):
-            col = d[:, j]
-            out[:, j] = np.bincount(rank, weights=np.concatenate([col, -col]),
-                                     minlength=n)
-    del rank
+    events = np.unique(np.concatenate([lo, hi]))
+    delta = np.zeros((len(events), dens.shape[1]), dtype=dens.dtype)
+    np.add.at(delta, np.searchsorted(events, lo), dens)
+    np.subtract.at(delta, np.searchsorted(events, hi), dens)
     seg_d = np.cumsum(delta[:-1], axis=0)
     keep = _rows_differ(seg_d, 0)
     return events[:-1][keep], events[1:][keep], seg_d[keep]

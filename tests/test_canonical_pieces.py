@@ -1,11 +1,9 @@
 """Canonicalisation resolves only pieces that are out of order or overlap.
 
-The event sweep ``measure._resolve`` is checked bitwise against the
-unique/searchsorted/``add.at`` scatter it replaced, which stays here as
-the oracle.  ``pushforward``, ``apply_operator`` and ``prune`` hand
-canonicalisation sorted, disjoint input and so skip the sweep; their
-results must match canonicalising a shuffled copy of the same arrays,
-which goes through it.
+``pushforward``, ``apply_operator`` and ``prune`` hand canonicalisation
+sorted, disjoint input and so skip the event sweep ``measure._resolve``;
+their results must match canonicalising a shuffled copy of the same
+arrays, which goes through it.
 """
 
 import sys
@@ -16,44 +14,6 @@ import pytest
 from ifsmeasure import (AffineMap, IFSystem, VectorMeasure, apply_operator,
                         iterate_fixed_point, prune, pushforward)
 from ifsmeasure import measure
-
-
-def _retired_resolve(lo, hi, dens):
-    events = np.unique(np.concatenate([lo, hi]))
-    delta = np.zeros((len(events), dens.shape[1]), dtype=dens.dtype)
-    np.add.at(delta, np.searchsorted(events, lo), dens)
-    np.subtract.at(delta, np.searchsorted(events, hi), dens)
-    seg_d = np.cumsum(delta[:-1], axis=0)
-    keep = np.any(seg_d != 0, axis=1)
-    return events[:-1][keep], events[1:][keep], seg_d[keep]
-
-
-def _overlapping_pieces(rng, dim, field):
-    """Nonzero pieces on a coarse grid plus a few free endpoints, so that
-    many pieces share endpoints; densities span twelve decades."""
-    n = int(rng.integers(2, 40))
-    grid = np.concatenate([np.arange(9) / 8, rng.uniform(0, 1, 3)])
-    a, b = rng.choice(grid, n), rng.choice(grid, n)
-    keep = a != b
-    lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
-    shape = (len(lo), dim)
-    dens = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 9, shape)
-    if field == "complex":
-        dens = dens + 1j * rng.standard_normal(shape)
-    dens[rng.random(shape) < 0.2] = 0.0
-    dens[:, 0][~np.any(dens != 0, axis=1)] = 1.0
-    return lo, hi, dens
-
-
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_resolve_is_bitwise_the_retired_scatter(field):
-    rng = np.random.default_rng(91)
-    for _ in range(150):
-        lo, hi, dens = _overlapping_pieces(rng, int(rng.integers(1, 4)), field)
-        got = measure._resolve(lo, hi, dens)
-        want = _retired_resolve(lo, hi, dens)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def _canonical(rng, dim, n_pieces=30, n_atoms=10):

@@ -157,6 +157,19 @@ def test_iteration_budget_failure_exits_4(tmp_path):
     assert code == 4 and "tolerance" in report
 
 
+def test_rounding_refusal_exits_4(tmp_path):
+    # deep images of one map 0.2 t + 0.3 are a few ulps wide; the iterate
+    # certified 2.00000019 with bound 6.6e-9, the exact total being 2
+    doc = {"kind": "ifs", "field": "real", "dimension": 1,
+           "maps": [[0.2, 0.3]], "operators": [[[0.5]]],
+           "base": {"dimension": 1, "pieces": [[0.0, 1.0, [1.0]]]},
+           "solver": {"tol": 1e-8}, "commands": ["solve"]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    code, report = run(str(p))
+    assert code == 4 and "rounding moves the total" in report
+
+
 def test_tol_override_reaches_solver(tmp_path):
     from importlib import resources
     raw = resources.files("ifsmeasure").joinpath(

@@ -215,6 +215,26 @@ def test_iterate_iteration_limit():
         iterate_fixed_point(sys, VectorMeasure.zero(2), tol=1e-12, max_iter=2)
 
 
+@pytest.mark.parametrize("slope,r,offset,tol", [
+    (0.2, 0.5, 0.3, 1e-8), (0.4, 0.8, 0.55, 1e-6), (0.4, 0.7, 0.55, 1e-11),
+    (0.45, 0.7, 0.1, 1e-8)])
+def test_iterate_refuses_or_certifies_the_one_map_family(slope, r, offset,
+                                                        tol):
+    # the deep images of [0, 1] are a few ulps wide and carry densities up
+    # to 1e9; their rounded widths change the operator, and the iterate
+    # settles on the rounded operator's fixed point, up to 3e5 bounds
+    # from the exact total 1 / (1 - r)
+    sys = IFSystem([AffineMap(slope, offset)], [np.array([[r]])],
+                   base=VectorMeasure.lebesgue([1.0]))
+    try:
+        res = iterate_fixed_point(sys, VectorMeasure.zero(1), tol=tol,
+                                  max_iter=400)
+    except IterationLimit as exc:
+        assert "rounding moves the total" in str(exc)
+        return
+    assert abs(res.measure.total()[0] - 1.0 / (1.0 - r)) <= res.error_bound
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
 def test_iterate_refuses_a_tolerance_it_can_never_meet(tol):
     # one mass-preserving map keeps the iterate a single atom, so neither
