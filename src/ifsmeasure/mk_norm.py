@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measure import VectorMeasure
+from .measure import VectorMeasure, _scatter_rows
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
@@ -178,10 +178,8 @@ def _influence_vectors(mu: VectorMeasure, nodes: np.ndarray) -> np.ndarray:
     w = np.concatenate([mu.atom_weights, rho[j] * np.diff(cuts)[:, None]])
     k = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
     lam = np.clip((t - nodes[k]) / (nodes[k + 1] - nodes[k]), 0.0, 1.0)[:, None]
-    G = np.zeros((len(nodes), mu.dim), dtype=w.dtype)
-    np.add.at(G, k, (1.0 - lam) * w)
-    np.add.at(G, k + 1, lam * w)
-    return G
+    return _scatter_rows(len(nodes), np.concatenate([k, k + 1]),
+                         [(1.0 - lam) * w, lam * w])
 
 
 def _midrange(F: np.ndarray) -> np.ndarray:
