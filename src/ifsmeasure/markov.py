@@ -18,12 +18,14 @@ contraction ratio.  Two solvers compute the fixed point: contraction
 iteration, one certified loop in the metric the system decides (variation
 when its factor is below one, else mk_star for operators that sum to the
 identity), and evaluation on a query set over the transition graph its
-preimages generate, solved by block sweeps whose stop the variation
-factor certifies.
+preimages generate, explored best-first by path weight prod ||R_i|| up
+to a certified truncation bound and solved by block sweeps whose stop
+the variation factor certifies.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -52,6 +54,12 @@ _MAX_SWEEPS = 10_000
 _MAX_COMPONENTS = 2_000_000
 # set evaluation refuses, rather than exhaust memory, past this many nodes
 _MAX_NODES = 100_000
+# set evaluation stops exploring once its truncation bound fits in this
+# share of tol; the sweeps get the rest
+_TRUNC_SHARE = 0.5
+# the truncation certificate may exceed the cut nodes' path weight by this
+# share of the budget it is checked against
+_CUT_SLACK = 1e-3
 
 
 def _check_size(sys: IFSystem, cur: VectorMeasure, k: int) -> None:
@@ -292,46 +300,118 @@ def _memo_key(B: QuerySet):
             tuple(round(a, 14) for a in B.atoms))
 
 
-def _set_graph(sys: IFSystem, B: QuerySet, depth_cap: int):
-    """Breadth-first preimage graph of B, memoized on canonical keys.
+def _cut_weight(child: np.ndarray, norms, sweeps: int):
+    """Certified upper bound on the path weight that reaches the cut nodes.
 
-    Returns the node sets (B first) and an (nodes, maps) array whose row j
-    holds the node indices of the preimages of node j under each map.
-    Nodes at depth_cap are not expanded: their rows hold the out-of-range
-    index len(nodes), a shared zero row for the solver.
+    ``child`` is an (nodes, maps) child-index array whose cut rows hold
+    the out-of-range index ``len(child)``, and edge i of a node weighs
+    norms[i].  The summed weight W_j of all paths from node 0 to node j
+    solves W = 1_root + T W, where T carries W along the edges of the
+    expanded nodes.  K = ``sweeps`` sweeps from below give the paths of
+    length <= K; the edges out of a node weigh e = sum(norms) < 1 in all,
+    so the longer paths weigh at most e^(K+1)/(1-e) in all.  The bound adds
+    that tail to the cut nodes' part of W_K and rounds up.  Also returns
+    W_K, a lower bound on W, by node.
     """
+    N, k = child.shape
+    cut = child[:, 0] == N
+    if not cut.any():
+        return 0.0, np.zeros(N)
+    src = np.repeat(np.flatnonzero(~cut), k)
+    dst = child[~cut].ravel()
+    w = np.tile(np.asarray(norms, dtype=float), len(dst) // k)
+    e = float(sum(norms))
+    W = np.zeros(N)
+    W[0] = 1.0
+    for _ in range(sweeps):
+        W = np.bincount(dst, weights=W[src] * w, minlength=N)
+        W[0] += 1.0
+    # a sum of m nonnegative terms, each a product of nonnegative factors,
+    # is off by at most m ulps in all; a sweep adds at most one product
+    # and the in-degree's additions to each path's rounding
+    indeg = int(np.bincount(dst, minlength=N).max())
+    ulps = sweeps * (indeg + 2) + 4
+    tail = e ** (sweeps + 1) / (1.0 - e)
+    return (math.fsum(W[cut]) + tail) * (1.0 + ulps * _EPS), W
+
+
+def _set_graph(sys: IFSystem, B: QuerySet, budget: float):
+    """Best-first preimage graph of B, memoized on canonical keys.
+
+    A node's weight is the summed weight prod ||R_i|| of the paths from B
+    to it found so far; the heaviest unexpanded node is expanded next.
+    Exploration stops when every node is expanded (the graph closed), or
+    when the certified weight of the unexpanded ones, the cut nodes, is
+    at most ``budget``.  Memo hits carry weight back into expanded nodes,
+    past which the running weights do not follow it, so the stop is
+    checked by ``_cut_weight`` on the graph as built; when that fails,
+    its weights re-rank the cut nodes and exploration goes on.  Its sweep
+    count K is the fewest that bring its tail e^(K+1)/(1-e) within a
+    1e-3 share of the budget; when that is more than _MAX_SWEEPS (e near
+    1), no cut is certified and only closing stops exploration.
+
+    Returns the node sets (B first), an (nodes, maps) array whose row j
+    holds the node indices of the preimages of node j under each map
+    (cut rows hold the out-of-range index len(nodes), a shared zero row
+    for the solver), the certified cut weight and the depth reached.
+    """
+    norms = [operator_norm(r) for r in sys.operators]
+    k = len(norms)
+    e = sum(norms)
+    sweeps = _sweeps_to(e, _CUT_SLACK * budget * (1.0 - e)) - 1
+    if sweeps > _MAX_SWEEPS:
+        budget = -math.inf
     nodes = [B]
     keys = {_memo_key(B): 0}
+    weight = [1.0]
     depth = [0]
     children: list = [None]
-    frontier = [0]
-    while frontier:
-        nxt_frontier = []
-        for j in frontier:
-            if depth[j] >= depth_cap:
-                continue
-            kids = []
-            for m in sys.maps:
-                C = preimage(m, nodes[j])
-                key = _memo_key(C)
-                idx = keys.get(key)
-                if idx is None:
-                    if len(nodes) >= _MAX_NODES:
-                        raise IterationLimit(
-                            f"set-transition graph exceeded {_MAX_NODES} nodes")
-                    idx = len(nodes)
-                    keys[key] = idx
-                    nodes.append(C)
-                    depth.append(depth[j] + 1)
-                    children.append(None)
-                    nxt_frontier.append(idx)
-                kids.append(idx)
-            children[j] = kids
-        frontier = nxt_frontier
-    leaf = [len(nodes)] * len(sys.maps)
-    child = np.array([leaf if kids is None else kids for kids in children],
-                     dtype=np.intp)
-    return nodes, child
+    heap = [(-1.0, 0)]
+    pending = 1.0  # running weight of the cut nodes
+    while heap:
+        if pending <= budget:
+            child = _child_array(children, k)
+            cut, W = _cut_weight(child, norms, sweeps)
+            if cut <= budget:
+                return nodes, child, cut, max(depth)
+            weight = W.tolist()
+            heap = [(-weight[j], j) for j, kids in enumerate(children)
+                    if kids is None]
+            heapq.heapify(heap)
+            pending = cut
+        w, j = heapq.heappop(heap)
+        if children[j] is not None or -w < weight[j]:
+            continue  # expanded, or an entry from before its weight grew
+        # expanded before its children are added, so that a self-loop (the
+        # empty set and [0, 1] are their own preimages) is a memo hit
+        children[j] = kids = []
+        pending -= weight[j]
+        for m, nrm in zip(sys.maps, norms):
+            C = preimage(m, nodes[j])
+            key = _memo_key(C)
+            idx = keys.get(key)
+            if idx is None:
+                if len(nodes) >= _MAX_NODES:
+                    raise IterationLimit(
+                        f"set-transition graph exceeded {_MAX_NODES} nodes")
+                idx = len(nodes)
+                keys[key] = idx
+                nodes.append(C)
+                weight.append(0.0)
+                depth.append(depth[j] + 1)
+                children.append(None)
+            kids.append(idx)
+            if children[idx] is None:
+                weight[idx] += weight[j] * nrm
+                pending += weight[j] * nrm
+                heapq.heappush(heap, (-weight[idx], idx))
+    return nodes, _child_array(children, k), 0.0, max(depth)
+
+
+def _child_array(children, k: int) -> np.ndarray:
+    leaf = [len(children)] * k
+    return np.array([leaf if kids is None else kids for kids in children],
+                    dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -340,14 +420,14 @@ class EvalResult:
 
     ``error_bound`` (at most the requested tol) is the truncation bound,
     zero when the graph closed, plus the certified bound of the sweeps.
-    ``nodes`` counts the sets of the transition graph and ``depth_cap``
-    is the depth at which exploration stops; ``closed`` says that no
-    node was cut there.
+    ``nodes`` counts the sets of the transition graph and ``depth`` is
+    the longest path from B along which exploration found a node;
+    ``closed`` says that every node was expanded.
     """
     value: np.ndarray
     error_bound: float
     nodes: int
-    depth_cap: int
+    depth: int
     closed: bool
 
 
@@ -365,11 +445,16 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
     """Fixed-point evaluation mu*(B) via the set-transition graph.
 
     The fixed-point identity localizes: mu*(C) = sum_i R_i mu*(preimage_i C)
-    + mu0(C).  Preimages of an evaluable set stay evaluable, so breadth-first
-    exploration with memoized canonical sets either closes into a finite
-    graph or is truncated at the depth D where the remaining contribution
-    is below tol; truncated children act as zero, adding at most
-    ||mu0||/(1-e) * e^(D+1)/(1-e).
+    + mu0(C).  Preimages of an evaluable set stay evaluable, so exploration
+    with memoized canonical sets either closes into a finite graph or is
+    truncated.  It is best-first: the node with the largest summed path
+    weight prod ||R_i|| from B goes next, so paths through small operators
+    stop early.  A cut node is valued mu0(C) with its children taken as
+    zero, off by at most e a, where a = ||mu0||/(1-e).  The error at B is
+    then at most e a sum_cut W_j, with W_j the summed weight of the paths
+    from B to cut node j on the graph as built; exploration stops once a
+    certified upper bound on that sum (``_cut_weight``) puts the
+    truncation bound within half of tol.
 
     The graph's equations x_C = mu0(C) + sum_i R_i x_{child_i(C)} are
     solved by Jacobi block sweeps over an (nodes, maps) child-index array,
@@ -397,14 +482,16 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
     if sys.base is None:
         # the only fixed point of the homogeneous contraction
         return EvalResult(np.zeros(sys.dim, dtype=dtype), 0.0, 0, 0, True)
+    # a cut node's value mu0(C) misses sum_i R_i mu*(preimage_i C), at
+    # most e a with a = ||mu0||/(1-e) >= ||mu*||; errors reach B through
+    # the paths to it, so truncation costs at most e a sum_cut W_j
     a_bound = sys.base.variation_norm() / (1.0 - e)
-    depth_cap = 0
-    while a_bound * e ** (depth_cap + 1) / (1.0 - e) > tol:
-        depth_cap += 1
-    nodes, child = _set_graph(sys, B, depth_cap)
+    share = _TRUNC_SHARE * tol
+    budget = share / (e * a_bound) if e * a_bound > 0.0 else math.inf
+    nodes, child, cut, depth = _set_graph(sys, B, budget)
     N = len(nodes)
     closed = bool((child < N).all())
-    trunc = 0.0 if closed else a_bound * e ** (depth_cap + 1) / (1.0 - e)
+    trunc = e * a_bound * cut
     # sum_i R_i x[child_i] as one product: the gathered child rows side by
     # side times the operator transposes stacked
     ops_t = np.concatenate([r.T for r in sys.operators])
@@ -414,7 +501,7 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
     x[:N] = b
     scale = float(np.sqrt((np.abs(b) ** 2).sum(axis=1).max()))
     if scale == 0.0:
-        return EvalResult(x[0].copy(), trunc, N, depth_cap, closed)
+        return EvalResult(x[0].copy(), trunc, N, depth, closed)
     # a sweep in floating point is off by at most delta; the computed
     # iterates carry 2 delta/(1-e) beyond the exact a-posteriori bound
     fro = sum(float(np.linalg.norm(r)) for r in sys.operators)
@@ -445,5 +532,5 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
         raise IterationLimit(
             f"tolerance {tol:g} not certified in {budget} sweeps over {N} "
             f"nodes (last bound {trunc + best + rounding:g})")
-    return EvalResult(x[0].copy(), trunc + best + rounding, N, depth_cap,
+    return EvalResult(x[0].copy(), trunc + best + rounding, N, depth,
                       closed)

@@ -9,6 +9,7 @@ from ifsmeasure import (AffineMap, ContractionFactors, DimensionMismatch,
                         eval_fixed_point, factors, integrate,
                         iterate_fixed_point, mk_star_exact, residual,
                         vector_polynomial)
+from ifsmeasure.hilbert import operator_norm
 
 SQRT2 = np.sqrt(2.0)
 
@@ -425,7 +426,7 @@ def test_eval_agrees_with_iterate_on_random_sets():
 
 @pytest.mark.parametrize("slope, offset, closed", [
     (0.31, 0.62, True),    # a gap between the images: closes after 9 nodes
-    (0.6, 0.4, False),     # overlapping images: cut at the depth cap
+    (0.6, 0.4, False),     # overlapping images: cut by the truncation bound
 ], ids=["closes", "truncates"])
 def test_eval_truncation_on_infinite_transition_graph(slope, offset, closed):
     # the result must match the iterated measure within the two bounds,
@@ -494,10 +495,50 @@ def _generated_system(rng, field):
             sorted(set(fixed + ends)))
 
 
-def _dense_eval(sys, B, depth_cap):
-    """Reference: the same graph assembled as one dense (N n)^2 system."""
-    from ifsmeasure.markov import _set_graph
-    nodes, child = _set_graph(sys, B, depth_cap)
+def _uniform_graph(sys, B, depth_cap, max_nodes=800):
+    """Oracle: the breadth-first preimage graph of B cut at one uniform
+    depth, as if every map had the largest norm; same memo keys and
+    child-array layout (cut rows hold len(nodes)) as the solver's.
+    Refuses past max_nodes, which keeps a dense reference small."""
+    from ifsmeasure import markov
+    from ifsmeasure.space import preimage
+    nodes = [B]
+    keys = {markov._memo_key(B): 0}
+    depth = [0]
+    children = [None]
+    frontier = [0]
+    while frontier:
+        nxt_frontier = []
+        for j in frontier:
+            if depth[j] >= depth_cap:
+                continue
+            kids = []
+            for m in sys.maps:
+                C = preimage(m, nodes[j])
+                key = markov._memo_key(C)
+                idx = keys.get(key)
+                if idx is None:
+                    if len(nodes) >= max_nodes:
+                        raise IterationLimit(f"oracle graph exceeded "
+                                             f"{max_nodes} nodes")
+                    idx = len(nodes)
+                    keys[key] = idx
+                    nodes.append(C)
+                    depth.append(depth[j] + 1)
+                    children.append(None)
+                    nxt_frontier.append(idx)
+                kids.append(idx)
+            children[j] = kids
+        frontier = nxt_frontier
+    leaf = [len(nodes)] * len(sys.maps)
+    child = np.array([leaf if kids is None else kids for kids in children],
+                     dtype=np.intp)
+    return nodes, child
+
+
+def _dense_eval(sys, nodes, child):
+    """Reference: a graph's equations assembled as one dense (N n)^2
+    system, cut children acting as zero."""
     N, n = len(nodes), sys.dim
     dtype = np.complex128 if sys.field == "complex" else np.float64
     A = np.eye(N * n, dtype=dtype)
@@ -505,75 +546,216 @@ def _dense_eval(sys, B, depth_cap):
     for j in range(N):
         b[j * n:(j + 1) * n] = sys.base.evaluate(nodes[j])
         for r, c in zip(sys.operators, child[j]):
-            if c < N:  # truncated children act as zero
+            if c < N:
                 A[j * n:(j + 1) * n, c * n:(c + 1) * n] -= r
-    return np.linalg.solve(A, b)[:n], N
+    return np.linalg.solve(A, b)[:n]
+
+
+def _generated_cases(rng, field, systems=16):
+    """Systems from ``_generated_system`` with three query sets each: the
+    unit interval, a special point and a flagged interval between two."""
+    for _ in range(systems):
+        sys, pts = _generated_system(rng, field)
+        a, b = sorted(rng.choice(pts + [0.0, 1.0], 2, replace=False))
+        for B in (QuerySet.unit(), QuerySet.point(float(rng.choice(pts))),
+                  QuerySet(intervals=[(float(a), float(b),
+                                       bool(rng.integers(2)),
+                                       bool(rng.integers(2)))])):
+            yield sys, B
 
 
 @pytest.mark.parametrize("field, seed", [("real", 11), ("complex", 12)])
 def test_eval_matches_dense_solve_on_generated_systems(monkeypatch, field,
                                                       seed):
+    # the sweeps solve the graph the solver built, to the last digits
     import ifsmeasure.markov as markov
     monkeypatch.setattr(markov, "_MAX_NODES", 800)
-    rng = np.random.default_rng(seed)
+    built = []
+    build = markov._set_graph
+
+    def recording(*args):
+        graph = build(*args)
+        built.append(graph[:3])
+        return graph
+    monkeypatch.setattr(markov, "_set_graph", recording)
     tol = 1e-6
     closed = truncated = 0
-    for _ in range(16):
-        sys, pts = _generated_system(rng, field)
-        a, b = sorted(rng.choice(pts + [0.0, 1.0], 2, replace=False))
-        sets = [QuerySet.unit(), QuerySet.point(float(rng.choice(pts))),
-                QuerySet(intervals=[(float(a), float(b), bool(rng.integers(2)),
-                                     bool(rng.integers(2)))])]
-        scale = sys.base.variation_norm() / (1 - factors(sys).variation)
-        for B in sets:
-            try:
-                got = eval_fixed_point(sys, B, tol=tol)
-            except IterationLimit:
-                continue  # keeps the dense reference small
-            want, nodes = _dense_eval(sys, B, got.depth_cap)
-            assert got.nodes == nodes
-            assert np.abs(got.value - want).max() <= 1e-14 * scale
-            assert got.error_bound <= tol
-            closed += got.closed
-            truncated += not got.closed
-    assert closed >= 10 and truncated >= 2
+    for sys, B in _generated_cases(np.random.default_rng(seed), field):
+        try:
+            got = eval_fixed_point(sys, B, tol=tol)
+        except IterationLimit:
+            continue  # keeps the dense reference small
+        nodes, child, cut = built[-1]
+        want = _dense_eval(sys, nodes, child)
+        e = factors(sys).variation
+        a = sys.base.variation_norm() / (1 - e)
+        assert got.nodes == len(nodes)
+        assert np.abs(got.value - want).max() <= 1e-14 * a
+        assert got.error_bound <= tol
+        # the stop is certified on the graph as built, within tol/2
+        W = _path_weights(child, [operator_norm(r) for r in sys.operators])
+        assert W[child[:, 0] == len(nodes)].sum() <= cut
+        assert e * a * cut <= tol / 2 * (1 + 1e-12)
+        closed += got.closed
+        truncated += not got.closed
+    assert closed >= 10 and truncated >= 4
 
 
-def four_map_system():
+@pytest.mark.parametrize("field, seed", [("real", 11), ("complex", 12)])
+def test_eval_agrees_with_uniform_cap_solve_on_generated_systems(field,
+                                                                 seed):
+    # best-first truncation against the uniform depth cut, each within
+    # its own bound of mu*(B); the uniform cut at depth D costs at most
+    # a e^(D+1)/(1-e), with a = ||mu0||/(1-e)
+    tol = 1e-6
+    compared = smaller = 0
+    for sys, B in _generated_cases(np.random.default_rng(seed), field):
+        got = eval_fixed_point(sys, B, tol=tol)
+        assert got.error_bound <= tol
+        e = factors(sys).variation
+        a = sys.base.variation_norm() / (1 - e)
+        depth_cap = 0
+        while a * e ** (depth_cap + 1) / (1 - e) > tol:
+            depth_cap += 1
+        try:
+            nodes, child = _uniform_graph(sys, B, depth_cap)
+        except IterationLimit:
+            continue
+        want = _dense_eval(sys, nodes, child)
+        cut_bound = (0.0 if (child < len(nodes)).all()
+                     else a * e ** (depth_cap + 1) / (1 - e))
+        assert (np.linalg.norm(got.value - want)
+                <= got.error_bound + cut_bound + 1e-14 * a)
+        compared += 1
+        smaller += got.nodes < len(nodes)
+    assert compared >= 40 and smaller >= 4
+
+
+def _path_weights(child, norms):
+    """Oracle: the summed path weights W from node 0, by a dense solve of
+    (I - T) W = e_0, T carrying weight along the expanded nodes' edges."""
+    N = len(child)
+    T = np.zeros((N, N))
+    for j in range(N):
+        if child[j, 0] < N:
+            for c, nrm in zip(child[j], norms):
+                T[c, j] += nrm
+    e0 = np.zeros(N)
+    e0[0] = 1.0
+    return np.linalg.solve(np.eye(N) - T, e0)
+
+
+def test_cut_weight_bounds_the_path_weight_of_cut_nodes():
+    from ifsmeasure import markov
+    rng = np.random.default_rng(13)
+    checked = cyclic = 0
+    for sys, B in _generated_cases(rng, "real", systems=30):
+        norms = [operator_norm(r) for r in sys.operators]
+        nodes, child = _uniform_graph(sys, B, int(rng.integers(1, 7)))
+        N = len(nodes)
+        cut = child[:, 0] == N
+        if not cut.any():
+            continue
+        W = _path_weights(child, norms)
+        exact = W[cut].sum()
+        # the fewest sweeps K with e^(K+1)/(1-e) <= 1e-3 exact
+        e = sum(norms)
+        sweeps = markov._sweeps_to(e, 1e-3 * exact * (1 - e)) - 1
+        bound, lower = markov._cut_weight(child, norms, sweeps)
+        assert exact <= bound <= exact * (1 + 1.001e-3)
+        assert (lower <= W * (1 + 1e-12)).all()
+        checked += 1
+        # a self-loop ([0, 1] and the empty set are their own preimages)
+        # makes the paths infinitely many
+        cyclic += bool((child == np.arange(N)[:, None]).any())
+    assert checked >= 30 and cyclic >= 15
+
+
+def four_map_system(factor=0.43):
     """Four overlapping slope-0.35 maps, operators of variation factor
-    0.43; its preimage graphs grow without closing."""
+    ``factor`` in shares 0.4, 0.3, 0.2, 0.1; its preimage graphs grow
+    without closing."""
     c, s = np.cos(1.0), np.sin(1.0)
     rot = np.array([[c, -s], [s, c]])
     base = VectorMeasure(atoms=[(0.0, np.array([0.02, 0.0]))],
                          pieces=[((0.0, 1.0), np.array([0.0, 0.02]))])
     return IFSystem([(0.35, o) for o in (0.0, 0.2, 0.45, 0.65)],
-                    [0.43 * w * rot for w in (0.4, 0.3, 0.2, 0.1)], base=base)
+                    [factor * w * rot for w in (0.4, 0.3, 0.2, 0.1)],
+                    base=base)
 
 
 def test_eval_memory_stays_bounded_on_four_overlapping_maps(monkeypatch):
-    # 14,426 nodes: a dense (N n)^2 float64 system would take 6.7 GB, and
-    # its LU factorization as much again; the sweeps hold O(N maps n).
-    # Tracing starts once the graph is built (its sets are O(N) objects
-    # either way), which keeps tracemalloc's overhead off the exploration.
+    # factor 0.9 at tol 1e-12 keeps the graph above 12,000 nodes: a dense
+    # (N n)^2 float64 system would take 5 GB, and its LU factorization as
+    # much again; the sweeps hold O(N maps n).  Tracing starts once the
+    # graph is built (its sets are O(N) objects either way), which keeps
+    # tracemalloc's overhead off the exploration.
     import tracemalloc
     import ifsmeasure.markov as markov
     budget = 4 * 2 ** 20
     build = markov._set_graph
+    cuts = []
 
-    def build_then_trace(*args):
-        graph = build(*args)
+    def build_then_trace(sys, B, cut_budget):
+        graph = build(sys, B, cut_budget)
+        cuts.append((graph[2], cut_budget))
         tracemalloc.start()
         return graph
     monkeypatch.setattr(markov, "_set_graph", build_then_trace)
     try:
-        got = eval_fixed_point(four_map_system(), QuerySet.point(1 / np.pi),
-                               tol=1e-10)
+        got = eval_fixed_point(four_map_system(0.9),
+                               QuerySet.closed(1 / np.pi, 1 / np.e),
+                               tol=1e-12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got.nodes > 14000 and not got.closed
+    # memo hits carry weight back into expanded nodes here, so the first
+    # certificate fails and exploration goes on until one fits
+    [(cut, cut_budget)] = cuts
+    assert 0.0 < cut <= cut_budget
+    assert got.nodes > 12000 and not got.closed
     assert peak < budget, f"peak {peak / 2 ** 20:.1f} MiB"
-    assert got.error_bound <= 1e-10
+    assert got.error_bound <= 1e-12
+
+
+def test_eval_refuses_past_the_node_cap(monkeypatch, tmp_path):
+    import json
+    import ifsmeasure.markov as markov
+    from ifsmeasure.cli import run
+    monkeypatch.setattr(markov, "_MAX_NODES", 50)
+    sys = four_map_system()
+    with pytest.raises(IterationLimit, match="set-transition graph exceeded"):
+        eval_fixed_point(sys, QuerySet.point(1 / np.pi), tol=1e-10)
+    doc = {"kind": "ifs", "field": "real", "dimension": 2,
+           "maps": [[m.slope, m.offset] for m in sys.maps],
+           "operators": [r.tolist() for r in sys.operators],
+           "base": {"dimension": 2, "atoms": [[0.0, [0.02, 0.0]]],
+                    "pieces": [[0.0, 1.0, [0.0, 0.02]]]},
+           "query_sets": {"p": {"atoms": [1 / np.pi]}},
+           "solver": {"tol": 1e-10}, "commands": ["eval p"]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    code, report = run(str(p))
+    assert code == 4 and "set-transition graph exceeded" in report
+
+
+def test_eval_explores_to_closure_where_a_cut_cannot_be_certified():
+    # variation factor 0.999, and the identity map gives every node a
+    # self-loop of weight 0.998: certifying any cut at these tolerances
+    # takes more than _MAX_SWEEPS sweeps, so exploration goes on until
+    # the graph closes, as the uniform depth cut (about 14,000) did
+    sys = IFSystem([AffineMap(1.0, 0.0), AffineMap(0.5, 0.0),
+                    AffineMap(0.5, 0.5)],
+                   [0.998 * np.eye(1), 5e-4 * np.eye(1), 5e-4 * np.eye(1)],
+                   base=VectorMeasure.lebesgue(np.array([1.0])))
+    B = QuerySet.closed(0.3, 0.4)
+    nodes, child = _uniform_graph(sys, B, 20)
+    assert (child < len(nodes)).all()
+    want = _dense_eval(sys, nodes, child)
+    for tol in (1.0, 0.1):
+        got = eval_fixed_point(sys, B, tol=tol)
+        assert got.closed and got.nodes == len(nodes)
+        assert abs(got.value[0] - want[0]) <= got.error_bound <= tol
 
 
 def test_eval_agrees_with_iteration_on_four_overlapping_maps():
