@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -142,13 +143,11 @@ class _IFSJob:
         start = solver.get("start")
         self.start = (_parse_measure(start, field) if start is not None
                       else VectorMeasure.zero(dim, field))
-        self._solution = None
 
+    @cached_property
     def solution(self):
-        if self._solution is None:
-            self._solution = iterate_fixed_point(
-                self.system, self.start, tol=self.tol, max_iter=self.max_iter)
-        return self._solution
+        return iterate_fixed_point(self.system, self.start, tol=self.tol,
+                                   max_iter=self.max_iter)
 
     def command(self, cmd, args, out_dir, name):
         if cmd == "factors":
@@ -156,7 +155,7 @@ class _IFSJob:
             return {"variation": _num(fac.variation), "mk": _num(fac.mk),
                     "mk_star": _num(fac.mk_star)}
         if cmd == "solve":
-            res = self.solution()
+            res = self.solution
             return {"iterations": res.iterations,
                     "error_bound": _num(res.error_bound),
                     "norm": res.norm,
@@ -174,7 +173,7 @@ class _IFSJob:
         if cmd == "norm":
             if len(args) != 1 or args[0] not in ("variation", "mk", "mk_star"):
                 raise ScenarioError(f"norm needs variation|mk|mk_star, got {args}")
-            mu = self.solution().measure
+            mu = self.solution.measure
             if args[0] == "variation":
                 return {"norm": "variation", "value": _num(mu.variation_norm())}
             if args[0] == "mk":
@@ -184,7 +183,7 @@ class _IFSJob:
             return {"norm": "mk_star", "value": _num(mk_star_exact(mu))}
         if cmd == "verify":
             # the residual in the metric the solve certified
-            sol = self.solution()
+            sol = self.solution
             mu = sol.measure
             out = {}
             if sol.norm == "variation":
@@ -201,7 +200,7 @@ class _IFSJob:
                 out["residual_mk_star"] = _num(mk_star_exact(diff))
             return out
         if cmd == "export":
-            mu = self.solution().measure
+            mu = self.solution.measure
             path = Path(out_dir) / f"{name}_cumulative.csv"
             rows = export_cumulative(mu, self.samples, path)
             return {"path": str(path), "rows": rows, "samples": self.samples}
@@ -217,12 +216,10 @@ class _KernelJob:
         if len(kernels) != 2:
             raise ScenarioError("kernel scenario needs exactly two kernels")
         self.kernels = kernels
-        self._phi = None
 
+    @cached_property
     def phi(self):
-        if self._phi is None:
-            self._phi = solve_invariance(self.kernels[0], self.kernels[1])
-        return self._phi
+        return solve_invariance(self.kernels[0], self.kernels[1])
 
     def command(self, cmd, args, out_dir, name):
         if cmd == "supbound":
@@ -231,11 +228,11 @@ class _KernelJob:
                     "values": [_num(kernel_sup_bound(k, grid))
                                for k in self.kernels]}
         if cmd == "solve":
-            phi = self.phi()
+            phi = self.phi
             return {"coefficients": [str(c) for c in phi.coeffs],
                     "coefficients_float": [_num(c) for c in phi.coeffs]}
         if cmd == "verify":
-            phi = self.phi()
+            phi = self.phi
             # exact back-substitution: residual polynomial of the invariance
             acc = DEFAULT_INHOMOGENEITY
             for kern in self.kernels:
@@ -256,26 +253,28 @@ class _SemigroupJob:
     def __init__(self, doc):
         field = _field(doc)
         self.rate = float(doc["rate"])
+        if not np.isfinite(self.rate):
+            raise ScenarioError(f"rate must be finite, got {self.rate!r}")
         self.target = float(doc["target"])
+        if not 0.0 <= self.target <= 1.0:
+            raise ScenarioError(f"target outside [0, 1]: {self.target!r}")
         self.base = _parse_measure(doc["base"], field)
         self.tol = float(_object(doc.get("solver", {}), "solver").get("tol", 1e-12))
-        self._solution = None
 
+    @cached_property
     def solution(self):
-        if self._solution is None:
-            self._solution = exp_decay_fixed_point(
-                self.rate, self.target, self.base, tol=self.tol)
-        return self._solution
+        return exp_decay_fixed_point(self.rate, self.target, self.base,
+                                     tol=self.tol)
 
     def command(self, cmd, args, out_dir, name):
         if cmd == "solve":
-            mu = self.solution()
+            mu = self.solution
             return {"total": _vec(mu.total()),
                     "atoms": mu.n_atoms, "pieces": mu.n_pieces,
                     "target_weight": _vec(
                         mu.evaluate(QuerySet.point(self.target)))}
         if cmd == "verify":
-            mu = self.solution()
+            mu = self.solution
             res = transfer_residual(self.rate, self.target, self.base, mu,
                                     tol=self.tol)
             return {"residual": _num(res), "error_bound": _num(self.tol)}

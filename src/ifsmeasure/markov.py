@@ -76,9 +76,13 @@ def _check_size(sys: IFSystem, cur: VectorMeasure, k: int) -> None:
 
 
 class IFSystem:
-    """Affine maps paired with operator weights and an optional base measure."""
+    """Affine maps paired with operator weights and an optional base measure.
 
-    __slots__ = ("maps", "operators", "base", "dim", "field")
+    ``norms`` holds the operator norm ||R_i|| of each weight, computed
+    once here; a non-finite operator entry raises ValueError.
+    """
+
+    __slots__ = ("maps", "operators", "norms", "base", "dim", "field")
 
     def __init__(self, maps, operators, base: Optional[VectorMeasure] = None,
                  dim: Optional[int] = None, field: Optional[str] = None):
@@ -120,6 +124,8 @@ class IFSystem:
             frozen.append(b)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "operators", tuple(frozen))
+        object.__setattr__(self, "norms",
+                           tuple(operator_norm(b) for b in frozen))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "field", field)
@@ -143,8 +149,7 @@ class ContractionFactors:
 def factors(sys: IFSystem) -> ContractionFactors:
     """(variation, mk, mk_star) contraction factors of the system."""
     e = d = c = 0.0
-    for m, r in zip(sys.maps, sys.operators):
-        nrm = operator_norm(r)
+    for m, nrm in zip(sys.maps, sys.norms):
         ratio = m.lipschitz
         e += nrm
         d += nrm * (1.0 + ratio)
@@ -355,9 +360,8 @@ def _set_graph(sys: IFSystem, B: QuerySet, budget: float):
     (cut rows hold the out-of-range index len(nodes), a shared zero row
     for the solver), the certified cut weight and the depth reached.
     """
-    norms = [operator_norm(r) for r in sys.operators]
-    k = len(norms)
-    e = sum(norms)
+    k = len(sys.norms)
+    e = sum(sys.norms)
     sweeps = _sweeps_to(e, _CUT_SLACK * budget * (1.0 - e)) - 1
     if sweeps > _MAX_SWEEPS:
         budget = -math.inf
@@ -371,7 +375,7 @@ def _set_graph(sys: IFSystem, B: QuerySet, budget: float):
     while heap:
         if pending <= budget:
             child = _child_array(children, k)
-            cut, W = _cut_weight(child, norms, sweeps)
+            cut, W = _cut_weight(child, sys.norms, sweeps)
             if cut <= budget:
                 return nodes, child, cut, max(depth)
             weight = W.tolist()
@@ -386,7 +390,7 @@ def _set_graph(sys: IFSystem, B: QuerySet, budget: float):
         # empty set and [0, 1] are their own preimages) is a memo hit
         children[j] = kids = []
         pending -= weight[j]
-        for m, nrm in zip(sys.maps, norms):
+        for m, nrm in zip(sys.maps, sys.norms):
             C = preimage(m, nodes[j])
             key = _memo_key(C)
             idx = keys.get(key)

@@ -33,7 +33,6 @@ raises ValueError.
 
 from __future__ import annotations
 
-import json
 from itertools import chain
 
 import numpy as np
@@ -489,13 +488,6 @@ class VectorMeasure:
         atoms = [(t, dec(w)) for t, w in d.get("atoms", [])]
         pieces = [((lo, hi), dec(dd)) for lo, hi, dd in d.get("pieces", [])]
         return cls(atoms=atoms, pieces=pieces, dim=d["dimension"], field=field)
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
-
-    @classmethod
-    def from_json(cls, s: str) -> "VectorMeasure":
-        return cls.from_dict(json.loads(s))
 
 
 # -- measure transforms ----------------------------------------------

@@ -15,7 +15,7 @@ point is a convergent series of atoms.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,23 +30,29 @@ __all__ = ["hc_quadrature", "constant_map_transfer", "exp_decay_fixed_point",
            "countable_series_residual"]
 
 
+def _decay_integral(g, rate: float, bound: float, tol: float):
+    """integral_0^inf g(theta, e^(-rate theta)) dtheta to within tol.
+
+    ``g`` gets theta and the decay weight, and its value is at most
+    ``bound`` times the weight.  The tail past
+    Theta = max(1, log(2 bound/(rate tol))/rate) is then at most tol/2;
+    the finite part is integrated adaptively with the other half.
+    """
+    theta_max = max(1.0, np.log(2.0 * bound / (rate * tol)) / rate)
+    return adaptive_gauss(lambda theta: g(theta, np.exp(-rate * theta)),
+                          0.0, theta_max, tol / 2.0)
+
+
 def hc_quadrature(f: ContinuousFunction, t: float,
                   tol: float = 1e-10) -> np.ndarray:
     """Dual transfer value H(f)(t) = integral_0^inf e^-theta f(t/(1+theta)) dtheta.
 
     The unit-rate family R_theta = e^-theta I with maps
     omega_theta(t) = t/(1+theta): the exponential weight is exactly the
-    operator norm and the tail truncates at Theta with
-    e^-Theta * sup||f|| <= tol/2; the finite part is integrated adaptively
-    with the other half of the budget.
+    operator norm, and sup||f|| bounds the rest of the integrand.
     """
-    sup = max(f.sup_bound, 1e-300)
-    theta_max = max(1.0, np.log(2.0 * sup / tol))
-
-    def integrand(theta):
-        return np.exp(-theta) * f((1.0 / (1.0 + theta)) * t)
-
-    return adaptive_gauss(integrand, 0.0, theta_max, tol / 2.0)
+    return _decay_integral(lambda theta, w: w * f((1.0 / (1.0 + theta)) * t),
+                           1.0, max(f.sup_bound, 1e-300), tol)
 
 
 def constant_map_transfer(rate: float, phi: Callable[[float], float],
@@ -61,10 +67,9 @@ def constant_map_transfer(rate: float, phi: Callable[[float], float],
         integral f d(transfer nu)
             = integral_0^inf e^(-rate theta) (f(phi(theta)), nu total) dtheta.
 
-    The rate (> 0) truncates the tail at tol/2; the finite part is
-    integrated adaptively with the other half of the budget.
+    The rate (> 0) and sup||f|| ||nu total|| bound the tail.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError("rate must be positive")
     if nu.dim != f.dim:
         raise DimensionMismatch("measure and integrand dimensions differ")
@@ -72,17 +77,12 @@ def constant_map_transfer(rate: float, phi: Callable[[float], float],
     tnorm = float(np.linalg.norm(tot))
     if tnorm == 0.0:
         return 0.0
-    sup = max(f.sup_bound, 1e-300)
-    theta_max = max(1.0, np.log(2.0 * sup * tnorm / (rate * tol)) / rate)
-
-    def integrand(theta):
-        return scalar_product(f(phi(theta)), np.exp(-rate * theta) * tot)
-
-    return adaptive_gauss(integrand, 0.0, theta_max, tol / 2.0)
+    return _decay_integral(
+        lambda theta, w: scalar_product(f(phi(theta)), w * tot),
+        rate, max(f.sup_bound, 1e-300) * tnorm, tol)
 
 
 def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
-                          ball_radius: Optional[float] = None,
                           tol: float = 1e-12) -> VectorMeasure:
     """Fixed point of the decaying constant-target transfer plus base.
 
@@ -94,18 +94,11 @@ def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
 
     because the transfer of any measure collapses to an atom at the target
     carrying total/rate, and repeated transfers sum a geometric series.
-    Requires rate > 1.  If ``ball_radius`` is given, the precondition
-    ||base|| <= ball_radius * (1 - 1/rate) is enforced (the radius on which
-    the operator is a self-map).  The result is checked by quadrature
-    residual on a small family of polynomial integrands.
+    Requires rate > 1 (a NaN rate is refused too).  The result is checked
+    by quadrature residual on a small family of polynomial integrands.
     """
-    if rate <= 1.0:
+    if not rate > 1.0:
         raise ValueError("rate must exceed 1 for the transfer to contract")
-    if ball_radius is not None:
-        if base.variation_norm() > ball_radius * (1.0 - 1.0 / rate) + 1e-12:
-            raise ValueError(
-                "base variation exceeds ball_radius * (1 - 1/rate); the "
-                "operator is not a self-map of the declared ball")
     tot = base.total()
     mu = combine(1.0, base, 1.0,
                  VectorMeasure.dirac(target, tot / (rate - 1.0)))
@@ -155,6 +148,19 @@ def _series_depth(p_norm: float, prefactor: float, tol: float) -> int:
             raise ValueError("series depth not reachable; check ||P|| and tol")
 
 
+def _series_image(P, points, total, base: VectorMeasure) -> VectorMeasure:
+    """base + sum_i dirac(points[i-1]) * (-(1/i!) P^i total) over the
+    given points, up to the first term of norm below 1e-300."""
+    atoms = []
+    term = total  # P^i total / i! built incrementally
+    for i, t in enumerate(points, start=1):
+        term = (P @ term) / i
+        if float(np.linalg.norm(term)) < 1e-300:
+            break
+        atoms.append((float(t), -term))
+    return combine(1.0, base, 1.0, VectorMeasure(atoms=atoms, dim=base.dim))
+
+
 def countable_series_fixed_point(P, points, base: VectorMeasure,
                                  tol: float = 1e-10) -> VectorMeasure:
     """Fixed point of the countable constant-target transfer family.
@@ -166,7 +172,8 @@ def countable_series_fixed_point(P, points, base: VectorMeasure,
         mu* = base + sum_{i >= 1} dirac(points[i-1]) * (-(1/i!) P^i s),
 
     truncated at a depth K whose certified tail (including the residual
-    inflation of the truncated dual) is below tol.  Needs at least K
+    inflation of the truncated dual) is below tol, or before the first
+    term of norm below 1e-300 if that comes sooner.  Needs at least K
     distinct points; raises ValueError otherwise.
     """
     P = np.asarray(P, dtype=float if not np.iscomplexobj(P) else complex)
@@ -188,27 +195,12 @@ def countable_series_fixed_point(P, points, base: VectorMeasure,
     if len(pts) < K:
         raise ValueError(
             f"need at least {K} points for tolerance {tol:g}, got {len(pts)}")
-    atoms = []
-    term = s  # P^i s / i! built incrementally
-    for i in range(1, K + 1):
-        term = (P @ term) / i
-        atoms.append((pts[i - 1], -term))
-    return combine(1.0, base, 1.0, VectorMeasure(atoms=atoms, dim=n))
+    return _series_image(P, pts[:K], s, base)
 
 
 def countable_series_residual(P, points, base: VectorMeasure,
                               mu: VectorMeasure) -> float:
     """Variation norm of (transfer(mu) + base) - mu, with the transfer
     truncated at the available points."""
-    P = np.asarray(P)
-    n = base.dim
-    tot = mu.total()
-    atoms = []
-    term = tot  # P^i (mu total) / i! built incrementally
-    for i, t in enumerate(points, start=1):
-        term = (P @ term) / i
-        if float(np.linalg.norm(term)) < 1e-300:
-            break
-        atoms.append((float(t), -term))
-    image = combine(1.0, base, 1.0, VectorMeasure(atoms=atoms, dim=n))
+    image = _series_image(np.asarray(P), points, mu.total(), base)
     return (image - mu).variation_norm()

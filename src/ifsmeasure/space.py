@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = ["Span", "QuerySet", "AffineMap", "preimage"]
 
 _EDGE_TOL = 1e-12  # slack for containment checks on constructor input
@@ -46,10 +44,6 @@ class Span(NamedTuple):
         if t == self.hi and self.hi_incl:
             return True
         return False
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
 
 def _canonicalize(raw_spans, raw_atoms):
@@ -142,24 +136,6 @@ class QuerySet:
 
     def contains(self, t: float) -> bool:
         return any(s.contains(t) for s in self.spans) or t in self.atoms
-
-    def membership(self, ts) -> np.ndarray:
-        """Vectorized containment test for an array of points."""
-        ts = np.asarray(ts, dtype=float)
-        mask = np.zeros(ts.shape, dtype=bool)
-        for s in self.spans:
-            inside = (ts > s.lo) & (ts < s.hi)
-            if s.lo_incl:
-                inside |= ts == s.lo
-            if s.hi_incl:
-                inside |= ts == s.hi
-            mask |= inside
-        if self.atoms:
-            mask |= np.isin(ts, np.asarray(self.atoms))
-        return mask
-
-    def length(self) -> float:
-        return float(sum(s.length for s in self.spans))
 
     # -- algebra ------------------------------------------------------
 

@@ -371,10 +371,17 @@ _SEMIGROUP = {"kind": "semigroup", "rate": 1.0, "target": 0.5,
     {**_KERNEL, "commands": ["partition x"]},
     {**_IFS, "field": "foo"},
     {**_SEMIGROUP, "field": "foo"},
+    {**_SEMIGROUP, "rate": float("nan")},
+    {**_SEMIGROUP, "rate": float("inf")},
+    {**_SEMIGROUP, "target": float("nan")},
+    {**_SEMIGROUP, "target": 1.5},
+    {**_SEMIGROUP, "target": -float("inf")},
 ], ids=["array", "solver-list", "query-sets-list", "query-set-list",
         "measure-list", "one-number-map", "tol-abc", "max-iter-x",
         "samples-null", "semigroup-tol-x", "kernel-list", "supbound-x",
-        "partition-x", "field-foo", "semigroup-field-foo"])
+        "partition-x", "field-foo", "semigroup-field-foo",
+        "semigroup-rate-nan", "semigroup-rate-inf", "semigroup-target-nan",
+        "semigroup-target-1.5", "semigroup-target-minus-inf"])
 def test_malformed_value_is_a_parse_error(tmp_path, doc):
     code, report = _run_doc(tmp_path, doc)
     assert code == 2 and "invalid scenario" in report
@@ -410,3 +417,17 @@ def test_export_samples_are_capped_before_allocating(tmp_path):
     doc = {**_IFS, "solver": {"samples": 10 ** 12}, "commands": ["export"]}
     code, report = _run_doc(tmp_path, doc)
     assert code == 2 and "between 2 and 1048576" in report
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("commands", [["solve"], []],
+                         ids=["solve", "no-commands"])
+def test_non_finite_operator_is_a_validation_error(tmp_path, entry, commands):
+    doc = {**_IFS, "operators": [[[0.4]], [[entry]]], "commands": commands}
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2 and "non-finite" in report
+
+
+def test_semigroup_rate_below_one_is_a_precondition(tmp_path):
+    code, report = _run_doc(tmp_path, {**_SEMIGROUP, "rate": 0.5})
+    assert code == 3 and "rate must exceed 1" in report

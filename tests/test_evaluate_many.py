@@ -18,7 +18,8 @@ points = st.one_of(st.sampled_from(GRID),
 def _reference(mu, B):
     """mu(B) one set at a time: masked atom sum plus per-span overlaps."""
     out = np.zeros(mu.dim, dtype=mu.atom_weights.dtype)
-    out += mu.atom_weights[B.membership(mu.atom_points)].sum(axis=0)
+    inside = np.array([B.contains(t) for t in mu.atom_points], dtype=bool)
+    out += mu.atom_weights[inside].sum(axis=0)
     for s in B.spans:
         ov = np.clip(np.minimum(mu.piece_hi, s.hi)
                      - np.maximum(mu.piece_lo, s.lo), 0.0, None)

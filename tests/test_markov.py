@@ -495,6 +495,22 @@ def _generated_system(rng, field):
             sorted(set(fixed + ends)))
 
 
+@pytest.mark.parametrize("field, seed", [("real", 11), ("complex", 12)])
+def test_system_norms_are_computed_once_bit_for_bit(field, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(16):
+        sys, _ = _generated_system(rng, field)
+        assert list(sys.norms) == [operator_norm(r) for r in sys.operators]
+        # the factors as summed from one SVD per operator on every call
+        e = d = c = 0.0
+        for m, r in zip(sys.maps, sys.operators):
+            nrm = operator_norm(r)
+            e += nrm
+            d += nrm * (1.0 + m.lipschitz)
+            c += nrm * m.lipschitz
+        assert factors(sys) == ContractionFactors(e, d, c)
+
+
 def _uniform_graph(sys, B, depth_cap, max_nodes=800):
     """Oracle: the breadth-first preimage graph of B cut at one uniform
     depth, as if every map had the largest norm; same memo keys and
@@ -593,7 +609,7 @@ def test_eval_matches_dense_solve_on_generated_systems(monkeypatch, field,
         assert np.abs(got.value - want).max() <= 1e-14 * a
         assert got.error_bound <= tol
         # the stop is certified on the graph as built, within tol/2
-        W = _path_weights(child, [operator_norm(r) for r in sys.operators])
+        W = _path_weights(child, sys.norms)
         assert W[child[:, 0] == len(nodes)].sum() <= cut
         assert e * a * cut <= tol / 2 * (1 + 1e-12)
         closed += got.closed
@@ -650,7 +666,7 @@ def test_cut_weight_bounds_the_path_weight_of_cut_nodes():
     rng = np.random.default_rng(13)
     checked = cyclic = 0
     for sys, B in _generated_cases(rng, "real", systems=30):
-        norms = [operator_norm(r) for r in sys.operators]
+        norms = sys.norms
         nodes, child = _uniform_graph(sys, B, int(rng.integers(1, 7)))
         N = len(nodes)
         cut = child[:, 0] == N

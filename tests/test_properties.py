@@ -92,5 +92,4 @@ def test_mk_star_never_exceeds_the_variation_norm(mu, t):
 @hypothesis.given(measures())
 def test_dict_and_json_round_trips(mu):
     assert VectorMeasure.from_dict(mu.to_dict()) == mu
-    assert VectorMeasure.from_json(mu.to_json()) == mu
     assert VectorMeasure.from_dict(json.loads(json.dumps(mu.to_dict()))) == mu

@@ -54,7 +54,7 @@ def test_constant_map_transfer_constant_target_closed_form():
 def test_constant_map_transfer_requires_positive_rate():
     f = ContinuousFunction(lambda s: np.array([s]), dim=1, sup_bound=1.0)
     nu = VectorMeasure.dirac(0.5, np.array([1.0]))
-    for rate in (0.0, -1.0):
+    for rate in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="rate must be positive"):
             constant_map_transfer(rate, lambda th: 0.5, nu, f)
     with pytest.raises(DimensionMismatch):
@@ -85,13 +85,10 @@ def test_exp_decay_fixed_point_residual_small():
 
 def test_exp_decay_fixed_point_preconditions():
     base = VectorMeasure.dirac(0.5, np.array([1.0]))
-    with pytest.raises(ValueError):
-        exp_decay_fixed_point(1.0, 0.0, base)
-    with pytest.raises(ValueError):
-        # ball too small for the self-map condition
-        exp_decay_fixed_point(2.0, 0.0, base, ball_radius=1.0)
-    # a generous ball passes
-    exp_decay_fixed_point(2.0, 0.0, base, ball_radius=3.0)
+    for rate in (1.0, 0.5, float("nan")):
+        with pytest.raises(ValueError):
+            exp_decay_fixed_point(rate, 0.0, base)
+    exp_decay_fixed_point(2.0, 0.0, base)
 
 
 def test_countable_series_fixed_point_residual():
