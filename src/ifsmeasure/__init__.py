@@ -11,44 +11,21 @@ a certified two-sided bracket: witness pairings below, a closed-form
 split bound above.
 """
 
-from .exceptions import (DimensionMismatch, FieldMismatch, IterationLimit,
-                         NotContractive, PartitionError, RefinementLimit)
-from .hilbert import adjoint, matrix_exp, operator_norm, scalar_product
-from .integral import (ContinuousFunction, SimpleFunction, integrate,
-                       integrate_simple, vector_polynomial)
-from .kernelops import (PolynomialFunction, SeparableKernel, kernel_sup_bound,
-                        partition_variation_estimate, solve_invariance)
-from .markov import (ContractionFactors, EvalResult, FixedPointResult,
-                     IFSystem, apply_markov, dual_apply, eval_fixed_point,
-                     factors, iterate_fixed_point, residual)
-from .measure import (VectorMeasure, accumulate, apply_operator, combine,
-                      prune, pushforward)
-from .mk_norm import (LipschitzWitness, SandwichReport, mk_lower_bound,
-                      mk_star_exact, mk_upper_bound, sandwich_check)
-from .semigroup import (constant_map_transfer, countable_series_fixed_point,
-                        countable_series_residual, exp_decay_fixed_point,
-                        hc_quadrature, transfer_residual)
-from .space import AffineMap, QuerySet, Span, preimage
+from .exceptions import *
+from .hilbert import *
+from .integral import *
+from .kernelops import *
+from .markov import *
+from .measure import *
+from .mk_norm import *
+from .semigroup import *
+from .space import *
+from . import (exceptions, hilbert, integral, kernelops, markov, measure,
+               mk_norm, semigroup, space)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap", "ContinuousFunction", "ContractionFactors",
-    "DimensionMismatch", "EvalResult", "FieldMismatch",
-    "FixedPointResult", "IFSystem", "IterationLimit",
-    "LipschitzWitness", "NotContractive", "PartitionError",
-    "PolynomialFunction", "QuerySet", "RefinementLimit", "SandwichReport",
-    "SeparableKernel", "SimpleFunction", "Span",
-    "VectorMeasure", "accumulate", "adjoint", "apply_markov",
-    "apply_operator", "combine", "constant_map_transfer",
-    "countable_series_fixed_point", "countable_series_residual",
-    "dual_apply", "eval_fixed_point",
-    "exp_decay_fixed_point", "factors", "hc_quadrature",
-    "integrate", "integrate_simple", "iterate_fixed_point",
-    "kernel_sup_bound", "matrix_exp", "mk_lower_bound", "mk_star_exact",
-    "mk_upper_bound",
-    "operator_norm", "partition_variation_estimate", "preimage", "prune",
-    "pushforward", "residual", "sandwich_check", "scalar_product",
-    "solve_invariance", "transfer_residual",
-    "vector_polynomial", "__version__",
-]
+# each module's own list: a public name is declared once, where it is defined
+__all__ = [name for module in (exceptions, hilbert, integral, kernelops,
+                               markov, measure, mk_norm, semigroup, space)
+           for name in module.__all__] + ["__version__"]

@@ -18,6 +18,7 @@ from .exceptions import RefinementLimit
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MAX_PANELS = 16384
+_EPS = float(np.finfo(float).eps)
 
 
 def _panel(f, a: float, b: float):
@@ -40,7 +41,8 @@ def adaptive_gauss(f, a: float, b: float, abs_tol: float):
     """Integrate ``f`` over ``[a, b]`` to absolute accuracy ``abs_tol``.
 
     ``f`` maps a float to a scalar or a fixed-shape ndarray.  Returns the
-    refined estimate; raises RefinementLimit past 16384 panels.
+    refined estimate; raises RefinementLimit past 16384 panels, or at once
+    when ``abs_tol`` is below the rounding of the first estimate.
     """
     if b <= a:
         return 0.0 * _panel(f, a, a + max(1e-12, abs(a) * 1e-12))
@@ -53,6 +55,10 @@ def adaptive_gauss(f, a: float, b: float, abs_tol: float):
 
     counter = itertools.count()  # tiebreaker keeps heap order deterministic
     val, err = make(a, b)
+    rounding = _EPS * _err(val)
+    if abs_tol < rounding:
+        raise RefinementLimit(f"tol={abs_tol:g} is below the rounding "
+                              f"of the integral (about {rounding:g})")
     heap = [(-err, next(counter), a, b, val, err)]
     n_panels = 1
     total_err = err

@@ -5,6 +5,9 @@ the specific type rather than a bare ValueError where the distinction
 matters (precondition violated vs tolerance not reached).
 """
 
+__all__ = ["DimensionMismatch", "FieldMismatch", "PartitionError",
+           "NotContractive", "IterationLimit", "RefinementLimit"]
+
 
 class DimensionMismatch(ValueError):
     """Operands live in coefficient spaces of different dimensions."""

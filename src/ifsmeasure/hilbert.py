@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, FieldMismatch
 
 __all__ = ["scalar_product", "operator_norm", "adjoint", "matrix_exp"]
 
@@ -27,6 +27,22 @@ def _as_operator(r) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _field_cast(arrays, field, what: str):
+    """``(field, arrays)``: the coefficient arrays of one object cast to its
+    field, which None infers ("complex" when any array is complex).  A real
+    object refuses a nonzero imaginary part with FieldMismatch("complex
+    <what>") and keeps the real part of the rest.
+    """
+    if field is None:
+        field = "complex" if any(np.iscomplexobj(a) for a in arrays) else "real"
+    if field == "real" and any(np.iscomplexobj(a) and np.any(a.imag)
+                               for a in arrays):
+        raise FieldMismatch(f"complex {what}")
+    if field == "complex":
+        return field, [a.astype(np.complex128) for a in arrays]
+    return field, [np.real(a).astype(np.float64) for a in arrays]
 
 
 def scalar_product(x, y):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .exceptions import (DimensionMismatch, FieldMismatch, IterationLimit,
                          NotContractive)
-from .hilbert import adjoint, operator_norm
+from .hilbert import _as_operator, _field_cast, adjoint, operator_norm
 from .integral import ContinuousFunction
 from .measure import VectorMeasure, accumulate, apply_operator, prune, pushforward
 from .mk_norm import mk_star_exact
@@ -90,42 +90,27 @@ class IFSystem:
                      for m in maps)
         if not maps:
             raise ValueError("a system needs at least one map")
-        ops = []
-        for r in operators:
-            a = np.asarray(r)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise DimensionMismatch(f"operator of shape {a.shape} is not square")
-            ops.append(a)
+        ops = [_as_operator(r) for r in operators]
         if len(ops) != len(maps):
             raise ValueError(f"{len(maps)} maps but {len(ops)} operators")
         if dim is None:
             dim = ops[0].shape[0]
         if any(a.shape != (dim, dim) for a in ops):
             raise DimensionMismatch("operators of inconsistent dimension")
-        any_complex = any(np.iscomplexobj(a) for a in ops)
-        if field is None:
-            field = "complex" if any_complex or (
-                base is not None and base.field == "complex") else "real"
-        if field == "real" and any(np.iscomplexobj(a) and np.any(a.imag)
-                                   for a in ops):
-            raise FieldMismatch("complex operator in a real system")
+        if field is None and base is not None and base.field == "complex":
+            field = "complex"
+        field, ops = _field_cast(ops, field, "operator in a real system")
         if base is not None:
             if base.dim != dim:
                 raise DimensionMismatch(
                     f"base dimension {base.dim} differs from system dimension {dim}")
             if field == "real" and base.field == "complex":
                 raise FieldMismatch("complex base measure in a real system")
-        dtype = np.complex128 if field == "complex" else np.float64
-        frozen = []
-        for a in ops:
-            b = a.astype(dtype) if not (field == "real" and np.iscomplexobj(a)) \
-                else a.real.astype(dtype)
+        for b in ops:
             b.setflags(write=False)
-            frozen.append(b)
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "operators", tuple(frozen))
-        object.__setattr__(self, "norms",
-                           tuple(operator_norm(b) for b in frozen))
+        object.__setattr__(self, "operators", tuple(ops))
+        object.__setattr__(self, "norms", tuple(operator_norm(b) for b in ops))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "field", field)
@@ -482,7 +467,7 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
         raise NotContractive(
             f"variation factor {e:.6g} >= 1; set evaluation needs a "
             "variation contraction")
-    dtype = np.complex128 if sys.field == "complex" else np.float64
+    dtype = sys.operators[0].dtype
     if sys.base is None:
         # the only fixed point of the homogeneous contraction
         return EvalResult(np.zeros(sys.dim, dtype=dtype), 0.0, 0, 0, True)

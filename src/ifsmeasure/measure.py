@@ -37,7 +37,8 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, FieldMismatch
+from .exceptions import DimensionMismatch
+from .hilbert import _field_cast
 from .space import AffineMap, QuerySet
 
 __all__ = ["VectorMeasure", "pushforward", "apply_operator", "combine",
@@ -201,22 +202,12 @@ class VectorMeasure:
             if c.shape != (dim,):
                 raise DimensionMismatch(
                     f"coefficient of shape {c.shape} in a dimension-{dim} measure")
-        want_complex = (field == "complex") or (
-            field is None and any(np.iscomplexobj(c) for c in coeffs))
-        if field == "real" and any(np.iscomplexobj(c) and np.any(c.imag) for c in coeffs):
-            raise FieldMismatch("complex coefficients in a real measure")
-        dtype = np.complex128 if want_complex else np.float64
-
-        def cast(stack):
-            if not want_complex and np.iscomplexobj(stack):
-                stack = stack.real
-            return stack.astype(dtype)
-
+        _, (wts, dd) = _field_cast(
+            [np.stack(c) if c else np.zeros((0, dim)) for c in (a_wts, p_d)],
+            field, "coefficients in a real measure")
         pts = np.asarray(a_pts, dtype=float)
-        wts = cast(np.stack(a_wts)) if a_wts else np.zeros((0, dim), dtype=dtype)
         lo = np.asarray(p_lo, dtype=float)
         hi = np.asarray(p_hi, dtype=float)
-        dd = cast(np.stack(p_d)) if p_d else np.zeros((0, dim), dtype=dtype)
         if not all(np.isfinite(a).all() for a in (pts, wts, lo, hi, dd)):
             raise ValueError("non-finite atom point, piece endpoint or coefficient")
         self._finish(pts, wts, lo, hi, dd, dim)
@@ -497,16 +488,11 @@ def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
     """Image measure under an affine map: (pushforward mu)(B) = mu(preimage B).
 
     Atoms move to their image points; densities rescale by 1/|slope|.  A
-    constant map collapses everything onto one atom carrying the total,
-    and a piece whose image rounds to a point becomes an atom there
-    carrying the piece's mass.
+    piece whose image rounds to a point becomes an atom there carrying
+    the piece's mass, so a constant map collapses everything onto atoms at
+    its offset, which canonical form merges into one carrying the total.
     """
     s, o = m.slope, m.offset
-    if s == 0.0:
-        return VectorMeasure._from_arrays(
-            np.array([o]), mu.total()[None, :],
-            np.zeros(0), np.zeros(0),
-            np.zeros((0, mu.dim), dtype=mu.atom_weights.dtype), mu.dim)
     a_pts, wts = mu.atom_points, mu.atom_weights
     p_lo, p_hi, p_d = mu.piece_lo, mu.piece_hi, mu.piece_density
     if s < 0:  # reversed, so that the image is sorted as mu is
@@ -515,14 +501,13 @@ def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
     pts = s * a_pts + o
     lo = s * p_lo + o
     hi = s * p_hi + o
-    dens = p_d / abs(s)
     flat = hi <= lo
     if flat.any():
         pts = np.concatenate([pts, lo[flat]])
         width = np.abs(p_hi[flat] - p_lo[flat])
         wts = np.concatenate([wts, p_d[flat] * width[:, None]])
-        lo, hi, dens = lo[~flat], hi[~flat], dens[~flat]
-    return VectorMeasure._from_arrays(pts, wts, lo, hi, dens, mu.dim)
+        lo, hi, p_d = lo[~flat], hi[~flat], p_d[~flat]
+    return VectorMeasure._from_arrays(pts, wts, lo, hi, p_d / abs(s), mu.dim)
 
 
 def apply_operator(r, mu: VectorMeasure) -> VectorMeasure:

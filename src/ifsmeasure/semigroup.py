@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._quadrature import adaptive_gauss
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, IterationLimit
 from .hilbert import matrix_exp, operator_norm, scalar_product
 from .integral import ContinuousFunction, integrate
 from .measure import VectorMeasure, combine
@@ -34,13 +34,13 @@ def _decay_integral(g, rate: float, bound: float, tol: float):
     """integral_0^inf g(theta, e^(-rate theta)) dtheta to within tol.
 
     ``g`` gets theta and the decay weight, and its value is at most
-    ``bound`` times the weight.  The tail past
-    Theta = max(1, log(2 bound/(rate tol))/rate) is then at most tol/2;
-    the finite part is integrated adaptively with the other half.
+    ``bound`` times the weight.  In decay units u = rate theta the tail
+    past U = log(2 bound/(rate tol)) is at most rate tol/2, for any rate;
+    [0, U] gets the other half, and the sum is divided by the rate.
     """
-    theta_max = max(1.0, np.log(2.0 * bound / (rate * tol)) / rate)
-    return adaptive_gauss(lambda theta: g(theta, np.exp(-rate * theta)),
-                          0.0, theta_max, tol / 2.0)
+    u_max = np.log(2.0 * bound / (rate * tol))
+    return adaptive_gauss(lambda u: g(u / rate, np.exp(-u)),
+                          0.0, u_max, tol * rate / 2.0) / rate
 
 
 def hc_quadrature(f: ContinuousFunction, t: float,
@@ -83,7 +83,7 @@ def constant_map_transfer(rate: float, phi: Callable[[float], float],
 
 
 def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
-                          tol: float = 1e-12) -> VectorMeasure:
+                          tol: float = 1e-12) -> tuple[VectorMeasure, float]:
     """Fixed point of the decaying constant-target transfer plus base.
 
     With family R_theta = exp(-rate * theta) I, all maps constant at
@@ -94,8 +94,8 @@ def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
 
     because the transfer of any measure collapses to an atom at the target
     carrying total/rate, and repeated transfers sum a geometric series.
-    Requires rate > 1 (a NaN rate is refused too).  The result is checked
-    by quadrature residual on a small family of polynomial integrands.
+    Requires rate > 1 (a NaN rate is refused too).  Returns (mu, residual),
+    mu checked by ``transfer_residual``: IterationLimit above 1e-9.
     """
     if not rate > 1.0:
         raise ValueError("rate must exceed 1 for the transfer to contract")
@@ -104,9 +104,9 @@ def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
                  VectorMeasure.dirac(target, tot / (rate - 1.0)))
     res = transfer_residual(rate, target, base, mu, tol=tol)
     if res > 1e-9:
-        raise ArithmeticError(
+        raise IterationLimit(
             f"closed-form fixed point failed residual check: {res:g}")
-    return mu
+    return mu, res
 
 
 def transfer_residual(rate: float, target: float, base: VectorMeasure,

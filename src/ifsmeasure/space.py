@@ -26,8 +26,6 @@ from typing import NamedTuple
 
 __all__ = ["Span", "QuerySet", "AffineMap", "preimage"]
 
-_EDGE_TOL = 1e-12  # slack for containment checks on constructor input
-
 
 class Span(NamedTuple):
     """Interval with endpoint-inclusion flags; building block of QuerySet."""
@@ -193,8 +191,8 @@ class AffineMap:
     offset: float
 
     def __post_init__(self):
-        ends = (self.offset, self.slope + self.offset)
-        if not all(-_EDGE_TOL <= v <= 1.0 + _EDGE_TOL for v in ends):
+        # the image ends as pushforward computes them
+        if not all(0.0 <= self(t) <= 1.0 for t in (0.0, 1.0)):
             raise ValueError(f"map does not send [0, 1] into itself: {self}")
 
     def __call__(self, t: float) -> float:

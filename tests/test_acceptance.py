@@ -19,8 +19,7 @@ from ifsmeasure import (AffineMap, ContinuousFunction, IFSystem,
                         iterate_fixed_point, matrix_exp, mk_lower_bound,
                         mk_star_exact, operator_norm,
                         partition_variation_estimate, sandwich_check,
-                        solve_invariance, transfer_residual,
-                        vector_polynomial)
+                        solve_invariance, vector_polynomial)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -245,8 +244,7 @@ def test_decay_family_quadrature_and_fixed_points():
 
     base = VectorMeasure(atoms=[(0.5, np.array([0.25, 0.0]))],
                          pieces=[((0.0, 1.0), np.array([0.0, 0.25]))])
-    mu = exp_decay_fixed_point(2.0, 0.0, base)
-    closed_res = transfer_residual(2.0, 0.0, base, mu)
+    _, closed_res = exp_decay_fixed_point(2.0, 0.0, base)
 
     rng = np.random.default_rng(5)
     series_res = 0.0

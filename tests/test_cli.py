@@ -376,12 +376,20 @@ _SEMIGROUP = {"kind": "semigroup", "rate": 1.0, "target": 0.5,
     {**_SEMIGROUP, "target": float("nan")},
     {**_SEMIGROUP, "target": 1.5},
     {**_SEMIGROUP, "target": -float("inf")},
+    {**_SEMIGROUP, "solver": {"tol": float("nan")}},
+    {**_SEMIGROUP, "solver": {"tol": 0}},
+    {**_SEMIGROUP, "solver": {"tol": -1}},
+    {**_SEMIGROUP, "solver": {"tol": float("inf")}},
+    {**_IFS, "solver": {"tol": -1}},
+    {**_IFS, "solver": {"tol": float("nan")}},
 ], ids=["array", "solver-list", "query-sets-list", "query-set-list",
         "measure-list", "one-number-map", "tol-abc", "max-iter-x",
         "samples-null", "semigroup-tol-x", "kernel-list", "supbound-x",
         "partition-x", "field-foo", "semigroup-field-foo",
         "semigroup-rate-nan", "semigroup-rate-inf", "semigroup-target-nan",
-        "semigroup-target-1.5", "semigroup-target-minus-inf"])
+        "semigroup-target-1.5", "semigroup-target-minus-inf",
+        "semigroup-tol-nan", "semigroup-tol-0", "semigroup-tol-minus-1",
+        "semigroup-tol-inf", "ifs-tol-minus-1", "ifs-tol-nan"])
 def test_malformed_value_is_a_parse_error(tmp_path, doc):
     code, report = _run_doc(tmp_path, doc)
     assert code == 2 and "invalid scenario" in report
@@ -431,3 +439,46 @@ def test_non_finite_operator_is_a_validation_error(tmp_path, entry, commands):
 def test_semigroup_rate_below_one_is_a_precondition(tmp_path):
     code, report = _run_doc(tmp_path, {**_SEMIGROUP, "rate": 0.5})
     assert code == 3 and "rate must exceed 1" in report
+
+
+@pytest.mark.parametrize("spec", ["cantor_triangular", "decay_transfer"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_tol_override_is_checked_at_the_parse_boundary(spec, tol):
+    code, report = run(spec, tol=tol)
+    assert code == 2 and "tol must be finite and positive" in report
+
+
+@pytest.mark.parametrize("rate", [1e6, 1e12])
+def test_semigroup_fast_decay_meets_its_bound(tmp_path, rate):
+    # the decay integral once ended at theta = 1 whatever the rate, so a
+    # decay this fast was integrated as zero
+    doc = {**_SEMIGROUP, "rate": rate, "commands": ["solve", "verify"]}
+    code, report = _run_doc(tmp_path, doc, fmt="json")
+    assert code == 0
+    _, verify = json.loads(report)["results"]
+    assert verify["residual"] <= verify["error_bound"]
+
+
+@pytest.mark.parametrize("doc", [
+    {**_SEMIGROUP, "rate": 1.0000001},
+    {**_SEMIGROUP, "rate": 2.0, "solver": {"tol": 1e-16}},
+    {**_SEMIGROUP, "rate": 2.0, "solver": {"tol": 1e-20}},
+    {**_SEMIGROUP, "rate": 2.0, "solver": {"tol": 1e-300}},
+], ids=["rate-near-1", "tol-1e-16", "tol-1e-20", "tol-1e-300"])
+def test_semigroup_tolerance_out_of_reach_exits_4(tmp_path, doc):
+    # refused at once: the tolerance is below the quadrature's rounding
+    # (near rate 1 the fixed point's mass is about 1e7)
+    code, report = _run_doc(tmp_path, {**doc, "commands": ["solve"]})
+    assert code == 4 and "tolerance not reached" in report
+
+
+@pytest.mark.parametrize("m", [[0.5, 0.5 + 5e-13], [0.5, -5e-13],
+                               [-0.5, 1.0 + 5e-13]],
+                         ids=["above-1", "below-0", "reversed-above-1"])
+def test_map_leaving_the_unit_interval_by_rounding_slack_is_refused(tmp_path,
+                                                                    m):
+    # once accepted within 1e-12; solve then exited 3 while eval succeeded
+    doc = {**_IFS, "maps": [m, [0.5, 0.5]],
+           "base": {"dimension": 1, "pieces": [[0.0, 1.0, [1.0]]]}}
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2 and "does not send [0, 1] into itself" in report

@@ -4,10 +4,11 @@ Each demo is executed in a subprocess with the package on its path and
 must exit 0; they take seconds, not minutes.  Each is also parsed, and
 every name it imports from the package is looked up in ``__all__``, so a
 name dropped from the public surface shows up as such rather than as a
-bare traceback.
+bare traceback.  The package's ``__all__`` is its modules' lists in turn.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -40,3 +41,15 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_package_names_are_the_module_lists():
+    modules = [importlib.import_module(f"ifsmeasure.{m}")
+               for m in ("exceptions", "hilbert", "integral", "kernelops",
+                         "markov", "measure", "mk_norm", "semigroup", "space")]
+    names = [name for module in modules for name in module.__all__]
+    assert ifsmeasure.__all__ == names + ["__version__"]
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ifsmeasure, name) is getattr(module, name)

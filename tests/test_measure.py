@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ifsmeasure import (AffineMap, FieldMismatch, QuerySet, VectorMeasure,
-                        accumulate, apply_operator, combine, operator_norm,
-                        prune, pushforward)
+from ifsmeasure import (AffineMap, FieldMismatch, IFSystem, QuerySet,
+                        VectorMeasure, accumulate, apply_operator, combine,
+                        operator_norm, prune, pushforward)
 from ifsmeasure import measure
 
 
@@ -114,15 +114,17 @@ def test_pushforward_constant_map_collapses_to_atom():
     assert np.allclose(out.evaluate(QuerySet.point(0.25)), [2.0])
 
 
-@pytest.mark.parametrize("slope", [1e-17, -1e-17])
+@pytest.mark.parametrize("slope", [1e-17, -1e-17, 0.0, -0.0])
 def test_pushforward_keeps_mass_of_pieces_whose_image_is_a_point(slope):
     # s * lo + o and s * hi + o round to the same float: each piece's mass
-    # must land on an atom there, not vanish with the empty image
+    # must land on an atom there, not vanish with the empty image; a
+    # constant map takes the same path
     mu = VectorMeasure(atoms=[(0.25, np.array([0.5, 0.0]))],
                        pieces=[((0.0, 1.0), np.array([1.0, -2.0])),
                                ((0.5, 0.75), np.array([2.0, 0.25]))])
     out = pushforward(AffineMap(slope, 0.5), mu)
     assert out.n_pieces == 0 and out.n_atoms == 1
+    assert out.atom_points.tolist() == [0.5]
     assert np.array_equal(out.total(), mu.total())
 
 
@@ -321,6 +323,42 @@ def test_serialization_round_trip_real_and_complex():
 def test_complex_weights_need_complex_field():
     with pytest.raises(FieldMismatch):
         VectorMeasure(atoms=[(0.5, np.array([1j]))], field="real")
+
+
+@pytest.mark.parametrize("field", [None, "real", "complex"])
+def test_measure_and_system_share_one_field_rule(field):
+    # real input is real unless the field says complex; complex input is
+    # complex unless the field says real, which refuses a nonzero
+    # imaginary part and keeps the real part of a zero one
+    want = np.complex128 if field == "complex" else np.float64
+    real_mu = VectorMeasure(atoms=[(0.5, [1.0])], pieces=[((0.0, 1.0), [2])],
+                            field=field)
+    assert real_mu.atom_weights.dtype == real_mu.piece_density.dtype == want
+    flat = VectorMeasure(atoms=[(0.5, np.array([1 + 0j]))], field=field)
+    assert flat.atom_weights.dtype == (
+        np.float64 if field == "real" else np.complex128)
+    system = IFSystem([(0.5, 0.0)], [[[0.5]]], base=real_mu, field=field)
+    assert system.operators[0].dtype == want
+    assert system.field == (field or "real")
+    if field == "real":
+        with pytest.raises(FieldMismatch,
+                           match="^complex coefficients in a real measure$"):
+            VectorMeasure(pieces=[((0.0, 1.0), [1j])], field=field)
+        with pytest.raises(FieldMismatch,
+                           match="^complex operator in a real system$"):
+            IFSystem([(0.5, 0.0)], [[[0.5j]]], field=field)
+        with pytest.raises(FieldMismatch,
+                           match="^complex base measure in a real system$"):
+            IFSystem([(0.5, 0.0)], [[[0.5]]], field=field,
+                     base=VectorMeasure.dirac(0.5, [1j]))
+        return
+    mu = VectorMeasure(pieces=[((0.0, 1.0), [1j])], field=field)
+    assert mu.field == "complex" and mu.piece_density.dtype == np.complex128
+    for ops, base in (([[[0.5j]]], None),
+                      ([[[0.5]]], VectorMeasure.dirac(0.5, [1j]))):
+        system = IFSystem([(0.5, 0.0)], ops, base=base, field=field)
+        assert system.field == "complex"
+        assert system.operators[0].dtype == np.complex128
 
 
 def test_nearby_atoms_snap_together():

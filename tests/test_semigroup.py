@@ -45,10 +45,15 @@ def test_constant_map_transfer_constant_target_closed_form():
                        pieces=[((0.0, 1.0), rng.standard_normal(2))])
     f = ContinuousFunction(lambda s: np.array([s, s ** 2]), dim=2,
                            sup_bound=2.0)
-    for rate, c in ((1.5, 0.3), (0.5, 1.0), (4.0, 0.0)):
-        got = constant_map_transfer(rate, lambda th: c, nu, f, tol=1e-11)
+    # fast decays too: the tail truncation follows the rate, so a decay
+    # much shorter than a unit of theta is not missed (at 1e6 and 1e12 the
+    # pairing once came out 0)
+    for rate, c, tol in ((1.5, 0.3, 1e-11), (0.5, 1.0, 1e-11),
+                         (4.0, 0.0, 1e-11), (1e3, 0.3, 1e-14),
+                         (1e6, 0.7, 1e-17), (1e12, 0.3, 1e-23)):
+        got = constant_map_transfer(rate, lambda th: c, nu, f, tol=tol)
         want = np.dot(f(c), nu.total()) / rate
-        assert abs(got - want) <= 1e-11
+        assert abs(got - want) <= tol
 
 
 def test_constant_map_transfer_requires_positive_rate():
@@ -65,7 +70,7 @@ def test_constant_map_transfer_requires_positive_rate():
 def test_exp_decay_fixed_point_structure():
     base = VectorMeasure(atoms=[(0.5, np.array([0.25, 0.0]))],
                          pieces=[((0.0, 1.0), np.array([0.0, 0.25]))])
-    mu = exp_decay_fixed_point(2.0, 0.0, base)
+    mu, _ = exp_decay_fixed_point(2.0, 0.0, base)
     # base plus one extra atom at the target carrying total/(rate-1)
     extra = combine(1.0, mu, -1.0, base)
     assert extra.n_atoms == 1 and extra.n_pieces == 0
@@ -76,8 +81,10 @@ def test_exp_decay_fixed_point_structure():
 def test_exp_decay_fixed_point_residual_small():
     base = VectorMeasure(atoms=[(0.5, np.array([0.25, 0.0]))],
                          pieces=[((0.0, 1.0), np.array([0.0, 0.25]))])
-    mu = exp_decay_fixed_point(2.0, 0.0, base)
-    assert transfer_residual(2.0, 0.0, base, mu) < 1e-10
+    mu, res = exp_decay_fixed_point(2.0, 0.0, base)
+    # the returned residual is the one its own check computed
+    assert res == transfer_residual(2.0, 0.0, base, mu)
+    assert res < 1e-10
     # a perturbed candidate must show a visibly larger residual
     off = combine(1.0, mu, 1.0, VectorMeasure.dirac(0.0, np.array([0.01, 0.0])))
     assert transfer_residual(2.0, 0.0, base, off) > 1e-3
