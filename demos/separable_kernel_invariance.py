@@ -32,19 +32,9 @@ phi = solve_invariance(f1, f2)
 print("\ninvariant density phi(x) = "
       + " + ".join(f"({c}) x^{k}" for k, c in enumerate(phi.coeffs) if c))
 
-
-def apply_kernel(kernel, density):
-    """(T density)(x) = sum over terms of scale * u(x) * <v, density>."""
-    out = PolynomialFunction((0,))
-    for u, v in kernel.terms:
-        weight = v.times(density).integral01()
-        out = out + u.scale(kernel.scale * weight)
-    return out
-
-
 g = PolynomialFunction((0, Fraction(1, 2)))
-residual = (phi + g.scale(-1) + apply_kernel(f1, phi).scale(-1)
-            + apply_kernel(f2, phi).scale(-1))
+residual = (phi + g.scale(-1) + f1.apply(phi).scale(-1)
+            + f2.apply(phi).scale(-1))
 print(f"exact residual coefficients: {residual.coeffs}")
 
 # the representer family of equipartition intervals has variation sums

@@ -4,8 +4,9 @@ A scenario file declares one job (an iterated-map system, a separable-kernel
 invariance problem, or a decaying constant-target transfer) plus a list of
 commands.  An iterated-map system is solved in the metric it decides
 (``iterate_fixed_point``), which ``solve`` reports as ``norm``.  Reports
-are reproducible byte for byte: fixed command order, fixed formatting
-(15 significant digits), no randomness.
+are reproducible byte for byte on one host: fixed command order, fixed
+formatting (15 significant digits), no randomness.  Another CPU or numpy
+build may round a vectorised sum differently and move low digits.
 
 Exit codes: 0 success, 2 scenario parse/validation error (a malformed
 document, value or command argument), 3 solver precondition violated, 4
@@ -36,10 +37,6 @@ from .semigroup import exp_decay_fixed_point, transfer_residual
 from .space import QuerySet
 
 __all__ = ["main", "run", "export_cumulative"]
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.15g}"
 
 
 def _num(x):
@@ -241,11 +238,8 @@ class _KernelJob:
         if cmd == "verify":
             phi = self.phi
             # exact back-substitution: residual polynomial of the invariance
-            acc = DEFAULT_INHOMOGENEITY
-            for kern in self.kernels:
-                for u, v in kern.terms:
-                    acc = acc + u.scale(kern.scale * v.times(phi).integral01())
-            res_poly = acc + phi.scale(-1)
+            res_poly = sum((k.apply(phi) for k in self.kernels),
+                           DEFAULT_INHOMOGENEITY + phi.scale(-1))
             exact_zero = all(c == 0 for c in res_poly.coeffs)
             grid_res = float(np.abs(res_poly(np.linspace(0.0, 1.0, 1000))).max())
             return {"exact_residual_zero": exact_zero,
@@ -343,6 +337,17 @@ def run(spec: str, out_dir: str = ".", tol: float | None = None,
     return 0, _render(name, results, fmt)
 
 
+def _text(val) -> str:
+    """One report value as text: lists as [a, b] of their items."""
+    if isinstance(val, list):
+        return "[" + ", ".join(_text(x) for x in val) + "]"
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    if isinstance(val, float):
+        return f"{val:.15g}"
+    return str(val)
+
+
 def _render(name, results, fmt, error=None) -> str:
     if fmt == "json":
         doc = {"scenario": name,
@@ -352,25 +357,8 @@ def _render(name, results, fmt, error=None) -> str:
         return json.dumps(doc, indent=2, sort_keys=True)
     lines = [f"scenario: {name}"]
     for cmdline, r in results:
-        parts = []
-        for key, val in r.items():
-            if isinstance(val, list):
-                if val and isinstance(val[0], list):
-                    txt = "[" + ", ".join(
-                        "[" + ", ".join(_fmt(x) for x in row) + "]"
-                        for row in val) + "]"
-                elif val and isinstance(val[0], str):
-                    txt = "[" + ", ".join(val) + "]"
-                else:
-                    txt = "[" + ", ".join(_fmt(x) for x in val) + "]"
-            elif isinstance(val, bool):
-                txt = "true" if val else "false"
-            elif isinstance(val, float):
-                txt = _fmt(val)
-            else:
-                txt = str(val)
-            parts.append(f"{key}={txt}")
-        lines.append(f"{cmdline}: " + " ".join(parts))
+        lines.append(f"{cmdline}: " + " ".join(
+            f"{key}={_text(val)}" for key, val in r.items()))
     if error:
         lines.append(error)
     return "\n".join(lines)

@@ -18,7 +18,7 @@ from ._quadrature import adaptive_gauss
 from .exceptions import DimensionMismatch, PartitionError
 from .hilbert import scalar_product
 from .measure import VectorMeasure
-from .space import QuerySet
+from .space import Span
 
 __all__ = ["SimpleFunction", "ContinuousFunction", "vector_polynomial",
            "integrate_simple", "integrate"]
@@ -43,15 +43,18 @@ class SimpleFunction:
         return len(self.values[0]) if self.values else 0
 
     def validate_partition(self):
-        """Cells must be pairwise disjoint and cover [0, 1] exactly."""
-        union = QuerySet.empty()
-        for i, a in enumerate(self.cells):
-            for b in self.cells[i + 1:]:
-                if not a.intersect(b).is_empty:
-                    raise PartitionError(f"cells overlap: {a} and {b}")
-            union = union.union(a)
-        if union != QuerySet.unit():
-            raise PartitionError(f"cells do not cover [0, 1]: union is {union}")
+        """Cells must be pairwise disjoint and cover [0, 1] exactly: in
+        (lo, not lo_incl, hi) order, points as closed spans [a, a], each
+        span starts where the last ended and exactly one holds that point."""
+        spans = [s for c in self.cells for s in c.spans]
+        spans += [Span(a, a) for c in self.cells for a in c.atoms]
+        end, end_incl = 0.0, False
+        for s in sorted(spans, key=lambda s: (s.lo, not s.lo_incl, s.hi)):
+            if s.lo != end or s.lo_incl == end_incl:
+                raise PartitionError(f"cells do not partition [0, 1] at {s.lo!r}")
+            end, end_incl = s.hi, s.hi_incl
+        if (end, end_incl) != (1.0, True):
+            raise PartitionError(f"cells do not partition [0, 1] at {end!r}")
 
     def __call__(self, t: float) -> np.ndarray:
         for cell, v in zip(self.cells, self.values):

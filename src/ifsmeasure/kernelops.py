@@ -1,7 +1,8 @@
 """Finite-rank integral operators with separable polynomial kernels.
 
 A kernel F(x, y) = scale * sum_k u_k(x) v_k(y) acts on densities by
-(T phi)(x) = integral_0^1 F(x, y) phi(y) dy.  Because the range is spanned
+(T phi)(x) = integral_0^1 F(x, y) phi(y) dy, which ``SeparableKernel.apply``
+computes in exact rationals.  Because the range is spanned
 by the u_k, the invariance equation phi = g + (T1 + T2) phi reduces to a
 small linear system in the moments a_k = integral v_k phi, solved here in
 exact rational arithmetic so the fixed-point density has exact fractional
@@ -24,6 +25,8 @@ __all__ = ["PolynomialFunction", "SeparableKernel", "kernel_sup_bound",
            "solve_invariance", "partition_variation_estimate"]
 
 _MAX_RANK = 8
+# products in solve and verify cost O(degree^2) Fraction operations each
+_MAX_DEGREE = 32
 _MAX_GRID = 2048
 _MAX_CELLS = 1 << 20  # partition cells, refused beyond before allocating
 _ZOOM_ROUNDS = 3
@@ -35,7 +38,9 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 12)
+        # the short rational only where it is the same float: 0.1 reads 1/10
+        q = Fraction(x).limit_denominator(10 ** 12)
+        return q if float(q) == x else Fraction(x)
     raise TypeError(f"cannot convert {x!r} to an exact rational")
 
 
@@ -93,7 +98,8 @@ class PolynomialFunction:
 
 @dataclass(frozen=True)
 class SeparableKernel:
-    """scale * sum_k u_k(x) v_k(y) on the unit square."""
+    """scale * sum_k u_k(x) v_k(y) on the unit square, each u_k and v_k
+    of degree at most 32."""
     terms: tuple
     scale: Fraction = Fraction(1)
 
@@ -105,10 +111,19 @@ class SeparableKernel:
             for u, v in self.terms))
         if not self.terms:
             raise ValueError("kernel needs at least one separable term")
+        degree = max(p.degree for term in self.terms for p in term)
+        if degree > _MAX_DEGREE:
+            raise ValueError(
+                f"kernel term of degree {degree} exceeds {_MAX_DEGREE}")
 
     @property
     def rank(self) -> int:
         return len(self.terms)
+
+    def apply(self, phi: PolynomialFunction) -> PolynomialFunction:
+        """(T phi)(x) = scale * sum_k u_k(x) integral_0^1 v_k phi, exactly."""
+        return sum((u.scale(self.scale * v.times(phi).integral01())
+                    for u, v in self.terms), PolynomialFunction((0,)))
 
     def evaluate(self, x, y):
         """F(x, y) for scalars; for arrays, the grid of F(x_i, y_j)."""

@@ -95,7 +95,7 @@ def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
     because the transfer of any measure collapses to an atom at the target
     carrying total/rate, and repeated transfers sum a geometric series.
     Requires rate > 1 (a NaN rate is refused too).  Returns (mu, residual),
-    mu checked by ``transfer_residual``: IterationLimit above 1e-9.
+    mu checked by ``transfer_residual``: IterationLimit above tol.
     """
     if not rate > 1.0:
         raise ValueError("rate must exceed 1 for the transfer to contract")
@@ -103,9 +103,9 @@ def exp_decay_fixed_point(rate: float, target: float, base: VectorMeasure,
     mu = combine(1.0, base, 1.0,
                  VectorMeasure.dirac(target, tot / (rate - 1.0)))
     res = transfer_residual(rate, target, base, mu, tol=tol)
-    if res > 1e-9:
+    if res > tol:
         raise IterationLimit(
-            f"closed-form fixed point failed residual check: {res:g}")
+            f"closed-form fixed point failed residual check: {res:g} > {tol:g}")
     return mu, res
 
 

@@ -135,24 +135,6 @@ class QuerySet:
     def contains(self, t: float) -> bool:
         return any(s.contains(t) for s in self.spans) or t in self.atoms
 
-    # -- algebra ------------------------------------------------------
-
-    def union(self, other: "QuerySet") -> "QuerySet":
-        return QuerySet(self.spans + other.spans, self.atoms + other.atoms)
-
-    def intersect(self, other: "QuerySet") -> "QuerySet":
-        spans = []
-        for a in self.spans:
-            for b in other.spans:
-                lo = max(a.lo, b.lo)
-                hi = min(a.hi, b.hi)
-                if lo <= hi:
-                    spans.append(Span(lo, hi, a.contains(lo) and b.contains(lo),
-                                      a.contains(hi) and b.contains(hi)))
-        atoms = [t for t in self.atoms if other.contains(t)]
-        atoms.extend(t for t in other.atoms if self.contains(t))
-        return QuerySet(spans, atoms)
-
     # -- identity -----------------------------------------------------
 
     def _key(self):

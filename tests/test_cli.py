@@ -1,6 +1,7 @@
 """Tests for the scenario runner and CSV export."""
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,17 @@ def test_zero_iteration_budget_exits_4(tmp_path):
     assert code == 4 and "0 iterations" in report
 
 
+def test_kernel_degree_is_capped_at_the_parse_boundary(tmp_path):
+    # a degree-3000 term once took about a minute to solve and verify
+    doc = {**_KERNEL, "kernels": [{"terms": [[[0] * 3000 + [1], [0, 1]]]},
+                                  _KERNEL["kernels"][1]],
+           "commands": ["solve", "verify"]}
+    start = time.perf_counter()
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2 and "degree 3000 exceeds 32" in report
+    assert time.perf_counter() - start < 5.0
+
+
 def test_partition_size_is_capped_before_allocating(tmp_path):
     code, report = _run_doc(
         tmp_path, {**_KERNEL, "commands": ["partition 1000000000000"]})
@@ -459,6 +471,24 @@ def test_semigroup_fast_decay_meets_its_bound(tmp_path, rate):
     assert verify["residual"] <= verify["error_bound"]
 
 
+@pytest.mark.parametrize("tol", [3e-9, 1e-6, 1e300])
+def test_semigroup_residual_within_a_loose_tol_exits_0(tol):
+    # a fixed 1e-9 residual check once failed these correct closed forms
+    code, report = run("decay_transfer", tol=tol, fmt="json")
+    assert code == 0
+    _, verify = json.loads(report)["results"]
+    assert verify["error_bound"] == tol
+    assert 0.0 < verify["residual"] <= tol
+
+
+def test_semigroup_residual_above_tol_exits_4(tmp_path):
+    # once reported residual 1.11022302462516e-15 beside error_bound 1e-15
+    doc = {**_SEMIGROUP, "rate": 2.0, "solver": {"tol": 1e-15},
+           "commands": ["solve", "verify"]}
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 4 and "failed residual check: 1.11022e-15 > 1e-15" in report
+
+
 @pytest.mark.parametrize("doc", [
     {**_SEMIGROUP, "rate": 1.0000001},
     {**_SEMIGROUP, "rate": 2.0, "solver": {"tol": 1e-16}},
@@ -482,3 +512,59 @@ def test_map_leaving_the_unit_interval_by_rounding_slack_is_refused(tmp_path,
            "base": {"dimension": 1, "pieces": [[0.0, 1.0, [1.0]]]}}
     code, report = _run_doc(tmp_path, doc)
     assert code == 2 and "does not send [0, 1] into itself" in report
+
+
+def _triangular_doc(base, commands):
+    path = (Path(ifsmeasure.__file__).parent / "scenarios"
+            / "cantor_triangular.json")
+    doc = json.loads(path.read_text())
+    doc.update(base={"dimension": 2, **base}, commands=commands)
+    return doc
+
+
+def test_complex_report_in_text_and_json(tmp_path):
+    # complex weights print as [re, im] pairs, nested per component
+    doc = _triangular_doc({"atoms": [[0.0, [[0, 0], [0.25, 0.1]]]],
+                           "pieces": [[0.0, 1.0, [[0.25, -0.2], [0, 0]]]]},
+                          ["solve", "eval origin"])
+    doc["field"] = "complex"
+    code, text = _run_doc(tmp_path, doc)
+    assert code == 0
+    total = ("total=[[0.312499999948775, -0.249999999959013], "
+             "[0.374999999897599, 8.19202899959848e-11]]")
+    assert total in text.splitlines()[1]
+    assert ("value=[[0, 0], [0.277777777777778, 0.111111111111111]]"
+            in text.splitlines()[2])
+    code, report = _run_doc(tmp_path, doc, fmt="json")
+    assert code == 0
+    solve, origin = json.loads(report)["results"]
+    assert solve["total"] == [[0.312499999948775, -0.249999999959013],
+                              [0.374999999897599, 8.19202899959848e-11]]
+    assert origin["value"] == [[0.0, 0.0],
+                               [0.277777777777778, 0.111111111111111]]
+
+
+# atom (0.25, 0) at 0 against density (-0.25, 0): a base of zero total
+_ZERO_TOTAL = {"atoms": [[0.0, [0.25, 0.0]]], "pieces": [[0.0, 1.0, [-0.25, 0.0]]]}
+
+
+@pytest.mark.parametrize("doc, expect", [
+    (dict(_blend_doc(), commands=["norm mk_star"]), "||total|| = 1.41421"),
+    (_triangular_doc(_ZERO_TOTAL, ["norm mk_star"]), "||total|| = 5.94371e-10"),
+], ids=["blend", "zero-total-base"])
+def test_norm_mk_star_refuses_an_iterate_of_nonzero_total(tmp_path, doc,
+                                                          expect):
+    # at the bundled tol the iterate of a zero-total base keeps a total of
+    # order tol, above the 1e-12 that mk_star admits
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 3 and "defined only for zero-total measures" in report
+    assert expect in report
+
+
+def test_norm_mk_star_of_a_zero_total_fixed_point(tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(_triangular_doc(_ZERO_TOTAL, ["norm mk_star"])))
+    code, report = run(str(p), tol=1e-11)
+    assert code == 0
+    assert report.splitlines()[-1] == (
+        "norm mk_star: norm=mk_star value=0.136443140177951")

@@ -27,6 +27,67 @@ def test_simple_function_requires_a_partition():
         gappy.validate_partition()
 
 
+_EIGHTHS = np.linspace(0.0, 1.0, 9)
+
+
+def _random_cells(rng):
+    """[0, 1] cut at random eighths, each cut owned by the span on its
+    left, on its right, or by an isolated point; half the time one end
+    flag flips, one item drops or a stray span or point joins; the items
+    are dealt to one to four cells, some of which stay empty."""
+    cuts = sorted(rng.choice(_EIGHTHS[1:-1], int(rng.integers(0, 5)),
+                             replace=False))
+    ends = [0.0, *cuts, 1.0]
+    owner = [1, *rng.integers(0, 3, len(cuts)), 0]  # 0 left, 1 right, 2 point
+    items = [[ends[i], ends[i + 1], owner[i] == 1, owner[i + 1] == 0]
+             for i in range(len(ends) - 1)]
+    items += [[t, t, True, True] for t, o in zip(ends, owner) if o == 2]
+    change = int(rng.integers(6))
+    if change == 0:
+        items[int(rng.integers(len(items)))][2 + int(rng.integers(2))] ^= True
+    elif change == 1:
+        items.pop(int(rng.integers(len(items))))
+    elif change == 2:
+        lo, hi = sorted(rng.choice(_EIGHTHS, 2))
+        items.append([lo, hi, bool(rng.integers(2)), bool(rng.integers(2))])
+    n = int(rng.integers(1, 5))
+    deal = rng.integers(0, n, len(items))
+    return [QuerySet(intervals=[s for s, k in zip(items, deal) if k == c])
+            for c in range(n)]
+
+
+def test_validate_partition_matches_pointwise_membership():
+    # every end lies on an eighth, so membership is constant between
+    # sixteenths: the cells partition [0, 1] exactly when each sixteenth
+    # lies in exactly one of them
+    rng = np.random.default_rng(42)
+    grid = np.linspace(0.0, 1.0, 17)
+    verdicts = []
+    for _ in range(400):
+        cells = _random_cells(rng)
+        f = SimpleFunction(cells=cells, values=[np.zeros(1)] * len(cells))
+        want = all(sum(c.contains(float(t)) for c in cells) == 1
+                   for t in grid)
+        try:
+            f.validate_partition()
+            verdicts.append(True)
+        except PartitionError:
+            verdicts.append(False)
+        assert verdicts[-1] == want
+    assert 100 <= sum(verdicts) <= 300
+
+
+def test_validate_partition_names_where_many_cells_fail():
+    n = 2000
+    cells = [QuerySet(intervals=[(i / n, (i + 1) / n, True, i == n - 1)])
+             for i in range(n)]
+    SimpleFunction(cells=cells, values=[np.zeros(1)] * n).validate_partition()
+    cells[7] = QuerySet.open(7 / n, 8 / n)
+    with pytest.raises(PartitionError, match="at 0.0035"):
+        SimpleFunction(cells=cells,
+                       values=[np.zeros(1)] * n).validate_partition()
+
+
 def test_integrate_simple_exact_value():
     f = SimpleFunction(
         cells=[QuerySet(intervals=[(0.0, 0.5, True, False)]),

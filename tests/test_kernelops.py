@@ -32,12 +32,54 @@ def test_polynomial_accepts_exact_floats():
     assert p.coeffs == (Fraction(1, 2), Fraction(1, 4))
 
 
+def test_float_reads_as_its_short_rational_only_when_that_is_the_float():
+    assert PolynomialFunction((0.1, 0.25)).coeffs == (Fraction(1, 10),
+                                                      Fraction(1, 4))
+    # the short rational within 1e-12 would be 0 and 1: both keep the float
+    for x in (1e-13, 1.0000000000001):
+        (c,) = PolynomialFunction((x,)).coeffs
+        assert c == Fraction(x) and float(c) == x
+    k = SeparableKernel(terms=(((1,), (1,)),), scale=1e-13)
+    assert k.scale == Fraction(1e-13)
+
+
+def test_tiny_float_scales_are_not_rounded_to_a_zero_kernel():
+    # the solve once returned x/2, the solution for a zero kernel
+    f1 = SeparableKernel(terms=(((0, 1), (0, 1)),), scale=1e-13)
+    f2 = SeparableKernel(terms=(((0, 0, 1), (0, 0, 1)),), scale=1e-13)
+    phi = solve_invariance(f1, f2)
+    assert [float(f"{float(c):.15g}") for c in phi.coeffs] == [
+        0.0, 0.500000000000017, 1.25000000000007e-14]
+    g = PolynomialFunction((0, Fraction(1, 2)))
+    assert phi == g + f1.apply(phi) + f2.apply(phi)
+
+
 def test_kernel_evaluate_and_rank():
     k = SeparableKernel(terms=(((0, 1), (0, 1)),), scale=Fraction(1, 4))
     assert k.rank == 1
     assert k.evaluate(0.5, 0.8) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         SeparableKernel(terms=())
+
+
+def test_apply_integrates_the_kernel_against_the_density():
+    # Gauss-Legendre with 8 nodes is exact for the degree <= 6 integrand
+    k = SeparableKernel(terms=(((1, -2), (0, 0, 3)), ((0, 1, 1), (2, -1))),
+                        scale=Fraction(3, 7))
+    phi = PolynomialFunction((Fraction(1, 2), 0, -1, Fraction(2, 3)))
+    t, w = np.polynomial.legendre.leggauss(8)
+    ys, ws = (t + 1.0) / 2.0, w / 2.0
+    xs = np.linspace(0.0, 1.0, 11)
+    want = k.evaluate(xs, ys) @ (ws * phi(ys))
+    assert np.allclose(k.apply(phi)(xs), want, rtol=0.0, atol=1e-14)
+    assert k.apply(PolynomialFunction((0,))).coeffs == (Fraction(0),)
+
+
+def test_kernel_degree_is_capped():
+    SeparableKernel(terms=(((0,) * 32 + (1,), (1,)),))
+    for term in (((0,) * 33 + (1,), (1,)), ((1,), (0,) * 3000 + (1,))):
+        with pytest.raises(ValueError, match="exceeds 32"):
+            SeparableKernel(terms=(term,))
 
 
 def test_kernel_sup_bound_bilinear():

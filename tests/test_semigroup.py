@@ -90,6 +90,16 @@ def test_exp_decay_fixed_point_residual_small():
     assert transfer_residual(2.0, 0.0, base, off) > 1e-3
 
 
+@pytest.mark.parametrize("tol", [3e-16, 1e-12, 3e-9, 1e-6])
+def test_exp_decay_fixed_point_residual_is_checked_against_tol(tol):
+    # the residual check and its quadrature share the caller's tol: the
+    # closed form once failed a fixed 1e-9 at every tol above about 3e-9
+    base = VectorMeasure(atoms=[(0.5, np.array([0.25, 0.0]))],
+                         pieces=[((0.0, 1.0), np.array([0.0, 0.25]))])
+    _, res = exp_decay_fixed_point(2.0, 0.0, base, tol=tol)
+    assert 0.3 * tol <= res <= 0.5 * tol
+
+
 def test_exp_decay_fixed_point_preconditions():
     base = VectorMeasure.dirac(0.5, np.array([1.0]))
     for rate in (1.0, 0.5, float("nan")):

@@ -78,23 +78,6 @@ def _brute_membership(q, ts):
     return np.array([q.contains(float(t)) for t in ts])
 
 
-def test_union_intersect_match_pointwise_logic():
-    rng = np.random.default_rng(42)
-    grid = np.linspace(0.0, 1.0, 241)
-    for _ in range(40):
-        spans_a = [(lo, lo + w) for lo, w in
-                   zip(rng.uniform(0, 0.8, 3), rng.uniform(0, 0.2, 3))]
-        spans_b = [tuple(sorted(rng.uniform(0, 1, 2))) + (bool(rng.integers(2)),
-                   bool(rng.integers(2))) for _ in range(2)]
-        a = QuerySet(intervals=spans_a, atoms=rng.uniform(0, 1, 2))
-        b = QuerySet(intervals=spans_b)
-        u = a.union(b)
-        i = a.intersect(b)
-        ma, mb = _brute_membership(a, grid), _brute_membership(b, grid)
-        assert np.array_equal(_brute_membership(u, grid), ma | mb)
-        assert np.array_equal(_brute_membership(i, grid), ma & mb)
-
-
 def test_membership_matches_contains_at_endpoints():
     q = QuerySet(intervals=[(0.25, 0.5, False, True)], atoms=[0.75])
     ts = np.array([0.25, 0.3, 0.5, 0.75, 0.8])
