@@ -180,8 +180,10 @@ def dual_apply(sys: IFSystem, f: ContinuousFunction) -> ContinuousFunction:
 
 
 def residual(sys: IFSystem, mu: VectorMeasure) -> float:
-    """Variation norm of M(mu) - mu; zero exactly at the fixed point."""
-    return (apply_markov(sys, mu) - mu).variation_norm()
+    """Variation norm of M(mu) - mu, zero exactly at the fixed point,
+    taken by ``VectorMeasure.variation_distance`` without building the
+    difference."""
+    return apply_markov(sys, mu).variation_distance(mu)
 
 
 @dataclass(frozen=True)
@@ -198,18 +200,19 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
 
     The metric fixes the contraction factor q, the prune budget p and the
     distance; each step prunes M(mu_{k-1}) within p, and the a-posteriori
-    bound ||mu_k - mu*|| <= (q*dist(mu_k - mu_{k-1}) + p) / (1-q) certifies
+    bound ||mu_k - mu*|| <= (q*dist(mu_k, mu_{k-1}) + p) / (1-q) certifies
     the stop, so the returned error_bound is rigorous despite the pruning.
 
     The system decides the metric.  When the variation factor is < 1 it
     iterates in the variation norm: q is that factor, p = tol*(1-q)/4 and
-    the distance is the variation norm.  Otherwise only a system that
-    preserves mass (sum_i R_i = I within 1e-12; its variation factor
-    sum ||R_i|| >= ||sum R_i|| is about 1) can contract, and it iterates
-    in mk_star: q is the mk_star factor, which must be < 1, and the
-    distance ``mk_star_exact``.  Iterates are never pruned there (p = 0):
-    pruning would perturb totals, and the metric only controls measures
-    of equal total mass.  A base measure, if present, must have zero
+    the distance is ``VectorMeasure.variation_distance``, one merge of the
+    two iterates that builds no difference measure.  Otherwise only a
+    system that preserves mass (sum_i R_i = I within 1e-12; its variation
+    factor sum ||R_i|| >= ||sum R_i|| is about 1) can contract, and it
+    iterates in mk_star: q is the mk_star factor, which must be < 1, and
+    the distance ``mk_star_exact`` of mu_k - mu_{k-1}.  Iterates are never
+    pruned there (p = 0): pruning would perturb totals, and the metric
+    only controls measures of equal total mass.  A base measure, if present, must have zero
     total.  The variation norm goes first because inside the 1e-12 band a
     system can lose mass (variation factor just below 1, fixed point
     zero); mk_star would certify a measure of the wrong total there.
@@ -242,7 +245,7 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     if fac.variation < 1.0:
         norm, q = "variation", fac.variation
         budget = tol * (1.0 - q) / 4.0
-        distance = VectorMeasure.variation_norm
+        distance = VectorMeasure.variation_distance
     else:
         norm, q = "mk_star", fac.mk_star
         if np.abs(op_sum - np.eye(sys.dim)).max() > _MASS_TOL:
@@ -259,13 +262,15 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
                 "mk_star iteration with a base measure requires the base "
                 "to have zero total mass")
         budget = 0.0
-        distance = mk_star_exact
+
+        def distance(a, b):
+            return mk_star_exact(a - b)
     base_total = 0.0 if sys.base is None else sys.base.total()
     cur, bound = start, math.inf
     for k in range(1, max_iter + 1):
         _check_size(sys, cur, k)
         nxt = prune(apply_markov(sys, cur), budget)
-        bound = (q * distance(nxt - cur) + budget) / (1.0 - q)
+        bound = (q * distance(nxt, cur) + budget) / (1.0 - q)
         if bound <= tol:
             # pruning moves the total by at most the budget
             drift = float(np.linalg.norm(

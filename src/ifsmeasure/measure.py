@@ -28,7 +28,10 @@ endpoints: one ``np.bincount`` per column sums +d at the event where a
 piece starts and -d where it ends, in input order, and a running sum over
 the events gives the segment densities, so a segment's density can carry
 the rounding of larger densities that overlap it.  A sum that overflows
-raises ValueError.
+raises ValueError.  In an iteration step only ``accumulate`` resolves:
+the step distance ``VectorMeasure.variation_distance`` takes ||a - b||
+in one merge of the two canonical forms, with no difference measure, so
+each segment's d_a - d_b is rounded once.
 """
 
 from __future__ import annotations
@@ -58,9 +61,14 @@ _NORM_LO, _NORM_HI = 1e-150, 1e150
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
+    # squares summed column by column, left to right: the order numpy's
+    # reduction along a row of fewer than eight takes, several times faster
     mag = np.abs(a)
     with np.errstate(over="ignore"):
-        out = np.sqrt(np.sum(mag ** 2, axis=1))
+        sq = mag[:, 0] ** 2
+        for j in range(1, a.shape[1]):
+            sq += mag[:, j] ** 2
+        out = np.sqrt(sq)
     odd = (out < _NORM_LO) | (out > _NORM_HI)
     if odd.any():
         m = mag[odd]
@@ -170,6 +178,44 @@ def _canonical_pieces(lo, hi, dens):
     idx = np.flatnonzero(starts)
     ends = np.concatenate((idx[1:], [len(lo)])) - 1
     return lo[idx], hi[ends], dens[idx]
+
+
+def _piece_difference(a, b, dtype):
+    """``(dens, width)``: d_a - d_b on each segment between distinct piece
+    endpoints of the canonical measures a and b, and the segment widths.
+
+    A canonical side's endpoints lo_0, hi_0, lo_1, ... form one sorted
+    run, and one stable argsort merges the two runs.  With c of a side's
+    endpoints at or before a segment's left end (counted at the last
+    endpoint of each group of equal values), the segment lies in that
+    side's piece (c - 1) / 2 when c is odd and in a gap when c is even.
+    Each side's densities are gathered from a copy padded with one zero
+    row for the gaps, and subtracted once.
+    """
+    na, nb = a.n_pieces, b.n_pieces
+    ends = np.empty(2 * (na + nb))
+    ends[0:2 * na:2], ends[1:2 * na:2] = a.piece_lo, a.piece_hi
+    ends[2 * na::2], ends[2 * na + 1::2] = b.piece_lo, b.piece_hi
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    count_a = np.cumsum(order < 2 * na, dtype=np.int32)
+    del order
+    step = np.diff(ends)
+    del ends
+    last = np.flatnonzero(step)  # the last endpoint of each group
+    width = step[last]
+    del step
+    ca = count_a[last]
+    cb = last + 1 - ca
+
+    def side(m, c):
+        padded = np.zeros((m.n_pieces + 1, m.dim), dtype=dtype)
+        padded[:-1] = m.piece_density
+        return padded.take(np.where(c & 1, c >> 1, m.n_pieces), axis=0)
+
+    dens = side(a, ca)
+    dens -= side(b, cb)
+    return dens, width
 
 
 class VectorMeasure:
@@ -360,6 +406,34 @@ class VectorMeasure:
             v += float((_row_norms(self.piece_density)
                         * (self.piece_hi - self.piece_lo)).sum())
         return v
+
+    def variation_distance(self, other: "VectorMeasure") -> float:
+        """``(self - other).variation_norm()`` without building the difference.
+
+        The atoms of both are canonicalised together as ``combine`` does
+        it, other's weights negated, so their terms are the same to the
+        bit.  The pieces go through ``_piece_difference``: each segment
+        between distinct endpoints adds ||d_self - d_other|| * width, its
+        difference rounded once, where the event sweep of a difference
+        measure carries the rounding of a running sum.  Swapping the
+        operands negates every difference, so the distance is the same
+        unless three or more atoms snap together across an exact tie.  A
+        difference that overflows raises ValueError.
+        """
+        if self.dim != other.dim:
+            raise DimensionMismatch(
+                f"dimensions differ: {self.dim} vs {other.dim}")
+        dtype = np.result_type(self.atom_weights, other.atom_weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, wts = _canonical_atoms(
+                np.concatenate([self.atom_points, other.atom_points]),
+                np.concatenate([self.atom_weights.astype(dtype),
+                                -other.atom_weights.astype(dtype)]))
+            dens, width = _piece_difference(self, other, dtype)
+        if not (np.isfinite(wts).all() and np.isfinite(dens).all()):
+            raise ValueError("a coefficient overflows to a non-finite value")
+        return (float(_row_norms(wts).sum())
+                + float((_row_norms(dens) * width).sum()))
 
     def cumulative(self, t: float) -> np.ndarray:
         """mu([0, t]) as a function of the right endpoint."""

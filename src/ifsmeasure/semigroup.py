@@ -203,4 +203,4 @@ def countable_series_residual(P, points, base: VectorMeasure,
     """Variation norm of (transfer(mu) + base) - mu, with the transfer
     truncated at the available points."""
     image = _series_image(np.asarray(P), points, mu.total(), base)
-    return (image - mu).variation_norm()
+    return image.variation_distance(mu)

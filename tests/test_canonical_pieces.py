@@ -106,8 +106,7 @@ _TRANSFORMS = {"pushforward", "apply_operator", "prune", "accumulate",
                "combine"}
 
 
-def test_an_iteration_step_resolves_only_in_accumulate_and_combine(
-        monkeypatch):
+def test_an_iteration_step_resolves_only_in_accumulate(monkeypatch):
     callers = []
     resolve = measure._resolve
 
@@ -127,7 +126,7 @@ def test_an_iteration_step_resolves_only_in_accumulate_and_combine(
     start = iterate_fixed_point(system, VectorMeasure.zero(2), tol=1e-2).measure
     monkeypatch.setattr(measure, "_resolve", spy)
     iterate_fixed_point(system, start, tol=1e-3)
-    assert callers and set(callers) == {"accumulate", "combine"}
+    assert callers and set(callers) == {"accumulate"}
 
 
 # -- the event sweep and prune's selection, bit for bit -----------------

@@ -245,12 +245,17 @@ def test_row_norms_keep_tiny_and_huge_weights():
     huge = VectorMeasure(atoms=[(0.5, [3e200, -4e200])])
     assert huge.variation_norm() == pytest.approx(5e200, rel=1e-15)
     # ordinary rows keep the plain formula's result bit for bit, also
-    # next to rows that need rescaling
-    rows = np.random.default_rng(3).standard_normal((1000, 3))
-    plain = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
-    mixed = np.concatenate([rows, [[1e-170, 0, 0], [0, 0, 0], [1e200, 0, 0]]])
-    assert measure._row_norms(mixed).tobytes() == np.concatenate(
-        [plain, [1e-170, 0.0, 1e200]]).tobytes()
+    # next to rows that need rescaling, in every dimension below eight
+    rng = np.random.default_rng(3)
+    for dim in range(1, 8):
+        rows = rng.standard_normal((1000, dim)) * 10.0 ** rng.uniform(
+            -8, 8, (1000, dim))
+        plain = np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))
+        odd = np.zeros((3, dim))
+        odd[:, 0] = [1e-170, 0.0, 1e200]
+        mixed = np.concatenate([rows, odd])
+        assert measure._row_norms(mixed).tobytes() == np.concatenate(
+            [plain, [1e-170, 0.0, 1e200]]).tobytes()
 
 
 def test_arithmetic_operators():
