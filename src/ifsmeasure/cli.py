@@ -49,7 +49,9 @@ def _vec(v):
     return [_num(c) for c in v]
 
 
-_EXPORT_CHUNK_ROWS = 8192
+# rows formatted at a time: the formatter's arrays for three columns
+# (under 1 MB) stay in cache, and larger chunks ran slower
+_EXPORT_CHUNK_ROWS = 1024
 # cap on the equispaced export samples, checked before allocating
 _MAX_SAMPLES = 1 << 20
 
@@ -79,8 +81,9 @@ def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
 
     Rows cover equispaced sample points plus every breakpoint; atoms also
     get the float immediately to their left, so jumps are visible as two
-    adjacent rows.  Values re-evaluate through ``cumulative`` exactly.
-    Raises ScenarioError unless 2 <= samples <= 2^20.
+    adjacent rows.  Each value is written as the bytes ``"%.17g" % v``
+    gives, so it re-evaluates through ``cumulative`` exactly.  Raises
+    ScenarioError unless 2 <= samples <= 2^20.
     """
     if not 2 <= samples <= _MAX_SAMPLES:
         raise ScenarioError(f"samples must be between 2 and {_MAX_SAMPLES}")
@@ -96,14 +99,14 @@ def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
     else:
         cols = [f"F{k + 1}" for k in range(mu.dim)]
     table = np.column_stack([grid, values])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(cols) + "\n")
-        # format and write a chunk at a time: one string of every row
+    # imported on first use: scenarios without an export never load it
+    from ._floatcsv import csv_bytes
+    with open(path, "wb") as fh:
+        fh.write(("t," + ",".join(cols) + "\n").encode())
+        # format and write a chunk at a time: the text of every row
         # would hold the whole file in memory
         for i in range(0, len(table), _EXPORT_CHUNK_ROWS):
-            chunk = table[i:i + _EXPORT_CHUNK_ROWS]
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+            fh.write(csv_bytes(table[i:i + _EXPORT_CHUNK_ROWS]))
     return len(grid)
 
 
@@ -142,7 +145,11 @@ class _IFSJob:
                                    "query_sets").items()}
         solver = _object(doc.get("solver", {}), "solver")
         self.tol = _tol(solver, 1e-8)
-        self.max_iter = int(solver.get("max_iter", 200))
+        max_iter = solver.get("max_iter", 200)
+        self.max_iter = int(max_iter)
+        if self.max_iter < 0 or self.max_iter != float(max_iter):
+            raise ScenarioError(
+                f"max_iter must be a non-negative integer, got {max_iter!r}")
         self.samples = int(solver.get("samples", 201))
         start = solver.get("start")
         self.start = (_parse_measure(start, field) if start is not None

@@ -581,7 +581,11 @@ def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
         width = np.abs(p_hi[flat] - p_lo[flat])
         wts = np.concatenate([wts, p_d[flat] * width[:, None]])
         lo, hi, p_d = lo[~flat], hi[~flat], p_d[~flat]
-    return VectorMeasure._from_arrays(pts, wts, lo, hi, p_d / abs(s), mu.dim)
+    # dividing by a slope below 1 can overflow a large density; canonical
+    # form refuses the inf that results, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_d = p_d / abs(s)
+    return VectorMeasure._from_arrays(pts, wts, lo, hi, p_d, mu.dim)
 
 
 def apply_operator(r, mu: VectorMeasure) -> VectorMeasure:

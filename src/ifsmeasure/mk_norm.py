@@ -87,10 +87,14 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
     asinh_diff[i] = np.arcsinh(y[i]) - np.arcsinh(x[i])
     # monotone panel: g(v) - g(u) = h (u+v) (a (u^2+v^2) + q) / (g(u)+g(v))
     # and asinh(y) - asinh(x) = asinh((y^2-x^2) / (y sqrt(1+x^2)
-    # + x sqrt(1+y^2))), both cancellation-free for same-sign arguments
+    # + x sqrt(1+y^2))), both cancellation-free for same-sign arguments;
+    # |g(u) + g(v)| is at least h times the integrand's larger end value,
+    # so where it underflows to zero (a panel 1e-300 wide) so does the term
     i = np.flatnonzero(~inside)
+    den = gu[i] + gv[i]
+    den[den == 0.0] = np.inf
     term[i] = (0.5 * h[i] * (u[i] + v[i])
-               * (a[i] * (u[i] * u[i] + v[i] * v[i]) + q[i]) / (gu[i] + gv[i]))
+               * (a[i] * (u[i] * u[i] + v[i] * v[i]) + q[i]) / den)
     i = np.flatnonzero(~inside & s)
     asinh_diff[i] = np.arcsinh(
         k[i] * k[i] * h[i] * (u[i] + v[i])

@@ -9,6 +9,7 @@ import pytest
 
 import ifsmeasure
 from ifsmeasure import VectorMeasure
+from ifsmeasure import cli
 from ifsmeasure.cli import export_cumulative, main, run
 
 
@@ -291,6 +292,22 @@ def test_export_cumulative_real_bytes_across_chunks(tmp_path):
     assert data == _reference_csv(mu, grid)
 
 
+@pytest.mark.parametrize("name", ["cantor_blend", "cantor_triangular"])
+def test_bundled_exports_are_the_percent_bytes(tmp_path, monkeypatch, name):
+    measures = []
+
+    def keep_measure(mu, samples, path):
+        measures.append(mu)
+        return export_cumulative(mu, samples, path)
+    monkeypatch.setattr(cli, "export_cumulative", keep_measure)
+    code, _ = run(name, out_dir=str(tmp_path))
+    assert code == 0 and len(measures) == 1
+    data = (tmp_path / f"{name}_cumulative.csv").read_bytes()
+    grid = np.array([float(line.split(b",")[0])
+                     for line in data.splitlines()[1:]])
+    assert data == _reference_csv(measures[0], grid)
+
+
 def _blend_doc():
     path = Path(ifsmeasure.__file__).parent / "scenarios" / "cantor_blend.json"
     doc = json.loads(path.read_text())
@@ -383,6 +400,8 @@ _SEMIGROUP = {"kind": "semigroup", "rate": 1.0, "target": 0.5,
     {**_SEMIGROUP, "solver": {"tol": float("inf")}},
     {**_IFS, "solver": {"tol": -1}},
     {**_IFS, "solver": {"tol": float("nan")}},
+    {**_IFS, "solver": {"max_iter": -3}},
+    {**_IFS, "solver": {"max_iter": 1.5}},
 ], ids=["array", "solver-list", "query-sets-list", "query-set-list",
         "measure-list", "one-number-map", "tol-abc", "max-iter-x",
         "samples-null", "semigroup-tol-x", "kernel-list", "supbound-x",
@@ -390,7 +409,8 @@ _SEMIGROUP = {"kind": "semigroup", "rate": 1.0, "target": 0.5,
         "semigroup-rate-nan", "semigroup-rate-inf", "semigroup-target-nan",
         "semigroup-target-1.5", "semigroup-target-minus-inf",
         "semigroup-tol-nan", "semigroup-tol-0", "semigroup-tol-minus-1",
-        "semigroup-tol-inf", "ifs-tol-minus-1", "ifs-tol-nan"])
+        "semigroup-tol-inf", "ifs-tol-minus-1", "ifs-tol-nan",
+        "max-iter-minus-3", "max-iter-1.5"])
 def test_malformed_value_is_a_parse_error(tmp_path, doc):
     code, report = _run_doc(tmp_path, doc)
     assert code == 2 and "invalid scenario" in report
@@ -409,6 +429,17 @@ def test_infinite_count_is_a_parse_error(tmp_path):
                  .replace("1.0}", "1e400}"))
     code, report = run(str(p))
     assert code == 2 and "infinity" in report
+
+
+def test_density_overflow_in_pushforward_is_a_precondition_error(tmp_path):
+    # the density doubles each step; the suite turns numpy's overflow
+    # warning into an error, so the division must not warn
+    doc = {"kind": "ifs", "dimension": 1, "maps": [[0.5, 0.0]],
+           "operators": [[[0.9999999]]],
+           "base": {"dimension": 1, "pieces": [[0.0, 1.0, [1.0]]]},
+           "solver": {"tol": 1e-8, "max_iter": 1e9}, "commands": ["solve"]}
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 3 and "overflows to a non-finite value" in report
 
 
 def test_zero_iteration_budget_exits_4(tmp_path):

@@ -57,6 +57,14 @@ def test_mk_star_dirac_pair_formula():
         assert abs(got - abs(s - t) * np.linalg.norm(x)) < 1e-10
 
 
+def test_mk_star_of_a_panel_1e_300_wide_is_zero_not_nan():
+    # |F| <= 1e-300 over a 1e-300 wide panel: every term underflows; the
+    # suite turns numpy's 0/0 warning into an error
+    mu = VectorMeasure(pieces=[((0.0, 1e-300), np.array([0.0, 0.0, 1.0]))])
+    zero_total = mu - VectorMeasure.dirac(0.0, mu.total())
+    assert mk_star_exact(zero_total) == 0.0
+
+
 def test_mk_star_atom_minus_density():
     # mu = delta_0 - lambda: cumulative is 1 - t, integral of |1 - t| is 1/2
     mu = combine(1.0, VectorMeasure.dirac(0.0, np.array([1.0])),
