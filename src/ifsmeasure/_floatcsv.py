@@ -6,9 +6,8 @@ PLDI 2010): each |x| is scaled by 10^(16 - X) in double-double arithmetic
 and rounded to the 17-digit integer D, X being the decimal exponent.  The
 scaled value is within 1e-14 of exact, so a fraction further than 2e-13
 from one half rounds as the exact value does.  Values nearer a tie, and
-subnormals, non-finite values and magnitudes outside [1e-289, 1e300], go
-through ``"%.17g"``, a chunk's all in one ``%`` call; ±0 has a layout of
-its own.
+±0, subnormals, non-finite values and magnitudes outside [1e-289, 1e300],
+go through ``"%.17g"``, a chunk's all in one ``%`` call.
 
 Text is laid out in 48 bytes a value, six uint64 words, each word the AND
 of a template chosen by layout and a digit overlay (byte by byte, so byte
@@ -86,9 +85,8 @@ def _digits(ax):
 # a value's 48 bytes: sign, "0.000", then d0..d16 each followed by a slot
 # for the point, "e", exponent sign, three exponent digits, separator and
 # two pad bytes.  Layouts: X = -4..16 in fixed notation, then e+XX, e-XX,
-# e+XXX, e-XXX, then zero; times 17 digit counts, 2 signs, 2 separators.
-_ZERO = 25 * 34
-_NKEY = 26 * 17 * 2
+# e+XXX, e-XXX; times 17 digit counts, 2 signs, 2 separators.
+_NKEY = 25 * 17 * 2
 
 
 def _digit_bytes(n, width):
@@ -112,17 +110,16 @@ def _tables():
     overlay supplies a digit; overlays are 0xff outside their digits.
     """
     cat, nd, neg = (a.ravel() for a in np.meshgrid(
-        np.arange(26), np.arange(1, 18), np.arange(2), indexing="ij"))
+        np.arange(25), np.arange(1, 18), np.arange(2), indexing="ij"))
     # X < 0 in fixed notation writes "0." and -X - 1 zeros first; X >= 0
     # keeps its X + 1 integer digits and puts the point after d_X
-    zero, lead0 = cat == 25, cat < 4
-    expo = (cat >= 21) & ~zero
-    keep = np.where(expo | lead0, nd, np.maximum(nd, cat - 3)) * ~zero
-    point = np.where(expo, 0, np.where(lead0 | zero, -1, cat - 4))
+    lead0, expo = cat < 4, cat >= 21
+    keep = np.where(expo | lead0, nd, np.maximum(nd, cat - 3))
+    point = np.where(expo, 0, np.where(lead0, -1, cat - 4))
     j = np.arange(17)
     rows = np.zeros((2, _NKEY, 48), np.uint8)
     rows[..., 0] = ord("-") * neg
-    rows[..., 1] = ord("0") * (lead0 | zero)
+    rows[..., 1] = ord("0") * lead0
     rows[..., 2] = ord(".") * lead0
     rows[..., 3:6] = ord("0") * ((np.arange(3) < 3 - cat[:, None]) & lead0[:, None])
     rows[..., 6:40:2] = 0xff * (j < keep[:, None])
@@ -148,13 +145,9 @@ def csv_bytes(table) -> bytes:
     x = np.asarray(table, dtype=np.float64).ravel()
     ax = np.abs(x)
     fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
-    if fast.all():
-        D, X, slow = _digits(ax)
-    else:
-        D = np.full(len(x), _D_MIN)
-        X = np.zeros(len(x), np.int64)
-        slow = ~fast & (ax != 0.0)
-        D[fast], X[fast], slow[fast] = _digits(ax[fast])
+    # values outside the fast range take 1.0's digits, then the fallback's
+    D, X, slow = _digits(np.where(fast, ax, 1.0))
+    slow |= ~fast
     templates, lead_t, limb_t, expo_t, zeros_t, layout_t = _tables()
     lead = D // 10**16
     r = D - lead * 10**16
@@ -172,8 +165,6 @@ def csv_bytes(table) -> bytes:
         tail &= limb == 0
     # layout, then 17 - tz significant digits, then sign, then separator
     key = layout_t.take(X + 999) + (16 - tz) * 2 + np.signbit(x)
-    zero = np.flatnonzero(ax == 0.0)
-    key[zero] = _ZERO + np.signbit(x[zero])
     key.reshape(n_rows, n_cols)[:, -1] += _NKEY
     out = templates.take(key, axis=0)
     out[:, 0] &= lead_t.take(lead)

@@ -1,5 +1,6 @@
 """The array formatter behind the CSV export prints what ``"%.17g"`` prints."""
 
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -111,8 +112,10 @@ def test_start_up_neither_loads_the_formatter_nor_builds_its_tables():
     code = ("import sys, ifsmeasure.cli; print('ifsmeasure._floatcsv' in sys.modules); "
             "import ifsmeasure._floatcsv as f; "
             "print(f._pow10.cache_info().currsize, f._tables.cache_info().currsize)")
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={"PYTHONPATH": str(SRC)})
+                         text=True, check=True, env=env)
     assert out.stdout.split() == ["False", "0", "0"]
 
 
