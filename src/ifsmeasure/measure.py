@@ -17,25 +17,21 @@ zero weights dropped; pieces resolved into disjoint segments with densities
 summed, zero densities dropped, and adjacent segments with exactly equal
 densities merged.  Equality is structural on the canonical arrays.
 
-Only input that needs it is resolved.  Atoms already sorted with gaps
-above 1e-12, and pieces already sorted and disjoint, keep their
-coefficients as given: only zero rows go, and equal contiguous pieces
-merge.  ``pushforward`` (which reverses the image of a negative slope),
-``apply_operator`` and ``prune`` produce such input from a canonical
-measure.  Overlapping or unsorted pieces, as ``accumulate`` and
-``combine`` produce, go through an event sweep over the distinct
-endpoints: one ``np.bincount`` per column sums +d at the event where a
-piece starts and -d where it ends, in input order, and a running sum over
-the events gives the segment densities, so a segment's density can carry
-the rounding of larger densities that overlap it.  A sum that overflows
-raises ValueError.  In an iteration step only ``accumulate`` resolves:
-the step distance ``VectorMeasure.variation_distance`` takes ||a - b||
-in one merge of the two canonical forms, with no difference measure, so
-each segment's d_a - d_b is rounded once.
+Pieces are summed one way, by ``_sum_runs``: over sorted, disjoint runs
+of pieces, each segment between their distinct endpoints starts at zero
+and adds, in run order, the density covering it in each run, so a small
+density next to a large one keeps its bits.  ``accumulate``, ``combine``
+and ``VectorMeasure.variation_distance`` pass their terms as the runs;
+raw input that overlaps or is out of order (the constructor,
+``from_dict``) is first dealt into runs.  Input already sorted and
+disjoint, as ``pushforward``, ``apply_operator`` and ``prune`` produce
+it, keeps its coefficients: only zero rows go, and equal contiguous
+pieces merge.  A sum that overflows raises ValueError.
 """
 
 from __future__ import annotations
 
+import heapq
 from itertools import chain
 
 import numpy as np
@@ -105,30 +101,21 @@ def _canonical_atoms(points, weights):
     return points[keep], weights[keep]
 
 
-def _scatter_rows(n, idx, plus, minus=()):
+def _scatter_rows(n, idx, rows):
     """Rows summed by index, as an ``(n, dim)`` array.
 
-    ``idx`` lines up with the rows of ``plus`` and then of ``minus``,
-    stacked; row k of the result is 0 plus the ``plus`` rows at k minus
-    the ``minus`` rows at k, in input order.  ``np.bincount`` sums each
-    bin from 0.0 in input order and x - y is x + (-y) exactly, so this is
-    bitwise what ``np.add.at`` and then ``np.subtract.at`` into zeros
-    give, at a fraction of their cost.  It runs once per real column (the
-    real and imaginary parts of complex ones), and every column is summed
-    before the result is allocated.
+    ``idx`` lines up with the stacked ``rows``; row k of the result is 0
+    plus the rows at k, in input order.  ``np.bincount`` sums each bin
+    from 0.0 in input order, so this is bitwise what ``np.add.at`` into
+    zeros gives, at a fraction of its cost.  It runs once per real column
+    (the real and imaginary parts of complex ones), and every column is
+    summed before the result is allocated.
     """
-    rows = [*plus, *minus]
-    split = sum(len(r) for r in plus)
     dim, dtype = rows[0].shape[1], np.result_type(*rows)
     parts = (np.real, np.imag) if dtype.kind == "c" else (np.real,)
     columns = [(j, part) for j in range(dim) for part in parts]
-
-    def weights(j, part):
-        w = np.concatenate([part(r[:, j]) for r in rows])
-        np.negative(w[split:], out=w[split:])
-        return w
-
-    sums = [np.bincount(idx, weights(j, part), minlength=n)
+    sums = [np.bincount(idx, np.concatenate([part(r[:, j]) for r in rows]),
+                        minlength=n)
             for j, part in columns]
     out = np.empty((n, dim), dtype=dtype)
     for (j, part), s in zip(columns, sums):
@@ -136,29 +123,85 @@ def _scatter_rows(n, idx, plus, minus=()):
     return out
 
 
-def _resolve(lo, hi, dens):
-    """Disjoint segments and summed densities of overlapping pieces.
+def _covering(lo, hi, dens, left):
+    """``(a, rows)``: for the sorted points ``left[a:a + len(rows)]`` in the
+    span of the sorted, disjoint, nonempty run ``(lo, hi, dens)``, whose
+    starts are among the points, the density of the piece each lies in
+    (zero in a gap), by a mark at each start and a cumulative sum."""
+    a, b = np.searchsorted(left, (lo[0], hi[-1]))
+    k = np.zeros(b - a, dtype=np.intp)
+    k[np.searchsorted(left[a:b], lo[1:])] = 1
+    np.cumsum(k, out=k)
+    rows = dens.take(k, axis=0)
+    rows[hi[k] <= left[a:b]] = 0
+    return a, rows
 
-    Each distinct endpoint is an event carrying +d for every piece that
-    starts there and -d for every piece that ends there; a cumulative sum
-    over the events gives the segment densities.  Segments of zero
-    density are dropped.
+
+def _sum_runs(runs, dtype):
+    """``(lo, hi, dens)``: the sum of sorted, disjoint runs of pieces.
+
+    Each segment between the runs' distinct endpoints starts at zero and
+    adds, in run order, the density covering it in each run (zero in a
+    gap adds exactly), so it is rounded once per covering piece.  Zero
+    segments are dropped; an overflow comes out inf or nan.
     """
-    ends = np.concatenate([lo, hi])
-    events = np.unique(ends)
-    idx = np.searchsorted(events, ends)
+    # each run's ends lo_0, hi_0, lo_1, ... are sorted; a timsort merges them
+    ends = np.concatenate([np.stack((lo, hi), axis=1).ravel()
+                           for lo, hi, _ in runs])
+    ends.sort(kind="stable")
+    first = np.ones(len(ends), dtype=bool)
+    np.not_equal(ends[1:], ends[:-1], out=first[1:])
+    events = ends[first]
     del ends
-    seg_d = _scatter_rows(len(events), idx, [dens], [dens])[:-1]
-    del idx
-    # in place; a complex array goes by its real and imaginary parts,
-    # which numpy accumulates without a copy
-    parts = (seg_d.real, seg_d.imag) if np.iscomplexobj(seg_d) else (seg_d,)
-    for part in parts:
-        np.cumsum(part, axis=0, out=part)
-    keep = _rows_differ(seg_d, 0)
+    left = events[:-1]
+    dens = np.zeros((len(left), runs[0][2].shape[1]), dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, d in runs:
+            if len(lo):
+                a, rows = _covering(lo, hi, d, left)
+                dens[a:a + len(rows)] += rows
+    keep = _rows_differ(dens, 0)
     if keep.all():
-        return events[:-1], events[1:], seg_d
-    return events[:-1][keep], events[1:][keep], seg_d[keep]
+        return left, events[1:], dens
+    return left[keep], events[1:][keep], dens[keep]
+
+
+def _first_fit(lo, hi):
+    """Run of each piece, ``lo`` sorted: the lowest-numbered run whose last
+    piece ends by the piece's start, else a new one."""
+    run, free, busy = [], [], []  # free run numbers; (end, run) in use
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        while busy and busy[0][0] <= a:
+            heapq.heappush(free, heapq.heappop(busy)[1])
+        run.append(heapq.heappop(free) if free else len(busy))
+        heapq.heappush(busy, (b, run[-1]))
+    return np.array(run, dtype=np.int64)
+
+
+def _sum_overlapping(lo, hi, dens):
+    """Disjoint segments and summed densities of unsorted or overlapping
+    pieces: dealt by ``_first_fit`` into sorted, disjoint runs, grouped by
+    one stable argsort and summed pairwise, round after round.  Each round
+    is one ``_sum_runs`` call: an endpoint's key is run * M + its rank
+    among the M distinct endpoints, shifted to pair * M for the round, so
+    the pairs lie apart.  R runs of S pieces cost O(S log R).
+    """
+    order = np.argsort(lo, kind="stable")
+    run = _first_fit(lo[order], hi[order])
+    group = np.argsort(run, kind="stable")
+    order, run = order[group], run[group]
+    events = np.unique(np.concatenate([lo, hi]))
+    m = len(events)
+    k_lo = run * m + np.searchsorted(events, lo[order])
+    k_hi = run * m + np.searchsorted(events, hi[order])
+    dens = dens[order]
+    while len(run) and run[-1] > 0:
+        shift, even = (run - run // 2) * m, run % 2 == 0
+        k_lo, k_hi, dens = _sum_runs(
+            [(k_lo[s] - shift[s], k_hi[s] - shift[s], dens[s])
+             for s in (even, ~even)], dens.dtype)
+        run = k_lo // m
+    return events[k_lo % m], events[k_hi % m], dens
 
 
 def _canonical_pieces(lo, hi, dens):
@@ -166,9 +209,7 @@ def _canonical_pieces(lo, hi, dens):
     if not keep.all():
         lo, hi, dens = lo[keep], hi[keep], dens[keep]
     if np.any(lo[1:] < hi[:-1]):  # out of order or overlapping
-        lo, hi, dens = _resolve(lo, hi, dens)
-    if len(lo) < 2:
-        return lo, hi, dens
+        lo, hi, dens = _sum_overlapping(lo, hi, dens)
     # merge runs of contiguous segments carrying bitwise-equal densities
     contiguous = lo[1:] == hi[:-1]
     same = ~_rows_differ(dens[1:], dens[:-1])
@@ -178,44 +219,6 @@ def _canonical_pieces(lo, hi, dens):
     idx = np.flatnonzero(starts)
     ends = np.concatenate((idx[1:], [len(lo)])) - 1
     return lo[idx], hi[ends], dens[idx]
-
-
-def _piece_difference(a, b, dtype):
-    """``(dens, width)``: d_a - d_b on each segment between distinct piece
-    endpoints of the canonical measures a and b, and the segment widths.
-
-    A canonical side's endpoints lo_0, hi_0, lo_1, ... form one sorted
-    run, and one stable argsort merges the two runs.  With c of a side's
-    endpoints at or before a segment's left end (counted at the last
-    endpoint of each group of equal values), the segment lies in that
-    side's piece (c - 1) / 2 when c is odd and in a gap when c is even.
-    Each side's densities are gathered from a copy padded with one zero
-    row for the gaps, and subtracted once.
-    """
-    na, nb = a.n_pieces, b.n_pieces
-    ends = np.empty(2 * (na + nb))
-    ends[0:2 * na:2], ends[1:2 * na:2] = a.piece_lo, a.piece_hi
-    ends[2 * na::2], ends[2 * na + 1::2] = b.piece_lo, b.piece_hi
-    order = np.argsort(ends, kind="stable")
-    ends = ends[order]
-    count_a = np.cumsum(order < 2 * na, dtype=np.int32)
-    del order
-    step = np.diff(ends)
-    del ends
-    last = np.flatnonzero(step)  # the last endpoint of each group
-    width = step[last]
-    del step
-    ca = count_a[last]
-    cb = last + 1 - ca
-
-    def side(m, c):
-        padded = np.zeros((m.n_pieces + 1, m.dim), dtype=dtype)
-        padded[:-1] = m.piece_density
-        return padded.take(np.where(c & 1, c >> 1, m.n_pieces), axis=0)
-
-    dens = side(a, ca)
-    dens -= side(b, cb)
-    return dens, width
 
 
 class VectorMeasure:
@@ -272,12 +275,8 @@ class VectorMeasure:
             raise ValueError("a coefficient overflows to a non-finite value")
         for arr in (pts, wts, lo, hi, dens):
             arr.setflags(write=False)
-        object.__setattr__(self, "atom_points", pts)
-        object.__setattr__(self, "atom_weights", wts)
-        object.__setattr__(self, "piece_lo", lo)
-        object.__setattr__(self, "piece_hi", hi)
-        object.__setattr__(self, "piece_density", dens)
-        object.__setattr__(self, "dim", dim)
+        for name, value in zip(self.__slots__, (pts, wts, lo, hi, dens, dim)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorMeasure is immutable")
@@ -410,30 +409,21 @@ class VectorMeasure:
     def variation_distance(self, other: "VectorMeasure") -> float:
         """``(self - other).variation_norm()`` without building the difference.
 
-        The atoms of both are canonicalised together as ``combine`` does
-        it, other's weights negated, so their terms are the same to the
-        bit.  The pieces go through ``_piece_difference``: each segment
-        between distinct endpoints adds ||d_self - d_other|| * width, its
-        difference rounded once, where the event sweep of a difference
-        measure carries the rounding of a running sum.  Swapping the
-        operands negates every difference, so the distance is the same
-        unless three or more atoms snap together across an exact tie.  A
-        difference that overflows raises ValueError.
+        Atoms and pieces are summed as ``combine`` sums them, other's
+        coefficients negated, but no measure is built: each segment adds
+        ||d_self - d_other|| * width, its difference rounded once, to the
+        bit the density of ``self - other``.  Swapping the operands negates
+        every difference, so the distance is the same unless three or more
+        atoms snap together across an exact tie.  A difference that
+        overflows raises ValueError.
         """
-        if self.dim != other.dim:
-            raise DimensionMismatch(
-                f"dimensions differ: {self.dim} vs {other.dim}")
-        dtype = np.result_type(self.atom_weights, other.atom_weights)
+        pts, wts, lo, hi, dens, _ = _summed([(1.0, self), (-1.0, other)])
         with np.errstate(over="ignore", invalid="ignore"):
-            _, wts = _canonical_atoms(
-                np.concatenate([self.atom_points, other.atom_points]),
-                np.concatenate([self.atom_weights.astype(dtype),
-                                -other.atom_weights.astype(dtype)]))
-            dens, width = _piece_difference(self, other, dtype)
+            _, wts = _canonical_atoms(pts, wts)
         if not (np.isfinite(wts).all() and np.isfinite(dens).all()):
             raise ValueError("a coefficient overflows to a non-finite value")
         return (float(_row_norms(wts).sum())
-                + float((_row_norms(dens) * width).sum()))
+                + float((_row_norms(dens) * (hi - lo)).sum()))
 
     def cumulative(self, t: float) -> np.ndarray:
         """mu([0, t]) as a function of the right endpoint."""
@@ -486,10 +476,9 @@ class VectorMeasure:
         if self.n_pieces:
             # canonical pieces are disjoint, sorted and end on breakpoints;
             # left ends, not midpoints, so a one-ulp panel cannot round over
-            left = bps[:-1]
-            k = np.searchsorted(self.piece_lo, left, side="right") - 1
-            hit = np.flatnonzero((k >= 0) & (self.piece_hi[k] > left))
-            rho[hit] = self.piece_density[k[hit]]
+            a, rows = _covering(self.piece_lo, self.piece_hi,
+                                self.piece_density, bps[:-1])
+            rho[a:a + len(rows)] = rows
         return bps, F, rho
 
     # -- algebra ------------------------------------------------------
@@ -514,13 +503,10 @@ class VectorMeasure:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, VectorMeasure) or self.dim != other.dim:
-            return NotImplemented if not isinstance(other, VectorMeasure) else False
-        return (np.array_equal(self.atom_points, other.atom_points)
-                and np.array_equal(self.atom_weights, other.atom_weights)
-                and np.array_equal(self.piece_lo, other.piece_lo)
-                and np.array_equal(self.piece_hi, other.piece_hi)
-                and np.array_equal(self.piece_density, other.piece_density))
+        if not isinstance(other, VectorMeasure):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in self.__slots__)
 
     def __repr__(self):
         return (f"VectorMeasure(dim={self.dim}, {self.n_atoms} atoms, "
@@ -601,37 +587,34 @@ def apply_operator(r, mu: VectorMeasure) -> VectorMeasure:
 
 def combine(a, mu: VectorMeasure, b, nu: VectorMeasure) -> VectorMeasure:
     """Linear combination a*mu + b*nu in canonical form."""
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
-    dtype = np.result_type(mu.atom_weights.dtype, nu.atom_weights.dtype,
-                           np.asarray(a), np.asarray(b))
-    return VectorMeasure._from_arrays(
-        np.concatenate([mu.atom_points, nu.atom_points]),
-        np.concatenate([(a * mu.atom_weights).astype(dtype),
-                        (b * nu.atom_weights).astype(dtype)]),
-        np.concatenate([mu.piece_lo, nu.piece_lo]),
-        np.concatenate([mu.piece_hi, nu.piece_hi]),
-        np.concatenate([(a * mu.piece_density).astype(dtype),
-                        (b * nu.piece_density).astype(dtype)]),
-        mu.dim)
+    return VectorMeasure._from_arrays(*_summed([(a, mu), (b, nu)]))
 
 
 def accumulate(measures) -> VectorMeasure:
     """Sum of a nonempty sequence of measures in one canonicalization pass."""
-    measures = list(measures)
-    if not measures:
+    return VectorMeasure._from_arrays(*_summed([(1.0, m) for m in measures]))
+
+
+def _summed(terms):
+    """sum of a * m over the ``(a, m)`` terms as ``(points, weights, lo,
+    hi, dens, dim)``: the atoms of all terms, for canonical form to merge,
+    and the pieces summed by ``_sum_runs``, one run per term."""
+    if not terms:
         raise ValueError("cannot sum an empty sequence of measures")
-    dim = measures[0].dim
-    if any(m.dim != dim for m in measures):
+    dim = terms[0][1].dim
+    if any(m.dim != dim for _, m in terms):
         raise DimensionMismatch("measures of different dimension in sum")
-    dtype = np.result_type(*(m.atom_weights.dtype for m in measures))
-    return VectorMeasure._from_arrays(
-        np.concatenate([m.atom_points for m in measures]),
-        np.concatenate([m.atom_weights.astype(dtype) for m in measures]),
-        np.concatenate([m.piece_lo for m in measures]),
-        np.concatenate([m.piece_hi for m in measures]),
-        np.concatenate([m.piece_density.astype(dtype) for m in measures]),
-        dim)
+    dtype = np.result_type(*(np.asarray(a) for a, _ in terms),
+                           *(m.atom_weights.dtype for _, m in terms))
+
+    def scaled(a, x):
+        return x if a == 1.0 else a * x
+
+    return (np.concatenate([m.atom_points for _, m in terms]),
+            np.concatenate([scaled(a, m.atom_weights).astype(dtype)
+                            for a, m in terms]),
+            *_sum_runs([(m.piece_lo, m.piece_hi, scaled(a, m.piece_density))
+                        for a, m in terms], dtype), dim)
 
 
 def _smallest_first(contrib, tol):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measure import VectorMeasure, _scatter_rows
+from .measure import VectorMeasure, _rows_differ, _scatter_rows
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
@@ -47,6 +47,7 @@ _ROUNDING = 1.0 + 1e-12  # relative slack of the sandwich_check inequalities
 _VERTEX_MARGIN = 1e-3
 
 
+@np.errstate(over="ignore", invalid="ignore")  # only in lanes redone below
 def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
                            h: np.ndarray) -> np.ndarray:
     """integral_0^h_j ||f0_j + s*rho_j|| ds in closed form, for every panel j.
@@ -59,10 +60,24 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
     the panel (|b| >> a h, e.g. when the density is cancellation residue
     of overlapping pieces), so same-sign panels go through rationalized
     difference forms that stay accurate in that limit.  Each branch is
-    evaluated on its own lanes only.
+    evaluated on its own lanes only.  The form multiplies squares (b^2 is
+    of order ||f0||^2 ||rho||^2), so a panel whose squares leave [2^-400,
+    2^400] is evaluated again with f0 and rho scaled by a power of two,
+    which the integral (homogeneous of degree one) carries back exactly.
     """
     a = np.sum(np.abs(rho) ** 2, axis=1)
     c = np.sum(np.abs(f0) ** 2, axis=1)
+    # lanes whose squares leave [2^-400, 2^400], zero lanes aside, go again
+    # scaled by 2^-e, before h narrows below; e is clipped so that 2^-e is
+    # finite, and non-finite lanes (exponent 0) stay as they are
+    odd = np.maximum(a, c)
+    odd = np.flatnonzero((odd > 2.0 ** 400) | ((odd < 2.0 ** -400) & (
+        _rows_differ(f0, 0) | _rows_differ(rho, 0))))
+    e = np.clip(np.frexp(np.max(np.abs(np.hstack([f0[odd], rho[odd]])),
+                                axis=1, initial=0.0))[1], -1000, 1000)
+    odd, scale = odd[e != 0], np.ldexp(1.0, -e[e != 0])[:, None]
+    rescaled = scale[:, 0] if not len(odd) else _segment_norm_integral(
+        f0[odd] * scale, rho[odd] * scale, h[odd]) / scale[:, 0]
     # flat, or the density moves F by a negligible fraction of ||f0||
     out = np.sqrt(c) * h
     j = np.flatnonzero((a != 0.0) & (np.sqrt(a) * h > 1e-12 * np.sqrt(c)))
@@ -100,6 +115,7 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
         k[i] * k[i] * h[i] * (u[i] + v[i])
         / (y[i] * np.sqrt(1.0 + x[i] * x[i]) + x[i] * np.sqrt(1.0 + y[i] * y[i])))
     out[j] = term + q / (2.0 * sqrt_a) * asinh_diff
+    out[odd] = rescaled
     return out
 
 

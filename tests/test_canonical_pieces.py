@@ -1,23 +1,29 @@
-"""Canonicalisation resolves only pieces that are out of order or overlap.
+"""How canonicalisation sums pieces, checked exactly.
 
 ``pushforward``, ``apply_operator`` and ``prune`` hand canonicalisation
-sorted, disjoint input and so skip the event sweep ``measure._resolve``;
-their results must match canonicalising a shuffled copy of the same
-arrays, which goes through it.
+sorted, disjoint input, which keeps its densities as given; their
+results must match canonicalising a shuffled copy of the same arrays,
+which is dealt into runs and summed.  An iteration step never splits raw
+input into runs: ``accumulate`` and ``combine`` hand their canonical
+terms to the run sum directly.
 
-The sweep itself, its row scatter and ``prune``'s partial selection are
-checked bit for bit against the ``np.add.at`` sweep and a full stable
-sort, and a traced-memory bound guards the sweep's peak.
+Every piece sum (constructor input, ``accumulate``, ``combine`` and
+``-``) is checked against a plain-Python oracle to the bit and against
+the exact rational sum within one rounding per covering piece.  The row
+scatter and ``prune``'s partial selection are checked bit for bit
+against ``np.add.at`` and a full stable sort, and a traced-memory bound
+guards the peak of a subtraction.
 """
 
-import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ifsmeasure import (AffineMap, IFSystem, VectorMeasure, apply_operator,
-                        iterate_fixed_point, prune, pushforward)
+from ifsmeasure import (AffineMap, IFSystem, VectorMeasure, accumulate,
+                        apply_operator, combine, iterate_fixed_point, prune,
+                        pushforward)
 from ifsmeasure import measure
 
 
@@ -102,20 +108,13 @@ def test_apply_operator_and_prune_match_canonicalising_a_shuffled_copy():
                      _shuffled_canonical(rng, *raw, 2))
 
 
-_TRANSFORMS = {"pushforward", "apply_operator", "prune", "accumulate",
-               "combine"}
-
-
-def test_an_iteration_step_resolves_only_in_accumulate(monkeypatch):
-    callers = []
-    resolve = measure._resolve
+def test_an_iteration_step_never_splits_raw_input_into_runs(monkeypatch):
+    calls = []
+    split = measure._sum_overlapping
 
     def spy(lo, hi, dens):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name not in _TRANSFORMS:
-            frame = frame.f_back
-        callers.append(frame.f_code.co_name)
-        return resolve(lo, hi, dens)
+        calls.append(len(lo))
+        return split(lo, hi, dens)
 
     rng = np.random.default_rng(5)
     ops = [0.13 * np.linalg.qr(rng.standard_normal((2, 2)))[0]
@@ -124,76 +123,156 @@ def test_an_iteration_step_resolves_only_in_accumulate(monkeypatch):
                          pieces=[((0.0, 1.0), [0.0, 0.02])])
     system = IFSystem([(0.4, 0.0), (-0.4, 0.7), (0.4, 0.6)], ops, base=base)
     start = iterate_fixed_point(system, VectorMeasure.zero(2), tol=1e-2).measure
-    monkeypatch.setattr(measure, "_resolve", spy)
+    monkeypatch.setattr(measure, "_sum_overlapping", spy)
     iterate_fixed_point(system, start, tol=1e-3)
-    assert callers and set(callers) == {"accumulate"}
+    assert calls == []
+    # the spy is live: overlapping input to the constructor is split
+    VectorMeasure(pieces=[((0.0, 0.5), [1.0, 0.0]), ((0.25, 1.0), [0.0, 1.0])])
+    assert calls == [2]
 
 
-# -- the event sweep and prune's selection, bit for bit -----------------
+# -- piece sums against an exact oracle, and the row scatter ------------
+#
+# Every sum of pieces is one or more calls of ``measure._sum_runs``: the
+# segments between the distinct endpoints of sorted, disjoint runs, each
+# 0 plus the densities covering it, in run order.  The oracle writes that
+# out in plain Python floats and complexes, one piece at a time, and
+# checks each sum against its exact rational value with ``fractions``.
+# Raw constructor input is first dealt into runs by textbook first fit
+# and the runs are summed pairwise, round after round.
 
 
-def _scatter_sweep(lo, hi, dens):
-    """``measure._resolve`` as written with ``np.add.at`` and
-    ``np.subtract.at``."""
-    events = np.unique(np.concatenate([lo, hi]))
-    delta = np.zeros((len(events), dens.shape[1]), dtype=dens.dtype)
-    np.add.at(delta, np.searchsorted(events, lo), dens)
-    np.subtract.at(delta, np.searchsorted(events, hi), dens)
-    seg_d = np.cumsum(delta[:-1], axis=0)
-    keep = np.any(seg_d != 0, axis=1)
-    return events[:-1][keep], events[1:][keep], seg_d[keep]
+def _add_runs(runs, dim):
+    """Sum of sorted, disjoint runs, one segment and one piece at a time."""
+    ends = sorted({e for run in runs for lo, hi, _ in run for e in (lo, hi)})
+    out = []
+    for x, y in zip(ends, ends[1:]):
+        val = (0.0,) * dim
+        for run in runs:
+            for lo, hi, d in run:
+                if lo <= x and y <= hi:
+                    val = tuple(v + c for v, c in zip(val, d))
+        if any(v != 0 for v in val):
+            out.append((x, y, val))
+    return out
 
 
-def _overlapping_runs(rng, n_runs, dim, complex_):
-    """Concatenated sorted, disjoint runs of pieces, as ``accumulate`` and
-    ``combine`` hand them over.  Ends come from one coarse grid, so pieces
-    of different runs start and end together; densities span twelve
-    decades, some components are -0.0 or 0.0, and one run is the negation
-    of another, so some segments cancel to zero."""
-    grid = np.unique(rng.uniform(0.0, 1.0, 30))
-
-    def density(k):
-        d = (rng.standard_normal((k, dim))
-             * 10.0 ** rng.uniform(-6, 6, (k, 1)))
-        d[rng.random((k, dim)) < 0.2] = -0.0
-        d[rng.random((k, dim)) < 0.1] = 0.0
-        return d
-
+def _first_fit(pieces):
+    """Each piece, by start, into the first run whose last piece ends at or
+    before the piece starts, else into a new run."""
     runs = []
-    for _ in range(n_runs - 1):
-        cuts = np.sort(rng.choice(grid, rng.integers(2, 12), replace=False))
-        keep = rng.random(len(cuts) - 1) < 0.8  # gaps between some pieces
-        keep[0] = True
-        d = density(len(cuts) - 1)
-        if complex_:
-            d = d + 1j * density(len(cuts) - 1)
-        runs.append((cuts[:-1][keep], cuts[1:][keep], d[keep]))
-    lo, hi, d = runs[rng.integers(len(runs))]
-    runs.append((lo, hi, -d))
-    return tuple(np.concatenate(a) for a in zip(*runs))
+    for p in sorted(pieces, key=lambda p: p[0]):
+        for run in runs:
+            if run[-1][1] <= p[0]:
+                run.append(p)
+                break
+        else:
+            runs.append([p])
+    return runs
 
 
-def _assert_bitwise(got, want):
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+def _pairwise(runs, dim):
+    # a run whose sum cancelled stays in place, empty, so pairs stay pairs
+    while len(runs) > 1:
+        runs = [_add_runs(runs[i:i + 2], dim) for i in range(0, len(runs), 2)]
+    return runs[0] if runs else []
+
+
+def _merged(segments):
+    """Contiguous segments of equal density merged, as canonical form does."""
+    out = []
+    for x, y, d in segments:
+        if out and out[-1][1] == x and out[-1][2] == d:
+            out[-1] = (out[-1][0], y, out[-1][2])
+        else:
+            out.append((x, y, d))
+    return out
+
+
+def _exact_parts(z):
+    return ((Fraction(z.real), Fraction(z.imag)) if isinstance(z, complex)
+            else (Fraction(z),))
+
+
+def _assert_oracle(mu, segments, originals):
+    """mu's pieces are the oracle's segments, merged, to the bit (a zero's
+    sign aside), and each segment lies within one rounding per covering
+    piece of the exact sum of the pieces that cover it."""
+    want = _merged(segments)
+    dtype = mu.piece_density.dtype
+    assert mu.piece_lo.tolist() == [x for x, _, _ in want]
+    assert mu.piece_hi.tolist() == [y for _, y, _ in want]
+    dens = np.array([d for _, _, d in want], dtype=dtype).reshape(-1, mu.dim)
+    assert (mu.piece_density + 0.0).tobytes() == (dens + 0.0).tobytes()
+    for x, y, val in segments:
+        cover = [d for lo, hi, d in originals if lo <= x and y <= hi]
+        for j, v in enumerate(val):
+            parts = zip(*(_exact_parts(d[j]) for d in cover))
+            for got, terms in zip(_exact_parts(v), parts):
+                slack = (len(cover) - 1) * _ULP * sum(abs(t) for t in terms)
+                assert abs(got - sum(terms)) <= slack
+
+
+_ULP = Fraction(1, 2 ** 53)
+
+
+def _raw_pieces(rng, dim, complex_):
+    """Overlapping, shuffled constructor input: random pieces, a nested
+    chain, contiguous pieces (some of equal density), ulp-wide pieces, one
+    piece and its negation, and a 1e-3 density overlapping a 1e9 one.
+    Densities span twelve decades and some components are -0.0."""
+    grid = np.sort(rng.uniform(0.0, 1.0, 16))
+    spans = [tuple(np.sort(rng.choice(grid, 2, replace=False)))
+             for _ in range(rng.integers(2, 10))]
+    k = int(rng.integers(2, 6))
+    nest = np.sort(rng.choice(grid, 2 * k, replace=False))
+    spans += [(nest[i], nest[-1 - i]) for i in range(k)]
+    cuts = np.sort(rng.choice(grid, 5, replace=False))
+    spans += list(zip(cuts[:-1], cuts[1:]))
+    spans += [(g, np.nextafter(g, 2.0)) for g in rng.choice(grid, 2)]
+    d = (rng.standard_normal((len(spans), dim))
+         * 10.0 ** rng.uniform(-6, 6, (len(spans), 1)))
+    if complex_:
+        d = d + 1j * rng.standard_normal((len(spans), dim))
+    d[rng.random(d.shape) < 0.1] = -0.0
+    c = len(spans) - 3  # the last two contiguous pieces: equal densities
+    d[c] = d[c - 1]
+    spans.append(spans[0])
+    d = np.concatenate([d, -d[:1]])
+    spans += [(0.0, 0.75), (0.5, 1.0)]
+    d = np.concatenate([d, np.full((2, dim), [[1e9], [1e-3]], dtype=d.dtype)])
+    p = rng.permutation(len(spans))
+    return [(float(spans[i][0]), float(spans[i][1]), d[i]) for i in p]
+
+
+def _python(run):
+    return [(lo, hi, tuple(d.tolist())) for lo, hi, d in run]
 
 
 @pytest.mark.parametrize("complex_", [False, True])
-def test_resolve_is_bitwise_the_scatter_sweep(complex_):
+def test_piece_sums_match_an_exact_oracle(complex_):
     rng = np.random.default_rng(29)
-    dropped = 0
-    for n_runs in (2, 3, 4, 7, 12, 20, 33, 50):
-        for shuffle in (False, True):
-            lo, hi, dens = _overlapping_runs(rng, n_runs, 3, complex_)
-            if shuffle:
-                p = rng.permutation(len(lo))
-                lo, hi, dens = lo[p], hi[p], dens[p]
-            want = _scatter_sweep(lo, hi, dens)
-            _assert_bitwise(measure._resolve(lo, hi, dens), want)
-            segments = len(np.unique(np.concatenate([lo, hi]))) - 1
-            dropped += segments - len(want[0])
-    assert dropped > 0  # the cancelling run leaves zero segments
+    dim, built = 2, []
+    for _ in range(25):
+        raw = _raw_pieces(rng, dim, complex_)
+        mu = VectorMeasure(pieces=[((lo, hi), d) for lo, hi, d in raw])
+        kept = [p for p in _python(raw) if p[1] > p[0] and any(p[2])]
+        segments = _pairwise(_first_fit(kept), dim)
+        _assert_oracle(mu, segments, kept)
+        # only the 1e-3 piece reaches 1, past the 1e9 one: no huge minus huge
+        assert mu.piece_hi[-1] == 1.0
+        assert mu.piece_density[-1].tolist() == [1e-3] * dim
+        built.append(mu)
+    for i in range(0, len(built) - 3, 4):
+        a, b, c, e = built[i:i + 4]
+        for got, terms in [(accumulate([a, b, c]), [(1.0, a), (1.0, b), (1.0, c)]),
+                           (a + e, [(1.0, a), (1.0, e)]),
+                           (a - b, [(1.0, a), (-1.0, b)]),
+                           (combine(0.3, c, -2.5, e), [(0.3, c), (-2.5, e)])]:
+            runs = [_python(zip(m.piece_lo.tolist(), m.piece_hi.tolist(),
+                                x * m.piece_density)) for x, m in terms]
+            _assert_oracle(got, _add_runs(runs, dim),
+                           [p for run in runs for p in run])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -211,10 +290,15 @@ def test_scatter_rows_is_bitwise_add_at(dtype):
         np.add.at(want, i, p)
     got = measure._scatter_rows(n, np.concatenate(idx), parts)
     _assert_bitwise([got], [want])
-    np.subtract.at(want, idx[0], parts[0])
-    got = measure._scatter_rows(n, np.concatenate(idx + idx[:1]), parts,
-                                parts[:1])
-    _assert_bitwise([got], [want])
+
+
+def _assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+# -- prune's selection, bit for bit --------------------------------------
 
 
 def _prune_by_full_sort(mu, tol):
@@ -285,10 +369,10 @@ def test_prune_drops_what_a_full_stable_sort_drops(monkeypatch, n, start):
 
 
 # peak traced memory of subtracting two overlapping measures, in operand
-# sizes: about 2.87 for the event sweep (unique endpoints, searchsorted,
-# one bincount per column), 3.65 for the np.add.at sweep and 4.34 when the
-# endpoints are ranked by one stable argsort; the bound is 10% above the
-# sweep's
+# sizes: about 2.6 for the run sum (the runs' ends sorted in one array,
+# one owner lookup and gather per run), 2.87 for the event sweep it
+# replaced, 3.65 for an np.add.at sweep and 4.34 when the endpoints are
+# ranked by one stable argsort; the bound is 10% above the event sweep's
 _SUBTRACT_PEAK_RATIO = 3.15
 
 

@@ -1,6 +1,7 @@
 """Tests for the scenario runner and CSV export."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -559,18 +560,27 @@ def test_complex_report_in_text_and_json(tmp_path):
                            "pieces": [[0.0, 1.0, [[0.25, -0.2], [0, 0]]]]},
                           ["solve", "eval origin"])
     doc["field"] = "complex"
+    # the fixed point's total, (I - R_1 - R_2)^-1 total(base)
+    exact = np.array([0.3125 - 0.25j, 0.375])
+
+    def check_total(total, bound):
+        assert [len(c) for c in total] == [2, 2]
+        got = np.array([complex(re, im) for re, im in total])
+        assert np.linalg.norm(got - exact) <= bound
+
     code, text = _run_doc(tmp_path, doc)
     assert code == 0
-    total = ("total=[[0.312499999948775, -0.249999999959013], "
-             "[0.374999999897599, 8.19202899959848e-11]]")
-    assert total in text.splitlines()[1]
+    solve_line = text.splitlines()[1]
+    bound = float(re.search(r" error_bound=(\S+) ", solve_line).group(1))
+    total = re.search(r" total=(\[\[.*\]\]) atoms=", solve_line).group(1)
+    check_total(json.loads(total), bound)
     assert ("value=[[0, 0], [0.277777777777778, 0.111111111111111]]"
             in text.splitlines()[2])
     code, report = _run_doc(tmp_path, doc, fmt="json")
     assert code == 0
     solve, origin = json.loads(report)["results"]
-    assert solve["total"] == [[0.312499999948775, -0.249999999959013],
-                              [0.374999999897599, 8.19202899959848e-11]]
+    assert solve["total"] == json.loads(total)
+    check_total(solve["total"], solve["error_bound"])
     assert origin["value"] == [[0.0, 0.0],
                                [0.277777777777778, 0.111111111111111]]
 

@@ -65,6 +65,18 @@ def test_mk_star_of_a_panel_1e_300_wide_is_zero_not_nan():
     assert mk_star_exact(zero_total) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-166, 1e160])
+def test_mk_star_of_tiny_and_huge_densities(scale):
+    # the squares of these entries underflow to 0 or overflow to inf (the
+    # suite turns numpy's overflow warning into an error); such panels are
+    # evaluated scaled by a power of two.  Density d on [0, 1] minus
+    # delta_0 d has F(t) = (t - 1) d, so mk_star is ||d|| / 2
+    d = scale * np.array([1.0, 2.0, 3.0])
+    mu = VectorMeasure(atoms=[(0.0, -d)], pieces=[((0.0, 1.0), d)])
+    assert mk_star_exact(mu) == pytest.approx(np.sqrt(14.0) / 2.0 * scale,
+                                              rel=1e-14, abs=0.0)
+
+
 def test_mk_star_atom_minus_density():
     # mu = delta_0 - lambda: cumulative is 1 - t, integral of |1 - t| is 1/2
     mu = combine(1.0, VectorMeasure.dirac(0.0, np.array([1.0])),
