@@ -17,18 +17,20 @@ the Lipschitz-ball factor sum ||R_i|| r_i, where r_i is the map's
 contraction ratio.  Two solvers compute the fixed point: contraction
 iteration, one certified loop in the metric the system decides (variation
 when its factor is below one, else mk_star for operators that sum to the
-identity), and evaluation on a query set over the transition graph its
-preimages generate, explored best-first by path weight prod ||R_i|| up
-to a certified truncation bound and solved by block sweeps whose stop
-the variation factor certifies.
+identity), and evaluation on query sets over the transition graph their
+preimages generate.  That graph is one for all the sets of a call: its
+nodes are single spans and points in flat arrays, each round expands a
+weight-ranked frontier under every map in one numpy pass, one backward
+sweep of the cut exposure certifies every set's truncation bound, and
+block sweeps whose stop the variation factor certifies solve all nodes
+at once.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,13 +38,15 @@ from .exceptions import (DimensionMismatch, FieldMismatch, IterationLimit,
                          NotContractive)
 from .hilbert import _as_operator, _field_cast, adjoint, operator_norm
 from .integral import ContinuousFunction
-from .measure import VectorMeasure, accumulate, apply_operator, prune, pushforward
+from .measure import (VectorMeasure, _scatter_rows, accumulate,
+                      apply_operator, prune, pushforward)
 from .mk_norm import mk_star_exact
-from .space import AffineMap, QuerySet, preimage
+# preimage is unused here; bench/tracing.py wraps it at this binding
+from .space import AffineMap, QuerySet, _preimage_rows, _span_rows, preimage
 
 __all__ = ["IFSystem", "ContractionFactors", "FixedPointResult", "EvalResult",
            "factors", "apply_markov", "dual_apply", "iterate_fixed_point",
-           "eval_fixed_point", "residual"]
+           "eval_fixed_point", "eval_many", "residual"]
 
 _MASS_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
@@ -60,6 +64,8 @@ _TRUNC_SHARE = 0.5
 # the truncation certificate may exceed the cut nodes' path weight by this
 # share of the budget it is checked against
 _CUT_SLACK = 1e-3
+# the grid on which set evaluation snaps node rows of an atomless system
+_SNAP_GRID = 1e14
 
 
 def _check_size(sys: IFSystem, cur: VectorMeasure, k: int) -> None:
@@ -287,135 +293,208 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         f"(last bound {bound:g})")
 
 
-def _memo_key(B: QuerySet):
-    """Hashable canonical key on a 1e-14 grid, absorbing rounding noise in
-    repeated preimage arithmetic."""
-    return (tuple((round(lo, 14), round(hi, 14), lo_incl, hi_incl)
-                  for lo, hi, lo_incl, hi_incl in B.spans),
-            tuple(round(a, 14) for a in B.atoms))
+def _memo_keys(lo, hi, lo_incl, hi_incl, snap: bool) -> np.ndarray:
+    """One 16-byte key per node row: each end shifted up by one plus its
+    inclusion flag.  An end is its bit pattern (-0.0 taken as 0.0, below
+    2^62 on [0, 1]), so equal keys are equal rows; with ``snap``, its
+    index on the 1e-14 grid doubled, plus one for a point, so rows of one
+    kind whose ends agree on the grid share a key."""
+    if snap:
+        point = lo == hi
+        lo = 2 * np.rint(lo * _SNAP_GRID).astype(np.int64) + point
+        hi = 2 * np.rint(hi * _SNAP_GRID).astype(np.int64) + point
+    else:
+        lo, hi = (lo + 0.0).view(np.int64), (hi + 0.0).view(np.int64)
+    keys = np.empty((len(lo), 2), dtype=np.int64)
+    keys[:, 0] = (lo << 1) | lo_incl
+    keys[:, 1] = (hi << 1) | hi_incl
+    return keys.view(np.dtype((np.void, 16))).ravel()
 
 
-def _cut_weight(child: np.ndarray, norms, sweeps: int):
-    """Certified upper bound on the path weight that reaches the cut nodes.
+def _cut_exposure(child: np.ndarray, expanded: np.ndarray, norms,
+                  slack: float):
+    """Cut exposure of every node, from below, and a certified tail.
 
-    ``child`` is an (nodes, maps) child-index array whose cut rows hold
-    the out-of-range index ``len(child)``, and edge i of a node weighs
-    norms[i].  The summed weight W_j of all paths from node 0 to node j
-    solves W = 1_root + T W, where T carries W along the edges of the
-    expanded nodes.  K = ``sweeps`` sweeps from below give the paths of
-    length <= K; the edges out of a node weigh e = sum(norms) < 1 in all,
-    so the longer paths weigh at most e^(K+1)/(1-e) in all.  The bound adds
-    that tail to the cut nodes' part of W_K and rounds up.  Also returns
-    W_K, a lower bound on W, by node.
+    ``child`` is a (nodes, maps) child-index array in which -1 stands for
+    the zero row (an empty preimage, or any child of a cut node), edge i
+    of a node weighs norms[i], and the cut nodes are those not
+    ``expanded``.  The exposure Z_j, the summed weight of the paths from
+    node j to the cut nodes, solves Z = 1_cut + T Z, where T carries Z
+    back along the expanded nodes' edges; one column serves every root.
+    Sweeps start from 1_cut and give Z_n, the paths of length <= n.  The
+    rows of T weigh at most e = sum(norms) < 1, so Z - Z_n <= e/(1-e)
+    max(Z_n - Z_(n-1)), plus what rounding adds to the last sweep.  The
+    sweeps stop once that tail fits ``slack``, when a step vanishes (the
+    expanded part has drained into the cut) or grows (the rounding
+    floor), or after _MAX_SWEEPS.  Returns Z_n by node, the tail and the
+    sweep count.
     """
     N, k = child.shape
-    cut = child[:, 0] == N
-    if not cut.any():
-        return 0.0, np.zeros(N)
-    src = np.repeat(np.flatnonzero(~cut), k)
-    dst = child[~cut].ravel()
-    w = np.tile(np.asarray(norms, dtype=float), len(dst) // k)
-    e = float(sum(norms))
-    W = np.zeros(N)
-    W[0] = 1.0
-    for _ in range(sweeps):
-        W = np.bincount(dst, weights=W[src] * w, minlength=N)
-        W[0] += 1.0
-    # a sum of m nonnegative terms, each a product of nonnegative factors,
-    # is off by at most m ulps in all; a sweep adds at most one product
-    # and the in-degree's additions to each path's rounding
-    indeg = int(np.bincount(dst, minlength=N).max())
-    ulps = sweeps * (indeg + 2) + 4
-    tail = e ** (sweeps + 1) / (1.0 - e)
-    return (math.fsum(W[cut]) + tail) * (1.0 + ulps * _EPS), W
+    w = np.asarray(norms, dtype=float)
+    e = float(w.sum())
+    inner = np.flatnonzero(expanded)
+    kids = child[inner]
+    Z = np.zeros(N + 1)  # Z[-1], the zero row, stays zero
+    Z[:N][~expanded] = 1.0
+    step, prev, sweeps = 0.0, math.inf, 0
+    while len(inner) and sweeps < _MAX_SWEEPS:
+        new = Z[kids] @ w
+        step = float((new - Z[inner]).max())
+        Z[inner] = new
+        sweeps += 1
+        if e * step <= slack * (1.0 - e) or step >= prev:
+            break
+        prev = step
+    # the last sweep's k products and sums are off by (k+1) ulps at most
+    tail = (e * step + (k + 1) * _EPS * float(Z.max())) / (1.0 - e)
+    return Z[:N], tail, sweeps
 
 
-def _set_graph(sys: IFSystem, B: QuerySet, budget: float):
-    """Best-first preimage graph of B, memoized on canonical keys.
+class _Graph(NamedTuple):
+    """A preimage graph as flat arrays: node rows (single spans and
+    points), their (nodes, maps) child indices (-1: the zero row),
+    which nodes were expanded, the node of each root row, each root's
+    certified cut exposure and the depth reached."""
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_incl: np.ndarray
+    hi_incl: np.ndarray
+    child: np.ndarray
+    expanded: np.ndarray
+    root: np.ndarray
+    cut: np.ndarray
+    depth: int
 
-    A node's weight is the summed weight prod ||R_i|| of the paths from B
-    to it found so far; the heaviest unexpanded node is expanded next.
-    Exploration stops when every node is expanded (the graph closed), or
-    when the certified weight of the unexpanded ones, the cut nodes, is
-    at most ``budget``.  Memo hits carry weight back into expanded nodes,
-    past which the running weights do not follow it, so the stop is
-    checked by ``_cut_weight`` on the graph as built; when that fails,
-    its weights re-rank the cut nodes and exploration goes on.  Its sweep
-    count K is the fewest that bring its tail e^(K+1)/(1-e) within a
-    1e-3 share of the budget; when that is more than _MAX_SWEEPS (e near
-    1), no cut is certified and only closing stops exploration.
 
-    Returns the node sets (B first), an (nodes, maps) array whose row j
-    holds the node indices of the preimages of node j under each map
-    (cut rows hold the out-of-range index len(nodes), a shared zero row
-    for the solver), the certified cut weight and the depth reached.
+def _set_graph(sys: IFSystem, rows, owner: np.ndarray, n_roots: int,
+               budget: float) -> _Graph:
+    """One preimage graph for every root row, memoized on its rows.
+
+    ``rows`` are the roots' single spans and points (``_span_rows``),
+    ``owner`` the root of each.  Rows are one node when they are equal,
+    their closed ends and points placed where the maps as
+    ``pushforward`` rounds them send them (``_preimage_rows``); so
+    exploration order, and what else shares the graph, never changes a
+    node.  A system whose mu* has no atoms (no base atom, no constant
+    map) instead keys rows on the 1e-14 grid, which absorbs the rounding
+    noise of repeated preimages so that its graphs can close; merging
+    rows a few ulps apart moves a value by what mu* puts between them,
+    which no atom makes large there.  A node's weight is the summed weight
+    prod ||R_i|| of the paths from the root rows to it found so far.
+    Each round expands the heaviest open nodes at once, every map's
+    preimages of them in one numpy pass, until the weight left open fits
+    ``budget`` per root on average.  Memo hits carry weight back into
+    expanded nodes, past which the running weights do not follow it, so
+    the stop is checked by ``_cut_exposure`` on the graph as built: each
+    root's bound is the sum over its rows of their exposure plus the
+    tail, rounded up.  When one root's bound exceeds ``budget``, the
+    open weight allowed shrinks and exploration goes on.  When the tail
+    cannot fit a 1e-3 share of the budget within _MAX_SWEEPS sweeps (e
+    near 1), no cut is certified and only closing stops exploration.
     """
-    k = len(sys.norms)
-    e = sum(sys.norms)
-    sweeps = _sweeps_to(e, _CUT_SLACK * budget * (1.0 - e)) - 1
-    if sweeps > _MAX_SWEEPS:
+    k = len(sys.maps)
+    norms = np.asarray(sys.norms, dtype=float)
+    e = float(norms.sum())
+    if _sweeps_to(e, _CUT_SLACK * budget * (1.0 - e)) - 1 > _MAX_SWEEPS:
         budget = -math.inf
-    nodes = [B]
-    keys = {_memo_key(B): 0}
-    weight = [1.0]
-    depth = [0]
-    children: list = [None]
-    heap = [(-1.0, 0)]
-    pending = 1.0  # running weight of the cut nodes
-    while heap:
-        if pending <= budget:
-            child = _child_array(children, k)
-            cut, W = _cut_weight(child, sys.norms, sweeps)
-            if cut <= budget:
-                return nodes, child, cut, max(depth)
-            weight = W.tolist()
-            heap = [(-weight[j], j) for j, kids in enumerate(children)
-                    if kids is None]
-            heapq.heapify(heap)
-            pending = cut
-        w, j = heapq.heappop(heap)
-        if children[j] is not None or -w < weight[j]:
-            continue  # expanded, or an entry from before its weight grew
-        # expanded before its children are added, so that a self-loop (the
-        # empty set and [0, 1] are their own preimages) is a memo hit
-        children[j] = kids = []
-        pending -= weight[j]
-        for m, nrm in zip(sys.maps, sys.norms):
-            C = preimage(m, nodes[j])
-            key = _memo_key(C)
-            idx = keys.get(key)
-            if idx is None:
-                if len(nodes) >= _MAX_NODES:
-                    raise IterationLimit(
-                        f"set-transition graph exceeded {_MAX_NODES} nodes")
-                idx = len(nodes)
-                keys[key] = idx
-                nodes.append(C)
-                weight.append(0.0)
-                depth.append(depth[j] + 1)
-                children.append(None)
-            kids.append(idx)
-            if children[idx] is None:
-                weight[idx] += weight[j] * nrm
-                pending += weight[j] * nrm
-                heapq.heappush(heap, (-weight[idx], idx))
-    return nodes, _child_array(children, k), 0.0, max(depth)
-
-
-def _child_array(children, k: int) -> np.ndarray:
-    leaf = [len(children)] * k
-    return np.array([leaf if kids is None else kids for kids in children],
-                    dtype=np.intp)
+    slopes = np.array([[m.slope] for m in sys.maps])
+    offsets = np.array([[m.offset] for m in sys.maps])
+    snap = sys.base.n_atoms == 0 and all(m.slope != 0.0 for m in sys.maps)
+    keys = _memo_keys(*rows, snap)
+    memo, first, inv = np.unique(keys, return_index=True,
+                                 return_inverse=True)
+    if len(memo) > _MAX_NODES:
+        raise IterationLimit(f"set-transition graph exceeded {_MAX_NODES} nodes")
+    rank = np.empty(len(memo), dtype=np.intp)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(memo))
+    memo_node, root = rank, rank[inv.ravel()]
+    lo, hi, li, ri = (r[np.sort(first)] for r in rows)
+    N = len(lo)
+    weight = np.bincount(root, minlength=N).astype(float)
+    expanded = np.zeros(N, dtype=bool)
+    depth = np.zeros(N, dtype=np.intp)
+    child = np.full((N, k), -1, dtype=np.intp)
+    counts = np.bincount(owner, minlength=n_roots)
+    allowed = budget * np.count_nonzero(counts)
+    while True:
+        open_ = np.flatnonzero(~expanded)
+        if not len(open_):
+            return _Graph(lo, hi, li, ri, child, expanded, root,
+                          np.zeros(n_roots), int(depth.max()))
+        # the lightest open nodes whose weights sum within what is allowed
+        # stay open; the rest are expanded now
+        by_weight = np.argsort(weight[open_], kind="stable")
+        kept = np.searchsorted(np.cumsum(weight[open_][by_weight]), allowed,
+                               side="right")
+        front = open_[by_weight[kept:]]
+        if not len(front):
+            Z, tail, _ = _cut_exposure(child, expanded, norms,
+                                       _CUT_SLACK * budget)
+            cut = (np.bincount(owner, Z[root] + tail, minlength=n_roots)
+                   * (1.0 + (counts + 8) * _EPS))
+            worst = float(cut.max())
+            if worst <= budget:
+                return _Graph(lo, hi, li, ri, child, expanded, root, cut,
+                              int(depth.max()))
+            # open nodes of zero weight carry no exposure of their own,
+            # but a rounding tail above the budget needs them expanded
+            allowed = (allowed * min(0.5, budget / worst)
+                       if weight[open_].any() else -math.inf)
+            continue
+        expanded[front] = True
+        F = len(front)
+        c_lo, c_hi, c_li, c_ri, keep = (
+            np.ravel(a) for a in _preimage_rows(
+                slopes, offsets, lo[front], hi[front], li[front], ri[front],
+                nudge=not snap))
+        parent = np.tile(front, k)[keep]
+        flow = (np.repeat(norms, F) * np.tile(weight[front], k))[keep]
+        c_lo, c_hi, c_li, c_ri = c_lo[keep], c_hi[keep], c_li[keep], c_ri[keep]
+        u, first, inv = np.unique(_memo_keys(c_lo, c_hi, c_li, c_ri, snap),
+                                  return_index=True, return_inverse=True)
+        pos = np.searchsorted(memo, u)
+        found = pos < len(memo)
+        found[found] = memo[pos[found]] == u[found]
+        ids = np.empty(len(u), dtype=np.intp)
+        ids[found] = memo_node[pos[found]]
+        new = np.flatnonzero(~found)
+        if N + len(new) > _MAX_NODES:
+            raise IterationLimit(
+                f"set-transition graph exceeded {_MAX_NODES} nodes")
+        # new nodes in the order their rows first came
+        order = new[np.argsort(first[new], kind="stable")]
+        ids[order] = N + np.arange(len(new))
+        memo = np.insert(memo, pos[new], u[new])
+        memo_node = np.insert(memo_node, pos[new], ids[new])
+        src = first[order]
+        lo, hi = np.concatenate([lo, c_lo[src]]), np.concatenate([hi, c_hi[src]])
+        li, ri = np.concatenate([li, c_li[src]]), np.concatenate([ri, c_ri[src]])
+        depth = np.concatenate([depth, depth[parent[src]] + 1])
+        N += len(new)
+        expanded = np.concatenate([expanded, np.zeros(len(new), dtype=bool)])
+        child = np.concatenate([child, np.full((len(new), k), -1, dtype=np.intp)])
+        kid = ids[inv.ravel()]
+        row = np.full(k * F, -1, dtype=np.intp)
+        row[keep] = kid
+        child[front] = row.reshape(k, F).T
+        # weight flows on only into open nodes; a node expanded this round
+        # is marked first, so that a self-loop (the empty set and [0, 1]
+        # are their own preimages) is a memo hit
+        live = ~expanded[kid]
+        weight = np.concatenate([weight, np.zeros(len(new))])
+        weight += np.bincount(kid[live], flow[live], minlength=N)
 
 
 @dataclass(frozen=True)
 class EvalResult:
     """mu*(B) from set evaluation, with how it was obtained.
 
-    ``error_bound`` (at most the requested tol) is the truncation bound,
-    zero when the graph closed, plus the certified bound of the sweeps.
-    ``nodes`` counts the sets of the transition graph and ``depth`` is
-    the longest path from B along which exploration found a node;
+    ``error_bound`` (at most the requested tol) is B's truncation bound,
+    zero when the graph closed, plus the certified bound of the sweeps
+    for each of B's spans and points.  ``nodes``, ``depth`` and
+    ``closed`` describe the graph the call built for all its sets:
+    ``nodes`` counts its single spans and points, ``depth`` is the
+    longest path from a root along which exploration found a node, and
     ``closed`` says that every node was expanded.
     """
     value: np.ndarray
@@ -436,33 +515,45 @@ def _sweeps_to(e: float, ratio: float) -> float:
 
 def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
                      ) -> EvalResult:
-    """Fixed-point evaluation mu*(B) via the set-transition graph.
+    """Fixed-point evaluation mu*(B): ``eval_many`` of the one set."""
+    return eval_many(sys, [B], tol)[0]
+
+
+def eval_many(sys: IFSystem, sets, tol: float = 1e-10) -> list:
+    """mu*(B) for every B in ``sets``, each within tol, on one graph.
 
     The fixed-point identity localizes: mu*(C) = sum_i R_i mu*(preimage_i C)
-    + mu0(C).  Preimages of an evaluable set stay evaluable, so exploration
-    with memoized canonical sets either closes into a finite graph or is
-    truncated.  It is best-first: the node with the largest summed path
-    weight prod ||R_i|| from B goes next, so paths through small operators
-    stop early.  A cut node is valued mu0(C) with its children taken as
-    zero, off by at most e a, where a = ||mu0||/(1-e).  The error at B is
-    then at most e a sum_cut W_j, with W_j the summed weight of the paths
-    from B to cut node j on the graph as built; exploration stops once a
-    certified upper bound on that sum (``_cut_weight``) puts the
-    truncation bound within half of tol.
+    + mu0(C).  A measure is additive, so mu*(B) is the sum over B's
+    disjoint spans and points; the preimage of a span under an affine map
+    is a span, a point or empty, and that of a point a point or empty.
+    The graph's nodes are therefore single spans and points held in flat
+    arrays, shared by all the sets and memoized on their rows
+    (``_set_graph``).  Exploration is best-first by summed
+    path weight prod ||R_i|| from the sets' rows, a whole frontier per
+    round, so paths through small operators stop early.  A cut node is
+    valued mu0(C) with its children taken as zero, off by at most e a,
+    where a = ||mu0||/(1-e).  The error at a row is then at most e a
+    times its cut exposure, the summed weight of its paths to cut nodes;
+    one backward sweep gives every node's exposure (``_cut_exposure``),
+    and exploration stops once each set's rows' certified exposures put
+    its truncation bound within half of tol.
 
     The graph's equations x_C = mu0(C) + sum_i R_i x_{child_i(C)} are
-    solved by Jacobi block sweeps over an (nodes, maps) child-index array,
-    all nodes at once.  In the norm max_C |x_C| each sweep contracts by
-    the variation factor e, so the error of sweep j is at most
-    (e |x_j - x_{j-1}| + delta) / (1-e), where delta bounds the rounding
-    of one sweep.  Sweeps go on until that bound fits in what truncation
-    left of tol, then until the step grows or vanishes (the rounding
-    floor), so the values match a direct solve of the graph to the last
-    digits.  Memory is O(nodes * maps * dim).  Refuses with IterationLimit
-    past 100,000 nodes, when tol would take more than 10,000 sweeps,
-    or when the sweep count fixed before the first sweep does not certify.
+    solved by Jacobi block sweeps over the (nodes, maps) child-index
+    array, all nodes at once.  In the norm max_C |x_C| each sweep
+    contracts by the variation factor e, so the error of sweep j is at
+    most (e |x_j - x_{j-1}| + delta) / (1-e) at every node, where delta
+    bounds the rounding of one sweep; a set of m rows adds m such errors
+    and the rounding of their sum.  Sweeps go on until that fits in what
+    truncation left of tol for every set, then until the step grows or
+    vanishes (the rounding floor), so the values match a direct solve of
+    the graph to the last digits.  Memory is O(nodes * maps * dim).
+    Refuses with IterationLimit past 100,000 nodes, when tol would take
+    more than 10,000 sweeps, or when the sweep count fixed before the
+    first sweep does not certify.
 
     Requires variation factor e < 1; deterministic by construction.
+    Returns one ``EvalResult`` per set, in order.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -472,39 +563,57 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
         raise NotContractive(
             f"variation factor {e:.6g} >= 1; set evaluation needs a "
             "variation contraction")
+    sets = list(sets)
     dtype = sys.operators[0].dtype
-    if sys.base is None:
-        # the only fixed point of the homogeneous contraction
-        return EvalResult(np.zeros(sys.dim, dtype=dtype), 0.0, 0, 0, True)
+    *rows, owner = _span_rows(sets)
+    if sys.base is None or not len(owner):
+        # zero is the only fixed point of the homogeneous contraction,
+        # and the empty set's measure
+        return [EvalResult(np.zeros(sys.dim, dtype=dtype), 0.0, 0, 0, True)
+                for _ in sets]
     # a cut node's value mu0(C) misses sum_i R_i mu*(preimage_i C), at
-    # most e a with a = ||mu0||/(1-e) >= ||mu*||; errors reach B through
-    # the paths to it, so truncation costs at most e a sum_cut W_j
+    # most e a with a = ||mu0||/(1-e) >= ||mu*||; errors reach a row
+    # through its paths to the cut, so truncation costs e a times its
+    # exposure
     a_bound = sys.base.variation_norm() / (1.0 - e)
     share = _TRUNC_SHARE * tol
     budget = share / (e * a_bound) if e * a_bound > 0.0 else math.inf
-    nodes, child, cut, depth = _set_graph(sys, B, budget)
-    N = len(nodes)
-    closed = bool((child < N).all())
-    trunc = e * a_bound * cut
+    g = _set_graph(sys, rows, owner, len(sets), budget)
+    N = len(g.lo)
+    closed = bool(g.expanded.all())
+    trunc = e * a_bound * g.cut
+    m = np.bincount(owner, minlength=len(sets))
+
+    def results(x, node_bound, reserve):
+        values = _scatter_rows(len(sets), owner, [x[g.root]])
+        bounds = np.where(m > 0, trunc + m * node_bound + reserve, 0.0)
+        return [EvalResult(v, float(eb), N, g.depth, closed)
+                for v, eb in zip(values, bounds)]
+
     # sum_i R_i x[child_i] as one product: the gathered child rows side by
     # side times the operator transposes stacked
     ops_t = np.concatenate([r.T for r in sys.operators])
     kn = len(sys.maps) * sys.dim
-    b = sys.base.evaluate_many(nodes).astype(dtype, copy=False)
-    x = np.zeros((N + 1, sys.dim), dtype=dtype)  # row N stays zero
+    b = sys.base.evaluate_rows(g.lo, g.hi, g.lo_incl, g.hi_incl).astype(
+        dtype, copy=False)
+    x = np.zeros((N + 1, sys.dim), dtype=dtype)  # x[-1], the zero row
     x[:N] = b
     scale = float(np.sqrt((np.abs(b) ** 2).sum(axis=1).max()))
     if scale == 0.0:
-        return EvalResult(x[0].copy(), trunc, N, depth, closed)
+        return results(x, 0.0, 0.0)
     # a sweep in floating point is off by at most delta; the computed
     # iterates carry 2 delta/(1-e) beyond the exact a-posteriori bound
     fro = sum(float(np.linalg.norm(r)) for r in sys.operators)
     delta = (kn + 2) * _EPS * scale * (1.0 + fro / (1.0 - e))
     rounding = 2.0 * delta / (1.0 - e)
+    # summing a set's m rows rounds by at most 2 (m-1) eps times the sum
+    # of their norms, each at most scale/(1-e) + tol
+    reserve = 2.0 * np.maximum(m - 1, 0) * m * _EPS * (scale / (1.0 - e) + tol)
+    rooted = m > 0
+    margin = float(((tol - trunc - reserve)[rooted] / m[rooted]).min()) - rounding
     # with x_0 = b, |x_j - x_{j-1}| <= e^j scale, so e^(j+1) scale/(1-e)
     # <= margin certifies: allow that many sweeps, or as many as it takes
     # the step to reach rounding
-    margin = tol - trunc - rounding
     need = _sweeps_to(e, margin * (1.0 - e) / scale)
     if need > _MAX_SWEEPS:
         raise IterationLimit(
@@ -513,7 +622,7 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
     budget = max(need, min(_sweeps_to(e, _EPS), _MAX_SWEEPS)) + 2
     best = prev = math.inf
     for _ in range(budget):
-        nxt = b + x[child].reshape(N, kn) @ ops_t
+        nxt = b + x[g.child].reshape(N, kn) @ ops_t
         step = float(np.sqrt((np.abs(nxt - x[:N]) ** 2).sum(axis=1).max()))
         x[:N] = nxt
         # an iterate's bound also holds for the later ones (the rounding
@@ -525,6 +634,5 @@ def eval_fixed_point(sys: IFSystem, B: QuerySet, tol: float = 1e-10
     if best > margin:
         raise IterationLimit(
             f"tolerance {tol:g} not certified in {budget} sweeps over {N} "
-            f"nodes (last bound {trunc + best + rounding:g})")
-    return EvalResult(x[0].copy(), trunc + best + rounding, N, depth,
-                      closed)
+            f"nodes (last bound {float(trunc.max()) + best + rounding:g})")
+    return results(x, best + rounding, reserve)

@@ -32,13 +32,12 @@ pieces merge.  A sum that overflows raises ValueError.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
 
 import numpy as np
 
 from .exceptions import DimensionMismatch
 from .hilbert import _field_cast
-from .space import AffineMap, QuerySet
+from .space import AffineMap, QuerySet, _span_rows
 
 __all__ = ["VectorMeasure", "pushforward", "apply_operator", "combine",
            "accumulate", "prune"]
@@ -326,42 +325,48 @@ class VectorMeasure:
         return self.evaluate_many([B])[0]
 
     def evaluate_many(self, sets) -> np.ndarray:
-        """``[mu(B) for B in sets]`` as one ``(len(sets), dim)`` array pass.
-
-        The spans of all sets are flattened and located among the sorted
-        canonical atoms and pieces by ``searchsorted``, so memory and time
-        are O(spans + points + atoms + pieces), never their product.
-        Atoms in a span are a difference of atom prefix sums, the endpoint
-        flags choosing the search side; isolated query points match atoms
-        by exact equality.  Canonical pieces are disjoint and sorted, so a
-        span meets a contiguous run of them: the two end pieces count by
-        their overlap lengths, the ones strictly inside by a difference
-        of piece-mass prefix sums.
-        """
+        """``[mu(B) for B in sets]`` as one ``(len(sets), dim)`` array pass:
+        ``evaluate_rows`` of the sets' spans and points, summed by set."""
         sets = list(sets)
+        *rows, owner = _span_rows(sets)
+        return self.evaluate_rows(*rows, owner=owner, n=len(sets))
+
+    def evaluate_rows(self, lo, hi, lo_incl, hi_incl, owner=None, n=None):
+        """mu of each single span ``[lo, hi]`` (ends included as flagged)
+        and point (``lo == hi``, included) of flat arrays, the set
+        evaluation's array entry; with ``owner``, the rows summed into
+        ``n`` sets instead.
+
+        Rows are located among the sorted canonical atoms and pieces by
+        ``searchsorted``, so memory and time are O(rows + atoms +
+        pieces), never their product.  Atoms in a span are a difference
+        of atom prefix sums, the endpoint flags choosing the search side;
+        points match atoms by exact equality.  Canonical pieces are
+        disjoint and sorted, so a span meets a contiguous run of them: the
+        two end pieces count by their overlap lengths, the ones strictly
+        inside by a difference of piece-mass prefix sums.  Each set sums
+        its span atoms, then its points, then its span pieces.
+        """
+        if owner is None:
+            owner, n = np.arange(len(lo)), len(lo)
         owners, rows = [], []  # summed by owner in one scatter
-        spans = np.fromiter(chain.from_iterable(s for B in sets for s in B.spans),
-                            dtype=float).reshape(-1, 4)
-        owner = np.repeat(np.arange(len(sets)), [len(B.spans) for B in sets])
-        lo, hi = spans[:, 0], spans[:, 1]
+        span = np.flatnonzero(lo < hi)
+        owner, q_owner, q = owner[span], owner[lo == hi], lo[lo == hi]
+        lo, hi = lo[span], hi[span]
         prefix, mass = self._prefixes()
         if self.n_atoms:
             pts, wts = self.atom_points, self.atom_weights
-            lo_incl, hi_incl = spans[:, 2] != 0.0, spans[:, 3] != 0.0
-            a0 = np.where(lo_incl, np.searchsorted(pts, lo, side="left"),
+            a0 = np.where(lo_incl[span], np.searchsorted(pts, lo, side="left"),
                           np.searchsorted(pts, lo, side="right"))
-            a1 = np.where(hi_incl, np.searchsorted(pts, hi, side="right"),
+            a1 = np.where(hi_incl[span], np.searchsorted(pts, hi, side="right"),
                           np.searchsorted(pts, hi, side="left"))
             owners.append(owner)
             rows.append(prefix[a1] - prefix[a0])
-            q = np.array([t for B in sets for t in B.atoms], dtype=float)
-            q_owner = np.repeat(np.arange(len(sets)),
-                                [len(B.atoms) for B in sets])
             i = np.minimum(np.searchsorted(pts, q), len(pts) - 1)
             hit = pts[i] == q
             owners.append(q_owner[hit])
             rows.append(wts[i[hit]])
-        if self.n_pieces and len(spans):
+        if self.n_pieces and len(span):
             p_lo, p_hi, dens = self.piece_lo, self.piece_hi, self.piece_density
             first = np.searchsorted(p_hi, lo, side="right")  # ends after lo
             stop = np.searchsorted(p_lo, hi, side="left")    # starts before hi
@@ -381,9 +386,8 @@ class VectorMeasure:
             owners.append(owner[meets])
             rows.append(val)
         if not rows:
-            return np.zeros((len(sets), self.dim),
-                            dtype=self.atom_weights.dtype)
-        return _scatter_rows(len(sets), np.concatenate(owners), rows)
+            return np.zeros((n, self.dim), dtype=self.atom_weights.dtype)
+        return _scatter_rows(n, np.concatenate(owners), rows)
 
     def total(self) -> np.ndarray:
         """mu([0, 1]): all atom weights plus density mass."""

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measure import VectorMeasure, _rows_differ, _scatter_rows
+from .measure import VectorMeasure, _row_norms, _rows_differ, _scatter_rows
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
@@ -119,6 +119,11 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
     return out
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||, scaled so that no square overflows or underflows."""
+    return float(_row_norms(v[None, :])[0])
+
+
 def _require_zero_total(mu: VectorMeasure, tot: float, what: str) -> None:
     """Refuse a total above rounding residue: ||total|| must be at most
     1e-12 max(1, ||mu||_var), relative to the mass that rounded into it."""
@@ -134,7 +139,7 @@ def mk_star_exact(mu: VectorMeasure) -> float:
     nonzero total.  The panel terms are summed with ``math.fsum``, so the
     result is their correctly rounded sum.
     """
-    _require_zero_total(mu, float(np.linalg.norm(mu.total())),
+    _require_zero_total(mu, _norm(mu.total()),
                         "defined only for zero-total measures")
     bps, F, rho = mu.panels()
     return math.fsum(
@@ -217,9 +222,15 @@ def _unit_derivative_witness(mu: VectorMeasure):
     directions on every cell.  On each cell the derivative is
     -F(midpoint)/||F(midpoint)||; F is affine there, so the cell pairs to
     h ||F(midpoint)||, which is exact where F is flat or keeps its
-    direction.
+    direction.  Only directions matter, so F and rho are first scaled by
+    one power of two, exactly, to keep every square in range.
     """
     bps, F, rho = mu.panels()
+    top = max(float(np.abs(F).max(initial=0.0)),
+              float(np.abs(rho).max(initial=0.0)))
+    if top > 0.0:
+        unit = math.ldexp(1.0, -math.frexp(top)[1])
+        F, rho = F * unit, rho * unit
     a = np.sum(np.abs(rho) ** 2, axis=1)
     s = np.flatnonzero(a > 0.0)
     vertex = bps[s] - np.real(np.sum(F[s] * np.conj(rho[s]), axis=1)) / a[s]
@@ -270,7 +281,7 @@ def mk_lower_bound(mu: VectorMeasure, ball: str = "l1"):
     if ball not in ("l1", "bl1"):
         raise ValueError(f"unknown ball {ball!r}")
     total = mu.total()
-    tot = float(np.linalg.norm(total))
+    tot = _norm(total)
     if ball == "l1":
         _require_zero_total(mu, tot, "l1 ball requires zero total mass")
         return _certify(mu, *_unit_derivative_witness(mu), ball)
@@ -300,7 +311,7 @@ def mk_upper_bound(mu: VectorMeasure) -> float:
     panel terms, as ``mk_star_exact(mu - T delta_t)`` would sum them.
     """
     total = mu.total()
-    tot = float(np.linalg.norm(total))
+    tot = _norm(total)
     bps, F, rho = mu.panels()
     h = np.diff(bps)
     before = _segment_norm_integral(F[:-1], rho, h)
@@ -310,8 +321,8 @@ def mk_upper_bound(mu: VectorMeasure) -> float:
     m = math.fsum(np.concatenate([before[:i], after[i:]]).tolist())
     if m <= tot:
         return tot
-    var = mu.variation_norm()
-    return m * var / (m - tot + var)
+    # m V / (m - T + V) with no product that can overflow
+    return m / (1.0 + (m - tot) / mu.variation_norm())
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = ["Span", "QuerySet", "AffineMap", "preimage"]
 
 
@@ -185,35 +187,92 @@ class AffineMap:
         return abs(self.slope)
 
 
-def preimage(m: AffineMap, B: QuerySet) -> QuerySet:
-    """Preimage of an evaluable set under an affine map, clipped to [0, 1].
+def _span_rows(sets):
+    """The sets as flat rows of single spans and points: ``(lo, hi,
+    lo_incl, hi_incl, owner)``, every set's spans first, then every set's
+    points as closed degenerate spans, ``owner`` the set's position.  A
+    measure of a set is the sum over its rows, which are disjoint."""
+    rows = [s for B in sets for s in B.spans]
+    owner = [j for j, B in enumerate(sets) for _ in B.spans]
+    rows += [(a, a, True, True) for B in sets for a in B.atoms]
+    owner += [j for j, B in enumerate(sets) for _ in B.atoms]
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    return (table[:, 0], table[:, 1], table[:, 2] != 0.0, table[:, 3] != 0.0,
+            np.array(owner, dtype=np.intp))
 
-    For slope 0 the map is constant, so the preimage is all of [0, 1] or
-    empty depending on whether the constant value lies in the set.
-    Endpoints that the clipping moves strictly inward become included (the
-    clipped-away part was interior to the unclipped preimage).
+
+# preimage ends move at most this many ulps to agree with the forward map
+_NUDGE = 4
+
+
+def _preimage_rows(slope, offset, lo, hi, lo_incl, hi_incl, nudge=True):
+    """Preimages of single spans and points under t -> slope t + offset,
+    clipped to [0, 1]; every argument broadcasts, so one call takes a
+    column of maps against a row of spans.
+
+    Returns ``(lo, hi, lo_incl, hi_incl, keep)``; ``keep`` is False where
+    the preimage is empty.  A constant map (slope 0) pulls a span back to
+    all of [0, 1] when the span holds its value and to nothing otherwise.
+    With ``nudge``, a closed end of (end - offset)/slope moves by up to
+    four ulps to the float where the map as ``pushforward`` rounds it,
+    fl(fl(slope x) + offset), enters or leaves the span, so that an atom
+    there is in the preimage exactly when its image is in the span:
+    t/3 + 2/3 sends 1 to 1, and the preimage of [a, 1] ends at 1, not at
+    1 + 2 ulps.  Open ends stay where the division puts them.  A point
+    pulls back to a point, moved into the floats the map sends onto it
+    if any are that near, and to nothing when no float there maps onto
+    it.  Ends that the clipping moves strictly inward become included
+    (the clipped-away part was interior to the unclipped preimage); a
+    span whose ends round together is a point when closed and empty
+    otherwise.
     """
-    s, o = m.slope, m.offset
-    if s == 0.0:
-        return QuerySet.unit() if B.contains(o) else QuerySet.empty()
-    spans = []
-    atoms = []
-    for sp in B.spans:
-        a = (sp.lo - o) / s
-        b = (sp.hi - o) / s
-        li, hi_ = sp.lo_incl, sp.hi_incl
-        if s < 0:
-            a, b, li, hi_ = b, a, hi_, li
-        if b < 0.0 or a > 1.0:
-            continue
-        if a < 0.0:
-            a, li = 0.0, True
-        if b > 1.0:
-            b, hi_ = 1.0, True
-        spans.append(Span(a, b, li, hi_))
-    for t in B.atoms:
-        x = (t - o) / s
-        if 0.0 <= x <= 1.0:
-            atoms.append(x)
-    return QuerySet(spans, atoms)
+    const = slope == 0.0
+    inside = (((lo < offset) & (offset < hi)) | ((offset == lo) & lo_incl)
+              | ((offset == hi) & hi_incl))
+    s = np.where(const, 1.0, slope)
+    neg = s < 0.0
+    # the span ends, and their flags, that bound the preimage from below
+    # and from above, stacked
+    t = np.stack(np.broadcast_arrays(np.where(neg, hi, lo),
+                                     np.where(neg, lo, hi)))
+    incl = np.stack(np.broadcast_arrays(np.where(neg, hi_incl, lo_incl),
+                                        np.where(neg, lo_incl, hi_incl)))
+    ends = x0 = (t - offset) / s
+    if nudge:
+        both = (2,) + (1,) * (t.ndim - 1)
+        out = np.array([-np.inf, np.inf]).reshape(both)
+        # an image passes the lower bounding end (d = 1 along the map's
+        # direction), or falls short of the upper one (d = -1)
+        d = np.array([1.0, -1.0]).reshape(both) * np.where(neg, -1.0, 1.0)
 
+        def ok(x):
+            f = s * x + offset
+            return (d * f > d * t) | (incl & (f == t))
+
+        for _ in range(_NUDGE):
+            step_in, step_out = ~ok(ends), ok(np.nextafter(ends, out))
+            if not (step_in | step_out).any():
+                break
+            ends = np.where(step_in, np.nextafter(ends, -out),
+                            np.where(step_out, np.nextafter(ends, out), ends))
+    (a, b), (a0, b0), (li, ri) = ends, x0, incl
+    point = lo == hi
+    empty = point & (a > b)
+    a = np.where(point, np.clip(a0, a, b), np.where(li, a, a0))
+    b = np.where(point, a, np.where(ri, b, b0))
+    li, ri = li | (a < 0.0), ri | (b > 1.0)
+    keep = (b >= 0.0) & (a <= 1.0) & ~empty
+    a, b = np.where(a < 0.0, 0.0, a), np.where(b > 1.0, 1.0, b)
+    keep &= (a < b) | (li & ri)
+    return (np.where(const, 0.0, a), np.where(const, 1.0, b), li | const,
+            ri | const, np.where(const, inside, keep))
+
+
+def preimage(m: AffineMap, B: QuerySet) -> QuerySet:
+    """Preimage of an evaluable set under an affine map, clipped to [0, 1]:
+    the union of the preimages of its spans and points
+    (``_preimage_rows``)."""
+    lo, hi, li, ri, _ = _span_rows([B])
+    lo, hi, li, ri, keep = _preimage_rows(m.slope, m.offset, lo, hi, li, ri)
+    return QuerySet(zip(lo[keep].tolist(), hi[keep].tolist(),
+                        li[keep].tolist(), ri[keep].tolist()))

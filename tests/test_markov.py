@@ -390,9 +390,10 @@ def test_eval_fixed_point_known_values():
 
 
 def test_eval_memo_absorbs_preimage_rounding():
-    # the preimage of [0, 1] under 0.2 t + 0.8 rounds to
-    # [0, 0.9999999999999998]; snapped on the 1e-14 memo grid it is [0, 1]
-    # again and the graph closes on one node.  Hashed exactly, that
+    # the preimage of [0, 1] under 0.2 t + 0.8 divides out to
+    # [0, 0.9999999999999998], but the map as pushforward rounds it sends
+    # 1 to 1, so the closed end moves back to 1: the preimage is [0, 1]
+    # again and the graph closes on one node.  Kept at the quotient, that
     # near-copy loses the atom at 1 and a 25-node "closed" graph returns
     # 1.99999987.
     base = VectorMeasure(atoms=[(1.0, np.array([1.0]))],
@@ -511,15 +512,34 @@ def test_system_norms_are_computed_once_bit_for_bit(field, seed):
         assert factors(sys) == ContractionFactors(e, d, c)
 
 
+def _memo_key(sys, B):
+    """The oracle's memo key: the set itself, or its spans and points
+    rounded to the 1e-14 grid where mu* has no atoms (no base atom, no
+    constant map), as the solver keys its rows."""
+    if sys.base.n_atoms or any(m.slope == 0.0 for m in sys.maps):
+        return B
+    return (tuple((round(lo, 14), round(hi, 14), lo_incl, hi_incl)
+                  for lo, hi, lo_incl, hi_incl in B.spans),
+            tuple(round(a, 14) for a in B.atoms))
+
+
 def _uniform_graph(sys, B, depth_cap, max_nodes=800):
-    """Oracle: the breadth-first preimage graph of B cut at one uniform
-    depth, as if every map had the largest norm; same memo keys and
-    child-array layout (cut rows hold len(nodes)) as the solver's.
-    Refuses past max_nodes, which keeps a dense reference small."""
-    from ifsmeasure import markov
-    from ifsmeasure.space import preimage
+    """Oracle: the breadth-first preimage graph of B, its nodes whole
+    sets (``QuerySet``, the empty set among them) memoized by
+    ``_memo_key``, cut at one uniform depth, as if every map had the largest norm; cut
+    rows of its child array hold len(nodes).  Refuses past max_nodes,
+    which keeps a dense reference small."""
+    from ifsmeasure.space import _preimage_rows, _span_rows, preimage
+    if not isinstance(_memo_key(sys, B), QuerySet):
+        # an atomless system: ends as the division puts them, as the
+        # solver takes them there
+        def preimage(m, C):
+            lo, hi, li, ri, keep = _preimage_rows(
+                m.slope, m.offset, *_span_rows([C])[:4], nudge=False)
+            return QuerySet(zip(lo[keep].tolist(), hi[keep].tolist(),
+                                li[keep].tolist(), ri[keep].tolist()))
     nodes = [B]
-    keys = {markov._memo_key(B): 0}
+    keys = {_memo_key(sys, B): 0}
     depth = [0]
     children = [None]
     frontier = [0]
@@ -531,7 +551,7 @@ def _uniform_graph(sys, B, depth_cap, max_nodes=800):
             kids = []
             for m in sys.maps:
                 C = preimage(m, nodes[j])
-                key = markov._memo_key(C)
+                key = _memo_key(sys, C)
                 idx = keys.get(key)
                 if idx is None:
                     if len(nodes) >= max_nodes:
@@ -554,7 +574,8 @@ def _uniform_graph(sys, B, depth_cap, max_nodes=800):
 
 def _dense_eval(sys, nodes, child):
     """Reference: a graph's equations assembled as one dense (N n)^2
-    system, cut children acting as zero."""
+    system, children at index len(nodes) or -1 acting as zero; returns
+    every node's value."""
     N, n = len(nodes), sys.dim
     dtype = np.complex128 if sys.field == "complex" else np.float64
     A = np.eye(N * n, dtype=dtype)
@@ -562,9 +583,49 @@ def _dense_eval(sys, nodes, child):
     for j in range(N):
         b[j * n:(j + 1) * n] = sys.base.evaluate(nodes[j])
         for r, c in zip(sys.operators, child[j]):
-            if c < N:
+            if 0 <= c < N:
                 A[j * n:(j + 1) * n, c * n:(c + 1) * n] -= r
-    return np.linalg.solve(A, b)[:n]
+    return np.linalg.solve(A, b).reshape(N, n)
+
+
+def _graph_sets(g):
+    """The nodes of a graph built by the solver as one-span sets."""
+    return [QuerySet(intervals=[row]) for row in zip(
+        g.lo.tolist(), g.hi.tolist(), g.lo_incl.tolist(), g.hi_incl.tolist())]
+
+
+def _record_graphs(monkeypatch):
+    """Record every graph ``_set_graph`` builds, with its root owners."""
+    from ifsmeasure import markov
+    built = []
+    build = markov._set_graph
+
+    def recording(sys, rows, owner, n_roots, budget):
+        g = build(sys, rows, owner, n_roots, budget)
+        built.append((g, owner, budget))
+        return g
+    monkeypatch.setattr(markov, "_set_graph", recording)
+    return built
+
+
+def _check_graph(sys, g, owner, results, tol):
+    """Each root against a dense solve of the graph the solver built,
+    within rounding, and its cut bound against the dense exposures."""
+    e = factors(sys).variation
+    a = sys.base.variation_norm() / (1 - e)
+    x = _dense_eval(sys, _graph_sets(g), g.child)
+    want = np.zeros((len(results), sys.dim), dtype=x.dtype)
+    np.add.at(want, owner, x[g.root])
+    m = np.bincount(owner, minlength=len(results))
+    Z = _path_weights(g.child, g.expanded, sys.norms)
+    exposure = np.bincount(owner, Z[g.root], minlength=len(results))
+    for res, w, k, z, cut in zip(results, want, m, exposure, g.cut):
+        assert res.nodes == len(g.lo)
+        assert np.abs(res.value - w).max() <= 1e-14 * a * max(k, 1)
+        assert res.error_bound <= tol
+        # the stop is certified on the graph as built, within tol/2
+        assert z <= cut * (1 + 1e-12)
+        assert e * a * cut <= tol / 2 * (1 + 1e-12)
 
 
 def _generated_cases(rng, field, systems=16):
@@ -586,14 +647,7 @@ def test_eval_matches_dense_solve_on_generated_systems(monkeypatch, field,
     # the sweeps solve the graph the solver built, to the last digits
     import ifsmeasure.markov as markov
     monkeypatch.setattr(markov, "_MAX_NODES", 800)
-    built = []
-    build = markov._set_graph
-
-    def recording(*args):
-        graph = build(*args)
-        built.append(graph[:3])
-        return graph
-    monkeypatch.setattr(markov, "_set_graph", recording)
+    built = _record_graphs(monkeypatch)
     tol = 1e-6
     closed = truncated = 0
     for sys, B in _generated_cases(np.random.default_rng(seed), field):
@@ -601,64 +655,224 @@ def test_eval_matches_dense_solve_on_generated_systems(monkeypatch, field,
             got = eval_fixed_point(sys, B, tol=tol)
         except IterationLimit:
             continue  # keeps the dense reference small
-        nodes, child, cut = built[-1]
-        want = _dense_eval(sys, nodes, child)
-        e = factors(sys).variation
-        a = sys.base.variation_norm() / (1 - e)
-        assert got.nodes == len(nodes)
-        assert np.abs(got.value - want).max() <= 1e-14 * a
-        assert got.error_bound <= tol
-        # the stop is certified on the graph as built, within tol/2
-        W = _path_weights(child, sys.norms)
-        assert W[child[:, 0] == len(nodes)].sum() <= cut
-        assert e * a * cut <= tol / 2 * (1 + 1e-12)
+        g, owner, _ = built[-1]
+        _check_graph(sys, g, owner, [got], tol)
         closed += got.closed
         truncated += not got.closed
     assert closed >= 10 and truncated >= 4
+
+
+def _uniform_cap(sys, B, tol):
+    """mu*(B) by the uniform-cap oracle, and the oracle's truncation bound
+    a e^(D+1)/(1-e) at depth D, a = ||mu0||/(1-e); None past its node
+    cap."""
+    e = factors(sys).variation
+    a = sys.base.variation_norm() / (1 - e)
+    depth_cap = 0
+    while a * e ** (depth_cap + 1) / (1 - e) > tol:
+        depth_cap += 1
+    try:
+        nodes, child = _uniform_graph(sys, B, depth_cap)
+    except IterationLimit:
+        return None
+    want = _dense_eval(sys, nodes, child)[0]
+    cut_bound = (0.0 if (child < len(nodes)).all()
+                 else a * e ** (depth_cap + 1) / (1 - e))
+    return want, cut_bound, len(nodes)
 
 
 @pytest.mark.parametrize("field, seed", [("real", 11), ("complex", 12)])
 def test_eval_agrees_with_uniform_cap_solve_on_generated_systems(field,
                                                                  seed):
     # best-first truncation against the uniform depth cut, each within
-    # its own bound of mu*(B); the uniform cut at depth D costs at most
-    # a e^(D+1)/(1-e), with a = ||mu0||/(1-e)
+    # its own bound of mu*(B)
     tol = 1e-6
     compared = smaller = 0
     for sys, B in _generated_cases(np.random.default_rng(seed), field):
         got = eval_fixed_point(sys, B, tol=tol)
         assert got.error_bound <= tol
-        e = factors(sys).variation
-        a = sys.base.variation_norm() / (1 - e)
-        depth_cap = 0
-        while a * e ** (depth_cap + 1) / (1 - e) > tol:
-            depth_cap += 1
-        try:
-            nodes, child = _uniform_graph(sys, B, depth_cap)
-        except IterationLimit:
+        oracle = _uniform_cap(sys, B, tol)
+        if oracle is None:
             continue
-        want = _dense_eval(sys, nodes, child)
-        cut_bound = (0.0 if (child < len(nodes)).all()
-                     else a * e ** (depth_cap + 1) / (1 - e))
+        want, cut_bound, nodes = oracle
+        a = sys.base.variation_norm() / (1 - factors(sys).variation)
         assert (np.linalg.norm(got.value - want)
                 <= got.error_bound + cut_bound + 1e-14 * a)
         compared += 1
-        smaller += got.nodes < len(nodes)
+        smaller += got.nodes < nodes
     assert compared >= 40 and smaller >= 4
 
 
-def _path_weights(child, norms):
-    """Oracle: the summed path weights W from node 0, by a dense solve of
-    (I - T) W = e_0, T carrying weight along the expanded nodes' edges."""
+def _batch_system(rng, field):
+    """1-4 maps with slopes 0, negative and up to +-0.45, operators of
+    variation factor in [0.2, 0.6], and a base of atoms at 0, 1 and a
+    map's fixed point plus a piece; returns the system and points from
+    which query sets are drawn."""
+    k = int(rng.integers(1, 5))
+    dim = int(rng.integers(1, 3))
+    maps = []
+    for _ in range(k):
+        s = float(rng.choice([0.0, -0.45, 0.45, -1 / 3, 0.25,
+                              rng.uniform(-0.45, 0.45)]))
+        lo, hi = (0.0, 1.0 - s) if s >= 0 else (-s, 1.0)
+        maps.append(AffineMap(s, float(rng.choice([lo, hi,
+                                                   rng.uniform(lo, hi)]))))
+
+    def coeffs(*shape):
+        c = rng.standard_normal(shape)
+        return c + 1j * rng.standard_normal(shape) if field == "complex" else c
+    e = rng.uniform(0.2, 0.6)
+    ops = [e * w * r / np.linalg.norm(r, 2)
+           for w, r in zip(rng.dirichlet(np.ones(k)), coeffs(k, dim, dim))]
+    fixed = [m.offset / (1 - m.slope) for m in maps]
+    ends = sorted({min(max(m(t), 0.0), 1.0) for m in maps for t in (0.0, 1.0)})
+    lo, hi = sorted(rng.choice(ends + [0.0, 0.5, 1.0], 2, replace=False))
+    base = VectorMeasure(atoms=[(t, coeffs(dim)) for t in {0.0, 1.0, fixed[0]}],
+                         pieces=[((lo, hi), coeffs(dim))], dim=dim, field=field)
+    return (IFSystem(maps, ops, base=base, dim=dim, field=field),
+            sorted(set(fixed + ends + [0.0, 1.0])))
+
+
+def _batch(rng, pts):
+    """Closed and half-open spans, a point, a multi-span set with a
+    point, and a duplicate of one of them."""
+    def span():
+        a, b = sorted(rng.choice(pts + [float(rng.uniform())], 2,
+                                 replace=False))
+        return (float(a), float(b), bool(rng.integers(2)),
+                bool(rng.integers(2)))
+    sets = [QuerySet(intervals=[span()]),
+            QuerySet(intervals=[span()[:2] + (True, False)]),
+            QuerySet.point(float(rng.choice(pts))),
+            QuerySet(intervals=[span(), span()],
+                     atoms=[float(rng.choice(pts))])]
+    return sets + [sets[int(rng.integers(len(sets)))]]
+
+
+@pytest.mark.parametrize("field, seed", [("real", 21), ("complex", 22)])
+def test_eval_many_on_generated_batches(monkeypatch, field, seed):
+    # every root of one shared graph within the summed bounds of the
+    # per-set uniform-cap oracle, and at a dense solve of the graph built
+    import ifsmeasure.markov as markov
+    monkeypatch.setattr(markov, "_MAX_NODES", 800)
+    built = _record_graphs(monkeypatch)
+    rng = np.random.default_rng(seed)
+    tol = 1e-6
+    batches = compared = multi = 0
+    for _ in range(8):
+        sys, pts = _batch_system(rng, field)
+        sets = _batch(rng, pts)
+        try:
+            got = markov.eval_many(sys, sets, tol)
+        except IterationLimit:
+            continue  # keeps the dense reference small
+        batches += 1
+        g, owner, _ = built[-1]
+        _check_graph(sys, g, owner, got, tol)
+        assert np.array_equal(got[-1].value,
+                              got[sets.index(sets[-1])].value)
+        a = sys.base.variation_norm() / (1 - factors(sys).variation)
+        for B, res in zip(sets, got):
+            oracle = _uniform_cap(sys, B, tol)
+            if oracle is None:
+                continue
+            want, cut_bound, _ = oracle
+            assert (np.linalg.norm(res.value - want)
+                    <= res.error_bound + cut_bound + 1e-14 * a)
+            compared += 1
+            multi += len(B.spans) + len(B.atoms) > 1
+    # a multi-span set's oracle graph (whole sets, cut uniformly) mostly
+    # passes its node cap; the dense solve above checks every one
+    assert batches >= 6 and compared >= 30 and multi >= 2
+
+
+def _histogram(m):
+    """m half-open cells [i/m, (i+1)/m) covering [0, 1), then {1}."""
+    return [QuerySet(intervals=[(i / m, (i + 1) / m, True, False)])
+            for i in range(m)] + [QuerySet.point(1.0)]
+
+
+def _closed_form_total(sys):
+    """mu*([0, 1]) = (I - sum R_i)^-1 mu0([0, 1])."""
+    return np.linalg.solve(np.eye(sys.dim) - sum(sys.operators),
+                           sys.base.total())
+
+
+def test_eval_many_histogram_sums_to_the_closed_form():
+    from ifsmeasure.markov import eval_many
+    sys = overlap_system()
+    tol = 1e-10
+    cells = eval_many(sys, _histogram(64), tol)
+    assert all(c.error_bound <= tol for c in cells)
+    assert len({c.nodes for c in cells}) == 1  # one graph for all
+    total = sum(c.value for c in cells)
+    assert (np.linalg.norm(total - _closed_form_total(sys))
+            <= sum(c.error_bound for c in cells) + 1e-15)
+
+
+def test_eval_many_refuses_a_batch_whose_shared_graph_passes_the_cap(
+        monkeypatch, tmp_path):
+    # each cell alone fits under the cap; the graph the batch shares does
+    # not, and the scenario's eval commands, evaluated together, exit 4
+    import json
+    import ifsmeasure.markov as markov
+    from ifsmeasure.cli import run
+    sys = four_map_system()
+    sets = _histogram(8)[:-1]
+    alone = max(eval_fixed_point(sys, B, tol=1e-8).nodes for B in sets)
+    assert markov.eval_many(sys, sets, 1e-8)[0].nodes > alone
+    monkeypatch.setattr(markov, "_MAX_NODES", alone)
+    doc = {"kind": "ifs", "field": "real", "dimension": 2,
+           "maps": [[m.slope, m.offset] for m in sys.maps],
+           "operators": [r.tolist() for r in sys.operators],
+           "base": {"dimension": 2, "atoms": [[0.0, [0.02, 0.0]]],
+                    "pieces": [[0.0, 1.0, [0.0, 0.02]]]},
+           "query_sets": {f"c{i}": B.to_dict() for i, B in enumerate(sets)},
+           "solver": {"tol": 1e-8},
+           "commands": [f"eval c{i}" for i in range(len(sets))]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    code, report = run(str(p))
+    assert code == 4 and "set-transition graph exceeded" in report
+
+
+@pytest.mark.campaign
+def test_campaign_histogram_of_1024_cells(bench_module):
+    # the seed-1 overlap system of the benchmark at 1,024 cells and tol
+    # 1e-10: one shared graph against the per-set loop, cell by cell
+    # within the summed bounds, and the cells against the closed form
+    import time
+    from ifsmeasure.cli import _IFSJob
+    from ifsmeasure.markov import eval_many
+    sys = _IFSJob(bench_module("workloads").overlap_system(1)).system
+    sets, tol = _histogram(1024)[:-1], 1e-10
+    t0 = time.perf_counter()
+    shared = eval_many(sys, sets, tol)
+    t1 = time.perf_counter()
+    alone = [eval_fixed_point(sys, B, tol=tol) for B in sets]
+    t2 = time.perf_counter()
+    print(f"\n1024 cells: eval_many {t1 - t0:.3f} s on {shared[0].nodes} "
+          f"nodes, per-set loop {t2 - t1:.3f} s on "
+          f"{sum(r.nodes for r in alone)} nodes, {(t2 - t1) / (t1 - t0):.1f}x")
+    for a, b in zip(shared, alone):
+        assert a.error_bound <= tol and b.error_bound <= tol
+        assert np.linalg.norm(a.value - b.value) <= a.error_bound + b.error_bound
+    assert (np.linalg.norm(sum(c.value for c in shared) - _closed_form_total(sys))
+            <= sum(c.error_bound for c in shared) + 1e-15)
+
+
+def _path_weights(child, expanded, norms):
+    """Oracle: every node's cut exposure, the summed weight of its paths
+    to the cut nodes, by a dense solve of (I - T) Z = 1_cut, T carrying
+    weight back along the expanded nodes' edges (children -1 or at
+    len(child) are the zero row)."""
     N = len(child)
     T = np.zeros((N, N))
-    for j in range(N):
-        if child[j, 0] < N:
-            for c, nrm in zip(child[j], norms):
-                T[c, j] += nrm
-    e0 = np.zeros(N)
-    e0[0] = 1.0
-    return np.linalg.solve(np.eye(N) - T, e0)
+    for j in np.flatnonzero(expanded):
+        for c, nrm in zip(child[j], norms):
+            if 0 <= c < N:
+                T[j, c] += nrm
+    return np.linalg.solve(np.eye(N) - T, (~expanded).astype(float))
 
 
 def test_cut_weight_bounds_the_path_weight_of_cut_nodes():
@@ -669,22 +883,45 @@ def test_cut_weight_bounds_the_path_weight_of_cut_nodes():
         norms = sys.norms
         nodes, child = _uniform_graph(sys, B, int(rng.integers(1, 7)))
         N = len(nodes)
-        cut = child[:, 0] == N
-        if not cut.any():
+        expanded = child[:, 0] < N
+        if expanded.all():
             continue
-        W = _path_weights(child, norms)
-        exact = W[cut].sum()
-        # the fewest sweeps K with e^(K+1)/(1-e) <= 1e-3 exact
-        e = sum(norms)
-        sweeps = markov._sweeps_to(e, 1e-3 * exact * (1 - e)) - 1
-        bound, lower = markov._cut_weight(child, norms, sweeps)
-        assert exact <= bound <= exact * (1 + 1.001e-3)
-        assert (lower <= W * (1 + 1e-12)).all()
+        child = np.where(child < N, child, -1)
+        exact = _path_weights(child, expanded, norms)
+        slack = 1e-3 * exact[0]
+        Z, tail, _ = markov._cut_exposure(child, expanded, norms, slack)
+        assert (exact <= Z + tail).all()
+        assert (Z <= exact * (1 + 1e-12)).all()
+        assert Z[0] + tail <= exact[0] * (1 + 1.001e-3) + 1e-14
         checked += 1
         # a self-loop ([0, 1] and the empty set are their own preimages)
         # makes the paths infinitely many
         cyclic += bool((child == np.arange(N)[:, None]).any())
     assert checked >= 30 and cyclic >= 15
+
+
+@pytest.mark.parametrize("depth", [1, 4, 9])
+def test_cut_exposure_stops_when_the_graph_drains(depth):
+    # a layered graph whose longest path to the cut has ``depth`` edges:
+    # the sweeps stop after depth + 1 (the last one changes nothing), not
+    # after the a-priori count for a slack of 1e-13, which is over 50
+    from ifsmeasure import markov
+    rng = np.random.default_rng(depth)
+    norms = (0.3, 0.2, 0.1)
+    layers = [np.arange(4 * d, 4 * d + 4) for d in range(depth + 1)]
+    N = 4 * (depth + 1)
+    child = np.full((N, 3), -1)
+    for d in range(depth):
+        child[layers[d]] = rng.choice(np.append(layers[d + 1], -1), (4, 3))
+        child[layers[d], 0] = layers[d + 1]  # keeps every layer reachable
+    expanded = np.arange(N) < 4 * depth
+    Z, tail, sweeps = markov._cut_exposure(child, expanded, norms, 1e-13)
+    assert sweeps == depth + 1
+    assert markov._sweeps_to(0.6, 1e-13 * 0.4) - 1 > 50
+    exact = _path_weights(child, expanded, norms)
+    assert np.abs(Z - exact).max() <= 1e-15
+    # what rounding adds to the last sweep, (maps + 1) ulps of the largest
+    assert tail <= 4 * 2.3e-16 * Z.max() / 0.4
 
 
 def four_map_system(factor=0.43):
@@ -712,9 +949,10 @@ def test_eval_memory_stays_bounded_on_four_overlapping_maps(monkeypatch):
     build = markov._set_graph
     cuts = []
 
-    def build_then_trace(sys, B, cut_budget):
-        graph = build(sys, B, cut_budget)
-        cuts.append((graph[2], cut_budget))
+    def build_then_trace(sys, rows, owner, n_roots, cut_budget):
+        graph = build(sys, rows, owner, n_roots, cut_budget)
+        [cut] = graph.cut
+        cuts.append((cut, cut_budget))
         tracemalloc.start()
         return graph
     monkeypatch.setattr(markov, "_set_graph", build_then_trace)
@@ -770,8 +1008,10 @@ def test_eval_explores_to_closure_where_a_cut_cannot_be_certified():
     want = _dense_eval(sys, nodes, child)
     for tol in (1.0, 0.1):
         got = eval_fixed_point(sys, B, tol=tol)
-        assert got.closed and got.nodes == len(nodes)
-        assert abs(got.value[0] - want[0]) <= got.error_bound <= tol
+        # the solver's graph has no node for the empty set
+        assert got.closed
+        assert got.nodes == sum(not C.is_empty for C in nodes)
+        assert abs(got.value[0] - want[0, 0]) <= got.error_bound <= tol
 
 
 def test_eval_agrees_with_iteration_on_four_overlapping_maps():

@@ -1,6 +1,8 @@
 """Tests for the transport norms: exact formula, witness bounds, the
 closed-form upper bound and the sandwich checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -451,3 +453,34 @@ def test_sandwich_small_norm_measure():
     mu = _dirac_pair(0.49, 0.51, np.array([0.001, 0.002]))
     rep = sandwich_check(mu)
     assert rep.ok, rep
+
+
+@pytest.mark.parametrize("exponent", [-997, -531, 0, 531, 997])
+def test_norms_take_totals_without_overflow(exponent):
+    # the pytest configuration turns numpy's overflow warnings into
+    # errors.  A zero-total measure with entries near 2^997 (1e300) keeps
+    # a total of rounding residue near 1e284, whose square overflowed in
+    # np.linalg.norm.  A power of two scales every value exactly, so
+    # each norm scales exactly too.
+    scale = math.ldexp(1.0, exponent)
+    unit = _random_zero_mass(np.random.default_rng(17))
+    mu = VectorMeasure(atoms=zip(unit.atom_points, unit.atom_weights * scale),
+                       pieces=[((lo, hi), d * scale) for lo, hi, d in zip(
+                           unit.piece_lo, unit.piece_hi, unit.piece_density)])
+    assert mk_star_exact(mu) == mk_star_exact(unit) * scale
+    assert mk_upper_bound(mu) == mk_upper_bound(unit) * scale
+    for ball in ("l1", "bl1"):
+        assert mk_lower_bound(mu, ball)[0] == mk_lower_bound(unit, ball)[0] * scale
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+def test_upper_bound_balances_without_overflow(scale):
+    # the balance m V / (m - T + V) overflowed in the product m V once m
+    # and V passed about 1e154, and the bracket came out inf
+    mu = VectorMeasure(atoms=[(0.0, [-scale, 0.0])],
+                       pieces=[((0.0, 1.0), [scale, 0.0])])
+    assert mk_star_exact(mu) == pytest.approx(0.5 * scale, rel=1e-15)
+    # m = 0.5 scale, T = 0 and V = 2 scale give m / (1 + m / V)
+    assert mk_upper_bound(mu) == pytest.approx(0.4 * scale, rel=1e-15)
+    lower, _ = mk_lower_bound(mu, "bl1")
+    assert 0.0 < lower <= mk_upper_bound(mu)
