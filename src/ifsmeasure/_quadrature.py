@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 
 from .exceptions import RefinementLimit
+from .hilbert import _norm
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MAX_PANELS = 16384
@@ -33,10 +34,6 @@ def _panel(f, a: float, b: float):
     return half * total
 
 
-def _err(x) -> float:
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(x))))
-
-
 def adaptive_gauss(f, a: float, b: float, abs_tol: float):
     """Integrate ``f`` over ``[a, b]`` to absolute accuracy ``abs_tol``.
 
@@ -51,11 +48,11 @@ def adaptive_gauss(f, a: float, b: float, abs_tol: float):
         coarse = _panel(f, lo, hi)
         mid = 0.5 * (lo + hi)
         fine = _panel(f, lo, mid) + _panel(f, mid, hi)
-        return fine, _err(coarse - fine)
+        return fine, _norm(coarse - fine)
 
     counter = itertools.count()  # tiebreaker keeps heap order deterministic
     val, err = make(a, b)
-    rounding = _EPS * _err(val)
+    rounding = _EPS * _norm(val)
     if abs_tol < rounding:
         raise RefinementLimit(f"tol={abs_tol:g} is below the rounding "
                               f"of the integral (about {rounding:g})")

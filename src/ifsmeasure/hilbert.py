@@ -45,6 +45,41 @@ def _field_cast(arrays, field, what: str):
     return field, [np.real(a).astype(np.float64) for a in arrays]
 
 
+# rows whose norm comes out outside this range are recomputed, scaled by
+# their largest entry, so that no square overflows or underflows to zero;
+# every other row keeps the plain formula's result
+_NORM_LO, _NORM_HI = 1e-150, 1e150
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    # squares summed column by column, left to right: the order numpy's
+    # reduction along a row of fewer than eight takes, several times faster
+    mag = np.abs(a)
+    with np.errstate(over="ignore"):
+        sq = mag[:, 0] ** 2
+        for j in range(1, a.shape[1]):
+            sq += mag[:, j] ** 2
+        out = np.sqrt(sq)
+    odd = (out < _NORM_LO) | (out > _NORM_HI)
+    if odd.any():
+        # zero rows, which set evaluation has many of, stay zero
+        nonzero = mag[:, 0] > 0.0
+        for j in range(1, a.shape[1]):
+            nonzero |= mag[:, j] > 0.0
+        odd &= nonzero
+    if odd.any():
+        m = mag[odd]
+        top = np.max(m, axis=1)
+        out[odd] = np.sqrt(np.sum((m / top[:, None]) ** 2, axis=1)) * top
+    return out
+
+
+def _norm(x) -> float:
+    """Euclidean norm of a scalar or an array's entries, by ``_row_norms``,
+    so that no square overflows or underflows."""
+    return float(_row_norms(np.ravel(x)[None, :])[0])
+
+
 def scalar_product(x, y):
     """(x, y) = sum_i x_i conj(y_i); real inputs give a real result."""
     xv = _as_vector(x)

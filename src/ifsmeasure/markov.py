@@ -36,7 +36,8 @@ import numpy as np
 
 from .exceptions import (DimensionMismatch, FieldMismatch, IterationLimit,
                          NotContractive)
-from .hilbert import _as_operator, _field_cast, adjoint, operator_norm
+from .hilbert import (_as_operator, _field_cast, _norm, _row_norms, adjoint,
+                      operator_norm)
 from .integral import ContinuousFunction
 from .measure import (VectorMeasure, _scatter_rows, accumulate,
                       apply_operator, prune, pushforward)
@@ -64,8 +65,6 @@ _TRUNC_SHARE = 0.5
 # the truncation certificate may exceed the cut nodes' path weight by this
 # share of the budget it is checked against
 _CUT_SLACK = 1e-3
-# the grid on which set evaluation snaps node rows of an atomless system
-_SNAP_GRID = 1e14
 
 
 def _check_size(sys: IFSystem, cur: VectorMeasure, k: int) -> None:
@@ -262,8 +261,7 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         if q >= 1.0:
             raise NotContractive(
                 f"mk_star factor {q:.6g} >= 1 for a mass-preserving system")
-        if sys.base is not None and float(
-                np.linalg.norm(sys.base.total())) > _MASS_TOL:
+        if sys.base is not None and _norm(sys.base.total()) > _MASS_TOL:
             raise NotContractive(
                 "mk_star iteration with a base measure requires the base "
                 "to have zero total mass")
@@ -279,8 +277,8 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         bound = (q * distance(nxt, cur) + budget) / (1.0 - q)
         if bound <= tol:
             # pruning moves the total by at most the budget
-            drift = float(np.linalg.norm(
-                nxt.total() - op_sum @ cur.total() - base_total)) - budget
+            drift = _norm(nxt.total() - op_sum @ cur.total()
+                          - base_total) - budget
             if drift / (1.0 - q) > bound:
                 raise IterationLimit(
                     f"rounding moves the total by {drift:.3g} per step, up to "
@@ -293,18 +291,11 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         f"(last bound {bound:g})")
 
 
-def _memo_keys(lo, hi, lo_incl, hi_incl, snap: bool) -> np.ndarray:
-    """One 16-byte key per node row: each end shifted up by one plus its
-    inclusion flag.  An end is its bit pattern (-0.0 taken as 0.0, below
-    2^62 on [0, 1]), so equal keys are equal rows; with ``snap``, its
-    index on the 1e-14 grid doubled, plus one for a point, so rows of one
-    kind whose ends agree on the grid share a key."""
-    if snap:
-        point = lo == hi
-        lo = 2 * np.rint(lo * _SNAP_GRID).astype(np.int64) + point
-        hi = 2 * np.rint(hi * _SNAP_GRID).astype(np.int64) + point
-    else:
-        lo, hi = (lo + 0.0).view(np.int64), (hi + 0.0).view(np.int64)
+def _memo_keys(lo, hi, lo_incl, hi_incl) -> np.ndarray:
+    """One 16-byte key per node row: each end's bit pattern (-0.0 taken
+    as 0.0, below 2^62 on [0, 1]) shifted up by one plus its inclusion
+    flag, so equal keys are equal rows."""
+    lo, hi = (lo + 0.0).view(np.int64), (hi + 0.0).view(np.int64)
     keys = np.empty((len(lo), 2), dtype=np.int64)
     keys[:, 0] = (lo << 1) | lo_incl
     keys[:, 1] = (hi << 1) | hi_incl
@@ -375,12 +366,8 @@ def _set_graph(sys: IFSystem, rows, owner: np.ndarray, n_roots: int,
     their closed ends and points placed where the maps as
     ``pushforward`` rounds them send them (``_preimage_rows``); so
     exploration order, and what else shares the graph, never changes a
-    node.  A system whose mu* has no atoms (no base atom, no constant
-    map) instead keys rows on the 1e-14 grid, which absorbs the rounding
-    noise of repeated preimages so that its graphs can close; merging
-    rows a few ulps apart moves a value by what mu* puts between them,
-    which no atom makes large there.  A node's weight is the summed weight
-    prod ||R_i|| of the paths from the root rows to it found so far.
+    node.  A node's weight is the summed weight prod ||R_i|| of the
+    paths from the root rows to it found so far.
     Each round expands the heaviest open nodes at once, every map's
     preimages of them in one numpy pass, until the weight left open fits
     ``budget`` per root on average.  Memo hits carry weight back into
@@ -399,9 +386,7 @@ def _set_graph(sys: IFSystem, rows, owner: np.ndarray, n_roots: int,
         budget = -math.inf
     slopes = np.array([[m.slope] for m in sys.maps])
     offsets = np.array([[m.offset] for m in sys.maps])
-    snap = sys.base.n_atoms == 0 and all(m.slope != 0.0 for m in sys.maps)
-    keys = _memo_keys(*rows, snap)
-    memo, first, inv = np.unique(keys, return_index=True,
+    memo, first, inv = np.unique(_memo_keys(*rows), return_index=True,
                                  return_inverse=True)
     if len(memo) > _MAX_NODES:
         raise IterationLimit(f"set-transition graph exceeded {_MAX_NODES} nodes")
@@ -445,12 +430,11 @@ def _set_graph(sys: IFSystem, rows, owner: np.ndarray, n_roots: int,
         F = len(front)
         c_lo, c_hi, c_li, c_ri, keep = (
             np.ravel(a) for a in _preimage_rows(
-                slopes, offsets, lo[front], hi[front], li[front], ri[front],
-                nudge=not snap))
+                slopes, offsets, lo[front], hi[front], li[front], ri[front]))
         parent = np.tile(front, k)[keep]
         flow = (np.repeat(norms, F) * np.tile(weight[front], k))[keep]
         c_lo, c_hi, c_li, c_ri = c_lo[keep], c_hi[keep], c_li[keep], c_ri[keep]
-        u, first, inv = np.unique(_memo_keys(c_lo, c_hi, c_li, c_ri, snap),
+        u, first, inv = np.unique(_memo_keys(c_lo, c_hi, c_li, c_ri),
                                   return_index=True, return_inverse=True)
         pos = np.searchsorted(memo, u)
         found = pos < len(memo)
@@ -598,7 +582,7 @@ def eval_many(sys: IFSystem, sets, tol: float = 1e-10) -> list:
         dtype, copy=False)
     x = np.zeros((N + 1, sys.dim), dtype=dtype)  # x[-1], the zero row
     x[:N] = b
-    scale = float(np.sqrt((np.abs(b) ** 2).sum(axis=1).max()))
+    scale = float(_row_norms(b).max())
     if scale == 0.0:
         return results(x, 0.0, 0.0)
     # a sweep in floating point is off by at most delta; the computed
@@ -623,7 +607,7 @@ def eval_many(sys: IFSystem, sets, tol: float = 1e-10) -> list:
     best = prev = math.inf
     for _ in range(budget):
         nxt = b + x[g.child].reshape(N, kn) @ ops_t
-        step = float(np.sqrt((np.abs(nxt - x[:N]) ** 2).sum(axis=1).max()))
+        step = float(_row_norms(nxt - x[:N]).max())
         x[:N] = nxt
         # an iterate's bound also holds for the later ones (the rounding
         # term covers what rounding adds)

@@ -11,9 +11,9 @@ closed under affine pushforward, application of a matrix operator to the
 coefficients, and linear combination, which keeps Markov-type operator
 iterates exactly representable.
 
-Canonical form: atoms sorted with coincident points merged (points within
-1e-12 of each other also merge, absorbing rounding in mapped positions) and
-zero weights dropped; pieces resolved into disjoint segments with densities
+Canonical form: atoms sorted, only atoms at equal points merged (atoms a
+rounding apart stay two, and a set between them holds one), and zero
+weights dropped; pieces resolved into disjoint segments with densities
 summed, zero densities dropped, and adjacent segments with exactly equal
 densities merged.  Equality is structural on the canonical arrays.
 
@@ -36,41 +36,15 @@ import heapq
 import numpy as np
 
 from .exceptions import DimensionMismatch
-from .hilbert import _field_cast
+from .hilbert import _field_cast, _row_norms
 from .space import AffineMap, QuerySet, _span_rows
 
 __all__ = ["VectorMeasure", "pushforward", "apply_operator", "combine",
            "accumulate", "prune"]
 
-_SNAP = 1e-12
-
 # size of the first partial selection in prune; it grows fourfold until
 # the budget runs out inside it
 _PRUNE_START = 1 << 17
-
-
-# rows whose norm comes out outside this range are recomputed, scaled by
-# their largest entry, so that no square overflows or underflows to zero;
-# every other row keeps the plain formula's result
-_NORM_LO, _NORM_HI = 1e-150, 1e150
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    # squares summed column by column, left to right: the order numpy's
-    # reduction along a row of fewer than eight takes, several times faster
-    mag = np.abs(a)
-    with np.errstate(over="ignore"):
-        sq = mag[:, 0] ** 2
-        for j in range(1, a.shape[1]):
-            sq += mag[:, j] ** 2
-        out = np.sqrt(sq)
-    odd = (out < _NORM_LO) | (out > _NORM_HI)
-    if odd.any():
-        m = mag[odd]
-        top = np.max(m, axis=1, initial=0.0)
-        top[top == 0.0] = 1.0  # zero rows stay zero
-        out[odd] = np.sqrt(np.sum((m / top[:, None]) ** 2, axis=1)) * top
-    return out
 
 
 def _rows_differ(a: np.ndarray, b) -> np.ndarray:
@@ -87,11 +61,11 @@ def _rows_differ(a: np.ndarray, b) -> np.ndarray:
 
 
 def _canonical_atoms(points, weights):
-    if len(points) > 1 and not np.all(np.diff(points) > _SNAP):
+    if len(points) > 1 and not np.all(points[1:] > points[:-1]):
         order = np.argsort(points, kind="stable")
         p = points[order]
         w = weights[order]
-        starts = np.concatenate(([True], np.diff(p) > _SNAP))
+        starts = np.concatenate(([True], p[1:] != p[:-1]))
         idx = np.flatnonzero(starts)
         points, weights = p[idx], np.add.reduceat(w, idx, axis=0)
     keep = _rows_differ(weights, 0)
@@ -417,9 +391,8 @@ class VectorMeasure:
         coefficients negated, but no measure is built: each segment adds
         ||d_self - d_other|| * width, its difference rounded once, to the
         bit the density of ``self - other``.  Swapping the operands negates
-        every difference, so the distance is the same unless three or more
-        atoms snap together across an exact tie.  A difference that
-        overflows raises ValueError.
+        every difference, so the distance is bitwise the same.  A
+        difference that overflows raises ValueError.
         """
         pts, wts, lo, hi, dens, _ = _summed([(1.0, self), (-1.0, other)])
         with np.errstate(over="ignore", invalid="ignore"):

@@ -33,12 +33,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measure import VectorMeasure, _row_norms, _rows_differ, _scatter_rows
+from .hilbert import _norm
+from .measure import VectorMeasure, _rows_differ, _scatter_rows
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
 
 _TOTAL_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 _ROUNDING = 1.0 + 1e-12  # relative slack of the sandwich_check inequalities
 # a vertex of ||F|| this close (relative to the panel) to a panel end is
 # not a node: the cell it would cut off is too narrow to hold its
@@ -117,11 +119,6 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
     out[j] = term + q / (2.0 * sqrt_a) * asinh_diff
     out[odd] = rescaled
     return out
-
-
-def _norm(v: np.ndarray) -> float:
-    """||v||, scaled so that no square overflows or underflows."""
-    return float(_row_norms(v[None, :])[0])
 
 
 def _require_zero_total(mu: VectorMeasure, tot: float, what: str) -> None:
@@ -222,15 +219,17 @@ def _unit_derivative_witness(mu: VectorMeasure):
     directions on every cell.  On each cell the derivative is
     -F(midpoint)/||F(midpoint)||; F is affine there, so the cell pairs to
     h ||F(midpoint)||, which is exact where F is flat or keeps its
-    direction.  Only directions matter, so F and rho are first scaled by
-    one power of two, exactly, to keep every square in range.
+    direction.  A cell where ||F(midpoint)|| is at most (atoms + pieces)
+    eps ||mu||_var, the rounding a zero-total F carries, gets derivative
+    zero: its direction is rounding noise, and a rescaled measure would
+    steer elsewhere.  Only directions matter, so F and rho are first
+    scaled by one power of two, exactly, to keep every square in range.
     """
     bps, F, rho = mu.panels()
     top = max(float(np.abs(F).max(initial=0.0)),
               float(np.abs(rho).max(initial=0.0)))
-    if top > 0.0:
-        unit = math.ldexp(1.0, -math.frexp(top)[1])
-        F, rho = F * unit, rho * unit
+    unit = math.ldexp(1.0, -math.frexp(top)[1]) if top > 0.0 else 1.0
+    F, rho = F * unit, rho * unit
     a = np.sum(np.abs(rho) ** 2, axis=1)
     s = np.flatnonzero(a > 0.0)
     vertex = bps[s] - np.real(np.sum(F[s] * np.conj(rho[s]), axis=1)) / a[s]
@@ -242,7 +241,8 @@ def _unit_derivative_witness(mu: VectorMeasure):
     Fm = F[j] + (mid - bps[j])[:, None] * rho[j]
     n = np.sqrt(np.sum(np.abs(Fm) ** 2, axis=1))
     u = np.zeros_like(Fm)
-    nz = n > 0.0
+    # F within rounding of zero has no direction to steer along
+    nz = n > (mu.n_atoms + mu.n_pieces) * _EPS * mu.variation_norm() * unit
     u[nz] = -Fm[nz] / n[nz, None]
     steps = u * np.diff(nodes)[:, None]
     return nodes, np.concatenate([np.zeros((1, mu.dim), dtype=u.dtype),

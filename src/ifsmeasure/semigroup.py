@@ -21,7 +21,7 @@ import numpy as np
 
 from ._quadrature import adaptive_gauss
 from .exceptions import DimensionMismatch, IterationLimit
-from .hilbert import matrix_exp, operator_norm, scalar_product
+from .hilbert import _norm, matrix_exp, operator_norm, scalar_product
 from .integral import ContinuousFunction, integrate
 from .measure import VectorMeasure, combine
 
@@ -74,7 +74,7 @@ def constant_map_transfer(rate: float, phi: Callable[[float], float],
     if nu.dim != f.dim:
         raise DimensionMismatch("measure and integrand dimensions differ")
     tot = nu.total()
-    tnorm = float(np.linalg.norm(tot))
+    tnorm = _norm(tot)
     if tnorm == 0.0:
         return 0.0
     return _decay_integral(
@@ -155,7 +155,7 @@ def _series_image(P, points, total, base: VectorMeasure) -> VectorMeasure:
     term = total  # P^i total / i! built incrementally
     for i, t in enumerate(points, start=1):
         term = (P @ term) / i
-        if float(np.linalg.norm(term)) < 1e-300:
+        if _norm(term) < 1e-300:
             break
         atoms.append((float(t), -term))
     return combine(1.0, base, 1.0, VectorMeasure(atoms=atoms, dim=base.dim))
@@ -185,7 +185,7 @@ def countable_series_fixed_point(P, points, base: VectorMeasure,
     exp_neg = matrix_exp(P, -1.0)
     s = exp_neg @ base.total()
     prefactor = (max(np.e, np.exp(p_norm)) * operator_norm(exp_neg)
-                 * float(np.linalg.norm(base.total())))
+                 * _norm(base.total()))
     if prefactor == 0.0:
         return base
     K = _series_depth(p_norm, prefactor, tol)

@@ -205,7 +205,7 @@ def _span_rows(sets):
 _NUDGE = 4
 
 
-def _preimage_rows(slope, offset, lo, hi, lo_incl, hi_incl, nudge=True):
+def _preimage_rows(slope, offset, lo, hi, lo_incl, hi_incl):
     """Preimages of single spans and points under t -> slope t + offset,
     clipped to [0, 1]; every argument broadcasts, so one call takes a
     column of maps against a row of spans.
@@ -213,18 +213,17 @@ def _preimage_rows(slope, offset, lo, hi, lo_incl, hi_incl, nudge=True):
     Returns ``(lo, hi, lo_incl, hi_incl, keep)``; ``keep`` is False where
     the preimage is empty.  A constant map (slope 0) pulls a span back to
     all of [0, 1] when the span holds its value and to nothing otherwise.
-    With ``nudge``, a closed end of (end - offset)/slope moves by up to
-    four ulps to the float where the map as ``pushforward`` rounds it,
-    fl(fl(slope x) + offset), enters or leaves the span, so that an atom
-    there is in the preimage exactly when its image is in the span:
-    t/3 + 2/3 sends 1 to 1, and the preimage of [a, 1] ends at 1, not at
-    1 + 2 ulps.  Open ends stay where the division puts them.  A point
-    pulls back to a point, moved into the floats the map sends onto it
-    if any are that near, and to nothing when no float there maps onto
-    it.  Ends that the clipping moves strictly inward become included
-    (the clipped-away part was interior to the unclipped preimage); a
-    span whose ends round together is a point when closed and empty
-    otherwise.
+    A closed end of (end - offset)/slope moves by up to four ulps to the
+    float where the map as ``pushforward`` rounds it, fl(fl(slope x) +
+    offset), enters or leaves the span, so that an atom there is in the
+    preimage exactly when its image is in the span: t/3 + 2/3 sends 1 to
+    1, and the preimage of [a, 1] ends at 1, not at 1 + 2 ulps.  Open
+    ends stay where the division puts them.  A point pulls back to a
+    point, moved into the floats the map sends onto it if any are that
+    near, and to nothing when no float there maps onto it.  Ends that the
+    clipping moves strictly inward become included (the clipped-away part
+    was interior to the unclipped preimage); a span whose ends round
+    together is a point when closed and empty otherwise.
     """
     const = slope == 0.0
     inside = (((lo < offset) & (offset < hi)) | ((offset == lo) & lo_incl)
@@ -238,23 +237,22 @@ def _preimage_rows(slope, offset, lo, hi, lo_incl, hi_incl, nudge=True):
     incl = np.stack(np.broadcast_arrays(np.where(neg, hi_incl, lo_incl),
                                         np.where(neg, lo_incl, hi_incl)))
     ends = x0 = (t - offset) / s
-    if nudge:
-        both = (2,) + (1,) * (t.ndim - 1)
-        out = np.array([-np.inf, np.inf]).reshape(both)
-        # an image passes the lower bounding end (d = 1 along the map's
-        # direction), or falls short of the upper one (d = -1)
-        d = np.array([1.0, -1.0]).reshape(both) * np.where(neg, -1.0, 1.0)
+    both = (2,) + (1,) * (t.ndim - 1)
+    out = np.array([-np.inf, np.inf]).reshape(both)
+    # an image passes the lower bounding end (d = 1 along the map's
+    # direction), or falls short of the upper one (d = -1)
+    d = np.array([1.0, -1.0]).reshape(both) * np.where(neg, -1.0, 1.0)
 
-        def ok(x):
-            f = s * x + offset
-            return (d * f > d * t) | (incl & (f == t))
+    def ok(x):
+        f = s * x + offset
+        return (d * f > d * t) | (incl & (f == t))
 
-        for _ in range(_NUDGE):
-            step_in, step_out = ~ok(ends), ok(np.nextafter(ends, out))
-            if not (step_in | step_out).any():
-                break
-            ends = np.where(step_in, np.nextafter(ends, -out),
-                            np.where(step_out, np.nextafter(ends, out), ends))
+    for _ in range(_NUDGE):
+        step_in, step_out = ~ok(ends), ok(np.nextafter(ends, out))
+        if not (step_in | step_out).any():
+            break
+        ends = np.where(step_in, np.nextafter(ends, -out),
+                        np.where(step_out, np.nextafter(ends, out), ends))
     (a, b), (a0, b0), (li, ri) = ends, x0, incl
     point = lo == hi
     empty = point & (a > b)

@@ -609,3 +609,83 @@ def test_norm_mk_star_of_a_zero_total_fixed_point(tmp_path):
     assert code == 0
     assert report.splitlines()[-1] == (
         "norm mk_star: norm=mk_star value=0.136443140177951")
+
+
+def _solve_eval_verify(tmp_path, doc):
+    """The json results of a scenario's solve, evals and verify, after
+    checking that verify's gap lies within the summed bounds."""
+    code, report = _run_doc(tmp_path, doc, fmt="json")
+    assert code == 0, report
+    solve, *evals, verify = json.loads(report)["results"]
+    assert verify["solver_vs_eval"] <= solve["error_bound"] + max(
+        ev["error_bound"] for ev in evals)
+    return solve, evals
+
+
+def test_atomless_set_evaluation_keys_every_row_exactly(tmp_path):
+    # mu* is a piece ~1e-15 wide at 0.5 and its images under t/2, all
+    # below 0.5: b reaches 2e-15 past 0.5 and holds that piece, a does
+    # not.  Rows keyed on a 1e-14 grid merged the two sets' preimages,
+    # and b came out as a (0.999), whatever else shared the batch
+    doc = {"kind": "ifs", "field": "real", "dimension": 1,
+           "maps": [[0.5, 0.0]], "operators": [[[0.5]]],
+           "base": {"dimension": 1, "pieces": [[0.5, 0.5 + 1e-15, [1e15]]]},
+           "query_sets": {"a": {"intervals": [[0.0, 0.5]]},
+                          "b": {"intervals": [[0.0, 0.500000000000002]]}},
+           "solver": {"tol": 1e-10},
+           "commands": ["solve", "eval a", "eval b", "verify"]}
+    solve, (a, b) = _solve_eval_verify(tmp_path, doc)
+    mass = (0.5 + 1e-15 - 0.5) * 1e15  # the piece's width is rounded
+    assert abs(a["value"][0] - mass) <= a["error_bound"]
+    assert abs(b["value"][0] - 2.0 * mass) <= b["error_bound"]
+    assert abs(solve["total"][0] - 2.0 * mass) <= solve["error_bound"]
+
+
+def test_atoms_a_rounding_apart_stay_apart(tmp_path):
+    # 0.5 t + o with o a few ulps above 1/4 sends 0.5 just above 0.5, and
+    # every later image above that: mu*([0, 0.5]) is the base atom's 1.
+    # Atoms merged within 1e-12 made the iterate put all of mu*'s mass 2
+    # on [0, 0.5], which its certificate did not cover
+    doc = {"kind": "ifs", "field": "real", "dimension": 1,
+           "maps": [[0.5, 0.2500000000000005]], "operators": [[[0.5]]],
+           "base": {"dimension": 1, "atoms": [[0.5, [1.0]]]},
+           "query_sets": {"a": {"intervals": [[0.0, 0.5]]}},
+           "solver": {"tol": 1e-10},
+           "commands": ["solve", "eval a", "verify"]}
+    solve, [a] = _solve_eval_verify(tmp_path, doc)
+    assert abs(a["value"][0] - 1.0) <= a["error_bound"]
+    assert abs(solve["total"][0] - 2.0) <= solve["error_bound"]
+    assert solve["atoms"] > 1
+
+
+def test_norms_of_huge_weights_do_not_overflow(tmp_path):
+    # base weights of 1e200 square past the float range; the norms behind
+    # the drift check and set evaluation reported "rounding moves the
+    # total by inf", or warned from numpy
+    doc = _triangular_doc({"atoms": [[0.0, [0.0, 0.25e200]]],
+                           "pieces": [[0.0, 1.0, [0.25e200, 0.0]]]},
+                          ["solve", "eval unit", "verify"])
+    doc["solver"]["tol"] = 1e190
+    solve, [unit] = _solve_eval_verify(tmp_path, doc)
+    exact = np.array([0.3125e200, 0.375e200])
+    for got, bound in ((solve["total"], solve["error_bound"]),
+                       (unit["value"], unit["error_bound"])):
+        assert np.abs(np.array(got) - exact).max() <= bound
+
+
+@pytest.mark.parametrize("tol, code", [(1e190, 0), (1e-12, 4)])
+def test_semigroup_of_huge_weights_meets_or_refuses_its_tol(tmp_path, tol,
+                                                             code):
+    # the total's norm overflowed, so the tail cut was inf and the
+    # quadrature ran on nan ("non-finite value at t=nan", exit 3)
+    doc = json.loads((Path(ifsmeasure.__file__).parent / "scenarios"
+                      / "decay_transfer.json").read_text())
+    doc["base"] = {"dimension": 2, "atoms": [[0.5, [0.25e200, 0.0]]],
+                   "pieces": [[0.0, 1.0, [0.0, 0.25e200]]]}
+    doc["solver"]["tol"] = tol
+    got, report = _run_doc(tmp_path, doc)
+    assert got == code, report
+    if code == 4:
+        assert "below the rounding of the integral" in report
+    else:
+        assert "solve: total=[5e+199, 5e+199]" in report

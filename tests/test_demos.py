@@ -1,10 +1,12 @@
 """Every demo runs to the end and imports only public names.
 
 Each demo is executed in a subprocess with the package on its path and
-must exit 0; they take seconds, not minutes.  Each is also parsed, and
-every name it imports from the package is looked up in ``__all__``, so a
-name dropped from the public surface shows up as such rather than as a
-bare traceback.  The package's ``__all__`` is its modules' lists in turn.
+must exit 0, with numpy warnings and deprecations turned into errors as
+the suite's configuration turns them; they take seconds, not minutes.
+Each is also parsed, and every name it imports from the package is
+looked up in ``__all__``, so a name dropped from the public surface
+shows up as such rather than as a bare traceback.  The package's
+``__all__`` is its modules' lists in turn.
 """
 
 import ast
@@ -38,7 +40,9 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(demo)], env=env,
+    errors = [f"-Werror::{w}" for w in (
+        "RuntimeWarning", "DeprecationWarning", "PendingDeprecationWarning")]
+    proc = subprocess.run([sys.executable, *errors, str(demo)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
 

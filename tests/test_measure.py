@@ -365,11 +365,16 @@ def test_measure_and_system_share_one_field_rule(field):
         assert system.operators[0].dtype == np.complex128
 
 
-def test_nearby_atoms_snap_together():
-    mu = VectorMeasure(atoms=[(0.5, np.array([1.0])),
-                              (0.5 + 1e-14, np.array([1.0]))])
-    assert mu.n_atoms == 1
-    assert mu.evaluate(QuerySet.point(0.5))[0] == pytest.approx(2.0)
+def test_nearby_atoms_stay_apart():
+    # only equal points merge: atoms 5e-13 apart stay two, and a set
+    # between them holds exactly one
+    t = 0.5 + 5e-13
+    mu = VectorMeasure(atoms=[(0.5, np.array([1.0])), (t, np.array([2.0]))])
+    assert mu.n_atoms == 2
+    assert mu.evaluate(QuerySet.point(0.5))[0] == 1.0
+    assert mu.evaluate(QuerySet.closed(0.0, 0.5 + 2e-13))[0] == 1.0
+    assert mu.evaluate(QuerySet.open(0.5, t))[0] == 0.0
+    assert mu.evaluate(QuerySet(intervals=[(0.5, t, False, True)]))[0] == 2.0
 
 
 def test_zero_measure_properties():

@@ -473,6 +473,19 @@ def test_norms_take_totals_without_overflow(exponent):
         assert mk_lower_bound(mu, ball)[0] == mk_lower_bound(unit, ball)[0] * scale
 
 
+@pytest.mark.parametrize("scale", [1.0 + 2.0 ** -52, 3.0, 1e-160, 1e160])
+def test_bl1_lower_bound_does_not_steer_along_rounding_residue(scale):
+    # past the last atom this F is rounding residue of a zero total, about
+    # 2.6e-16; a scale that rounds the weights turns that residue another
+    # way, and steering the witness along it moved the bound by 1.5%
+    unit = _random_zero_mass(np.random.default_rng(17))
+    want = mk_lower_bound(unit, "bl1")[0]
+    mu = unit * scale
+    got = mk_lower_bound(mu, "bl1")[0]
+    assert got / scale == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert got <= mk_upper_bound(mu)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
 def test_upper_bound_balances_without_overflow(scale):
     # the balance m V / (m - T + V) overflowed in the product m V once m

@@ -4,10 +4,11 @@ The distance ||a - b|| is taken in one merge of the two canonical forms,
 without building ``a - b``.  It must agree with
 ``(a - b).variation_norm()`` on generated canonical pairs, real and
 complex, whatever the two sides share: endpoints, contiguous or nested
-pieces, atoms close enough to snap, or nothing at all.  Atom terms go
-through the same canonicalisation as ``combine``, so measures of atoms
-alone agree to the bit; where a large density cancels next to a small
-one, the merge is exact and the difference measure's running sum is not.
+pieces, atoms at equal points or 5e-13 apart, or nothing at all.  Atom
+terms go through the same canonicalisation as ``combine``, so measures
+of atoms alone agree to the bit; where a large density cancels next to
+a small one, the merge is exact and the difference measure's running
+sum is not.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from ifsmeasure import DimensionMismatch, VectorMeasure
 def _generated(rng, grid, n_pieces, n_atoms, complex_):
     """A canonical dimension-2 measure on points of ``grid``: pieces
     between grid points, some contiguous, and atoms at grid points, some
-    moved by 5e-13 so that they snap to an atom of the other side."""
+    moved by 5e-13, beside an atom the other side may have there."""
     def coeffs(k):
         c = rng.standard_normal((k, 2))
         return c + 1j * rng.standard_normal((k, 2)) if complex_ else c
@@ -39,7 +40,7 @@ def _generated(rng, grid, n_pieces, n_atoms, complex_):
 def test_distance_matches_the_difference_measure(complex_):
     rng = np.random.default_rng(43)
     shapes = [(0, 0), (0, 4), (5, 0), (8, 3)]  # (pieces, atoms)
-    seen = {"shared": 0, "snapped": 0}
+    seen = {"shared": 0, "near": 0}
     for _ in range(15):
         grid = np.unique(rng.uniform(0.0, 1.0, 24))
         for sa in shapes:
@@ -49,7 +50,10 @@ def test_distance_matches_the_difference_measure(complex_):
                 got = a.variation_distance(b)
                 want = (a - b).variation_norm()
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-                assert got == b.variation_distance(a)
+                # bitwise symmetric: a point sums at most one atom per
+                # side, and a segment's difference is one subtraction,
+                # which swapping the sides negates exactly
+                assert got.hex() == b.variation_distance(a).hex()
                 assert a.variation_distance(a) == 0.0
                 if not (a.n_pieces or b.n_pieces):
                     assert got == want  # atoms only: the same sums
@@ -57,8 +61,8 @@ def test_distance_matches_the_difference_measure(complex_):
                     np.r_[a.piece_lo, a.piece_hi],
                     np.r_[b.piece_lo, b.piece_hi]))
                 gaps = np.abs(np.subtract.outer(a.atom_points, b.atom_points))
-                seen["snapped"] += int(((gaps > 0) & (gaps <= 1e-12)).sum())
-    assert seen["shared"] > 0 and seen["snapped"] > 0
+                seen["near"] += int(((gaps > 0) & (gaps <= 1e-12)).sum())
+    assert seen["shared"] > 0 and seen["near"] > 0
 
 
 def _pieces(*rows):
@@ -95,12 +99,13 @@ def test_distance_with_an_empty_side():
     assert zero.variation_distance(mu) == mu.variation_norm()
 
 
-def test_snapped_atoms_sum_as_combine_sums_them():
+def test_coincident_atoms_sum_as_combine_sums_them():
     a = VectorMeasure(atoms=[(0.25, [1.0, 0.1]), (0.5, [2.0, 0.0])])
-    b = VectorMeasure(atoms=[(0.25 + 4e-13, [1.0, 0.1 + 2 ** -52]),
-                             (0.5 - 9e-13, [2.0, 0.0])])
-    assert (a - b).n_atoms == 1  # the pair at 0.5 cancels after snapping
-    assert a.variation_distance(b) == (a - b).variation_norm() > 0.0
+    b = VectorMeasure(atoms=[(0.25, [1.0, 0.1 + 2 ** -52]),
+                             (0.5, [2.0, 0.0]), (0.5 + 5e-13, [1.0, 0.0])])
+    # the pair at 0.5 cancels; the atom 5e-13 above it stays
+    assert (a - b).n_atoms == 2
+    assert a.variation_distance(b) == (a - b).variation_norm() > 1.0
 
 
 def test_small_density_next_to_a_cancelling_large_one_is_exact():
