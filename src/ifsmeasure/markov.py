@@ -39,10 +39,12 @@ from .exceptions import (DimensionMismatch, FieldMismatch, IterationLimit,
 from .hilbert import (_as_operator, _field_cast, _norm, _row_norms, adjoint,
                       operator_norm)
 from .integral import ContinuousFunction
-from .measure import (VectorMeasure, _scatter_rows, accumulate,
-                      apply_operator, prune, pushforward)
+# pushforward, apply_operator, accumulate and preimage are unused here;
+# bench/tracing.py wraps them at these bindings
+from .measure import (VectorMeasure, _image, _operated, _parts,
+                      _scatter_rows, _summed, accumulate, apply_operator,
+                      prune, pushforward)
 from .mk_norm import mk_star_exact
-# preimage is unused here; bench/tracing.py wraps it at this binding
 from .space import AffineMap, QuerySet, _preimage_rows, _span_rows, preimage
 
 __all__ = ["IFSystem", "ContractionFactors", "FixedPointResult", "EvalResult",
@@ -148,15 +150,22 @@ def factors(sys: IFSystem) -> ContractionFactors:
 
 
 def apply_markov(sys: IFSystem, nu: VectorMeasure) -> VectorMeasure:
-    """One application of the Markov-type operator (base included)."""
+    """One application of the Markov-type operator (base included).
+
+    One array pass: each map's image arrays (``measure._image``) times
+    its operator, and the base, are summed as runs by one ``_summed`` and
+    put in canonical form once.  The result is the measure that
+    ``accumulate`` gives of ``apply_operator(R_i, pushforward(omega_i,
+    nu))`` and the base, to the bit, without building those measures.
+    """
     if nu.dim != sys.dim:
         raise DimensionMismatch(
             f"measure dimension {nu.dim} differs from system dimension {sys.dim}")
-    terms = [apply_operator(r, pushforward(m, nu))
+    parts = [_operated(r, *_image(m, nu))
              for m, r in zip(sys.maps, sys.operators)]
     if sys.base is not None:
-        terms.append(sys.base)
-    return accumulate(terms)
+        parts.append(_parts(sys.base))
+    return VectorMeasure._from_arrays(*_summed(parts), nu.dim)
 
 
 def dual_apply(sys: IFSystem, f: ContinuousFunction) -> ContinuousFunction:
@@ -240,8 +249,8 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     variation metric.  This checks that rounding stays below the bound;
     it does not bound it.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if start.dim != sys.dim:
         raise DimensionMismatch(
             f"start dimension {start.dim} differs from system dimension {sys.dim}")
@@ -539,8 +548,8 @@ def eval_many(sys: IFSystem, sets, tol: float = 1e-10) -> list:
     Requires variation factor e < 1; deterministic by construction.
     Returns one ``EvalResult`` per set, in order.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     fac = factors(sys)
     e = fac.variation
     if e >= 1.0:

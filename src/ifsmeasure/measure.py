@@ -21,12 +21,16 @@ Pieces are summed one way, by ``_sum_runs``: over sorted, disjoint runs
 of pieces, each segment between their distinct endpoints starts at zero
 and adds, in run order, the density covering it in each run, so a small
 density next to a large one keeps its bits.  ``accumulate``, ``combine``
-and ``VectorMeasure.variation_distance`` pass their terms as the runs;
-raw input that overlaps or is out of order (the constructor,
-``from_dict``) is first dealt into runs.  Input already sorted and
-disjoint, as ``pushforward``, ``apply_operator`` and ``prune`` produce
-it, keeps its coefficients: only zero rows go, and equal contiguous
-pieces merge.  A sum that overflows raises ValueError.
+and ``VectorMeasure.variation_distance`` pass their terms as the runs,
+and ``markov.apply_markov`` each map's image arrays (``_image``) times
+its operator, so a Markov step builds no measure but its result; raw
+input that overlaps or is out of order (the constructor, ``from_dict``)
+is first dealt into runs.  Input already sorted and disjoint, as
+``pushforward`` and ``apply_operator`` produce it, keeps its
+coefficients: only zero rows go, and equal contiguous pieces merge.
+``prune`` skips canonicalisation: what it keeps of a canonical measure
+is canonical, and a kind it drops nothing of keeps its arrays.  A sum
+that overflows raises ValueError.
 """
 
 from __future__ import annotations
@@ -100,8 +104,14 @@ def _covering(lo, hi, dens, left):
     """``(a, rows)``: for the sorted points ``left[a:a + len(rows)]`` in the
     span of the sorted, disjoint, nonempty run ``(lo, hi, dens)``, whose
     starts are among the points, the density of the piece each lies in
-    (zero in a gap), by a mark at each start and a cumulative sum."""
+    (zero in a gap), by a mark at each start and a cumulative sum.  A run
+    whose span holds no points but its starts, and a one-piece run, need
+    neither: their rows are ``dens`` itself and its one row broadcast."""
     a, b = np.searchsorted(left, (lo[0], hi[-1]))
+    if b - a == len(lo):  # the points are the starts: one piece each
+        return a, dens
+    if len(lo) == 1:
+        return a, np.broadcast_to(dens, (b - a, dens.shape[1]))
     k = np.zeros(b - a, dtype=np.intp)
     k[np.searchsorted(left[a:b], lo[1:])] = 1
     np.cumsum(k, out=k)
@@ -183,7 +193,12 @@ def _canonical_pieces(lo, hi, dens):
         lo, hi, dens = lo[keep], hi[keep], dens[keep]
     if np.any(lo[1:] < hi[:-1]):  # out of order or overlapping
         lo, hi, dens = _sum_overlapping(lo, hi, dens)
-    # merge runs of contiguous segments carrying bitwise-equal densities
+    return _merged_pieces(lo, hi, dens)
+
+
+def _merged_pieces(lo, hi, dens):
+    """Sorted, disjoint pieces with each run of contiguous pieces carrying
+    bitwise-equal densities merged into one."""
     contiguous = lo[1:] == hi[:-1]
     same = ~_rows_differ(dens[1:], dens[:-1])
     starts = np.concatenate(([True], ~(contiguous & same)))
@@ -246,6 +261,9 @@ class VectorMeasure:
             lo, hi, dens = _canonical_pieces(lo, hi, dens)
         if not (np.isfinite(wts).all() and np.isfinite(dens).all()):
             raise ValueError("a coefficient overflows to a non-finite value")
+        self._hold(pts, wts, lo, hi, dens, dim)
+
+    def _hold(self, pts, wts, lo, hi, dens, dim):
         for arr in (pts, wts, lo, hi, dens):
             arr.setflags(write=False)
         for name, value in zip(self.__slots__, (pts, wts, lo, hi, dens, dim)):
@@ -394,7 +412,7 @@ class VectorMeasure:
         every difference, so the distance is bitwise the same.  A
         difference that overflows raises ValueError.
         """
-        pts, wts, lo, hi, dens, _ = _summed([(1.0, self), (-1.0, other)])
+        pts, wts, lo, hi, dens, _ = _linear([(1.0, self), (-1.0, other)])
         with np.errstate(over="ignore", invalid="ignore"):
             _, wts = _canonical_atoms(pts, wts)
         if not (np.isfinite(wts).all() and np.isfinite(dens).all()):
@@ -521,13 +539,24 @@ class VectorMeasure:
 # -- measure transforms ----------------------------------------------
 
 
-def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
-    """Image measure under an affine map: (pushforward mu)(B) = mu(preimage B).
+def _parts(m: VectorMeasure, a=1.0):
+    """``a * m`` as arrays ``(points, weights, lo, hi, dens)``."""
+    if a == 1.0:
+        return (m.atom_points, m.atom_weights, m.piece_lo, m.piece_hi,
+                m.piece_density)
+    return (m.atom_points, a * m.atom_weights, m.piece_lo, m.piece_hi,
+            a * m.piece_density)
 
-    Atoms move to their image points; densities rescale by 1/|slope|.  A
-    piece whose image rounds to a point becomes an atom there carrying
-    the piece's mass, so a constant map collapses everything onto atoms at
-    its offset, which canonical form merges into one carrying the total.
+
+def _image(m: AffineMap, mu: VectorMeasure):
+    """``pushforward(m, mu)`` as arrays ``(points, weights, lo, hi,
+    dens)``, in canonical form but for non-finite coefficients.
+
+    Atoms that rounding sends to one point merge, and so do contiguous
+    pieces of equal density (a piece flattened between two): an operator
+    applied to these arrays then multiplies exactly the arrays of
+    ``pushforward``'s measure, whose product may round otherwise with
+    another row count (one row takes another BLAS path).
     """
     s, o = m.slope, m.offset
     a_pts, wts = mu.atom_points, mu.atom_weights
@@ -544,11 +573,36 @@ def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
         width = np.abs(p_hi[flat] - p_lo[flat])
         wts = np.concatenate([wts, p_d[flat] * width[:, None]])
         lo, hi, p_d = lo[~flat], hi[~flat], p_d[~flat]
-    # dividing by a slope below 1 can overflow a large density; canonical
-    # form refuses the inf that results, so numpy need not warn
+    # dividing by a slope below 1 can overflow a large density, and so can
+    # merging atoms; canonical form refuses the inf that results, so numpy
+    # need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         p_d = p_d / abs(s)
-    return VectorMeasure._from_arrays(pts, wts, lo, hi, p_d, mu.dim)
+        pts, wts = _canonical_atoms(pts, wts)
+    return (pts, wts, *_merged_pieces(lo, hi, p_d))
+
+
+def _operated(r, pts, wts, lo, hi, dens):
+    """The arrays with ``r`` applied to every coefficient, less the atoms
+    it sends to zero, as canonical form drops them."""
+    # a product can overflow; canonical form refuses the inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        wts, dens = wts @ r.T, dens @ r.T
+    keep = _rows_differ(wts, 0)
+    if not keep.all():
+        pts, wts = pts[keep], wts[keep]
+    return pts, wts, lo, hi, dens
+
+
+def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
+    """Image measure under an affine map: (pushforward mu)(B) = mu(preimage B).
+
+    Atoms move to their image points; densities rescale by 1/|slope|.  A
+    piece whose image rounds to a point becomes an atom there carrying
+    the piece's mass, so a constant map collapses everything onto atoms at
+    its offset, which canonical form merges into one carrying the total.
+    """
+    return VectorMeasure._from_arrays(*_image(m, mu), mu.dim)
 
 
 def apply_operator(r, mu: VectorMeasure) -> VectorMeasure:
@@ -557,41 +611,42 @@ def apply_operator(r, mu: VectorMeasure) -> VectorMeasure:
     if r.ndim != 2 or r.shape != (mu.dim, mu.dim):
         raise DimensionMismatch(
             f"operator shape {r.shape} does not match measure dimension {mu.dim}")
-    return VectorMeasure._from_arrays(
-        mu.atom_points, mu.atom_weights @ r.T,
-        mu.piece_lo, mu.piece_hi, mu.piece_density @ r.T, mu.dim)
+    return VectorMeasure._from_arrays(*_operated(r, *_parts(mu)), mu.dim)
 
 
 def combine(a, mu: VectorMeasure, b, nu: VectorMeasure) -> VectorMeasure:
     """Linear combination a*mu + b*nu in canonical form."""
-    return VectorMeasure._from_arrays(*_summed([(a, mu), (b, nu)]))
+    return VectorMeasure._from_arrays(*_linear([(a, mu), (b, nu)]))
 
 
 def accumulate(measures) -> VectorMeasure:
     """Sum of a nonempty sequence of measures in one canonicalization pass."""
-    return VectorMeasure._from_arrays(*_summed([(1.0, m) for m in measures]))
+    return VectorMeasure._from_arrays(*_linear([(1.0, m) for m in measures]))
 
 
-def _summed(terms):
+def _summed(parts, dtype=None):
+    """The sum of ``(points, weights, lo, hi, dens)`` parts as those five
+    arrays: the atoms of all parts, for canonical form to merge, and the
+    pieces summed by ``_sum_runs``, one run per part.  ``dtype`` defaults
+    to the parts' common coefficient type."""
+    if dtype is None:
+        dtype = np.result_type(*{p[1].dtype for p in parts})
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts], dtype=dtype),
+            *_sum_runs([p[2:] for p in parts], dtype))
+
+
+def _linear(terms):
     """sum of a * m over the ``(a, m)`` terms as ``(points, weights, lo,
-    hi, dens, dim)``: the atoms of all terms, for canonical form to merge,
-    and the pieces summed by ``_sum_runs``, one run per term."""
+    hi, dens, dim)``, by ``_summed``."""
     if not terms:
         raise ValueError("cannot sum an empty sequence of measures")
     dim = terms[0][1].dim
     if any(m.dim != dim for _, m in terms):
         raise DimensionMismatch("measures of different dimension in sum")
-    dtype = np.result_type(*(np.asarray(a) for a, _ in terms),
-                           *(m.atom_weights.dtype for _, m in terms))
-
-    def scaled(a, x):
-        return x if a == 1.0 else a * x
-
-    return (np.concatenate([m.atom_points for _, m in terms]),
-            np.concatenate([scaled(a, m.atom_weights).astype(dtype)
-                            for a, m in terms]),
-            *_sum_runs([(m.piece_lo, m.piece_hi, scaled(a, m.piece_density))
-                        for a, m in terms], dtype), dim)
+    dtype = np.result_type(*{np.asarray(a).dtype for a, _ in terms},
+                           *{m.atom_weights.dtype for _, m in terms})
+    return (*_summed([_parts(m, a) for a, m in terms], dtype), dim)
 
 
 def _smallest_first(contrib, tol):
@@ -626,10 +681,12 @@ def prune(mu: VectorMeasure, tol: float) -> VectorMeasure:
     contribution and removed smallest-first while the running sum stays
     within the budget, so ||prune(mu) - mu|| <= tol.  Only the smallest
     contributions are ordered (a partial selection), with the same result
-    as a full stable sort.  tol = 0 returns the measure unchanged.
+    as a full stable sort.  tol = 0 returns the measure unchanged; a
+    negative or NaN tol raises ValueError.  The result holds ``mu``'s
+    arrays where nothing of a kind is dropped, and its rows otherwise.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     if tol == 0.0:
         return mu
     na = mu.n_atoms
@@ -643,11 +700,22 @@ def prune(mu: VectorMeasure, tol: float) -> VectorMeasure:
     if n_drop == 0:
         return mu
     dropped = order[:n_drop]
-    keep_a = np.ones(na, dtype=bool)
-    keep_p = np.ones(mu.n_pieces, dtype=bool)
-    keep_a[dropped[dropped < na]] = False
-    keep_p[dropped[dropped >= na] - na] = False
-    return VectorMeasure._from_arrays(
-        mu.atom_points[keep_a], mu.atom_weights[keep_a],
-        mu.piece_lo[keep_p], mu.piece_hi[keep_p], mu.piece_density[keep_p],
-        mu.dim)
+    atoms = _kept(na, dropped[dropped < na],
+                  mu.atom_points, mu.atom_weights)
+    pieces = _kept(mu.n_pieces, dropped[dropped >= na] - na,
+                   mu.piece_lo, mu.piece_hi, mu.piece_density)
+    # a subset of canonical form is canonical: still sorted, disjoint and
+    # nonzero, and a dropped piece leaves a gap, so no neighbours merge
+    out = VectorMeasure.__new__(VectorMeasure)
+    out._hold(*atoms, *pieces, mu.dim)
+    return out
+
+
+def _kept(n, dropped, *arrays):
+    """The arrays, of n rows each, without the ``dropped`` rows; the arrays
+    themselves when none is."""
+    if not len(dropped):
+        return arrays
+    keep = np.ones(n, dtype=bool)
+    keep[dropped] = False
+    return tuple(a[keep] for a in arrays)

@@ -1,18 +1,21 @@
 """How canonicalisation sums pieces, checked exactly.
 
-``pushforward``, ``apply_operator`` and ``prune`` hand canonicalisation
-sorted, disjoint input, which keeps its densities as given; their
-results must match canonicalising a shuffled copy of the same arrays,
-which is dealt into runs and summed.  An iteration step never splits raw
-input into runs: ``accumulate`` and ``combine`` hand their canonical
-terms to the run sum directly.
+``pushforward`` and ``apply_operator`` hand canonicalisation sorted,
+disjoint input, which keeps its densities as given, and ``prune`` keeps
+a canonical subset without canonicalising; their results must match
+canonicalising a shuffled copy of the same arrays, which is dealt into
+runs and summed.  An iteration step never splits raw input into runs:
+its images and the terms of ``accumulate`` and ``combine`` go to the run
+sum directly.
 
 Every piece sum (constructor input, ``accumulate``, ``combine`` and
 ``-``) is checked against a plain-Python oracle to the bit and against
-the exact rational sum within one rounding per covering piece.  The row
-scatter and ``prune``'s partial selection are checked bit for bit
-against ``np.add.at`` and a full stable sort, and a traced-memory bound
-guards the peak of a subtraction.
+the exact rational sum within one rounding per covering piece, and so
+are the run sum's two shortcuts (a run that tiles the events, a
+one-piece run) and the panel densities that use them.  The row scatter
+and ``prune``'s partial selection are checked bit for bit against
+``np.add.at`` and a full stable sort, and a traced-memory bound guards
+the peak of a subtraction.
 """
 
 import tracemalloc
@@ -398,3 +401,134 @@ def test_subtracting_overlapping_measures_stays_within_its_memory_bound():
         tracemalloc.stop()
     assert diff.n_pieces == 400_001
     assert peak / operands <= _SUBTRACT_PEAK_RATIO
+
+
+# -- prune keeps a canonical subset as it is ------------------------------
+
+
+def _arrays(mu):
+    return [mu.atom_points, mu.atom_weights, mu.piece_lo, mu.piece_hi,
+            mu.piece_density]
+
+
+def _assert_canonical_subset(got, mu):
+    """``got`` is canonical form as ``_from_arrays`` would build it, read
+    only, and holds mu's own arrays for a kind it drops nothing of."""
+    _assert_bitwise(_arrays(got), _arrays(VectorMeasure._from_arrays(
+        *_arrays(got), mu.dim)))
+    for kind in (slice(0, 2), slice(2, 5)):
+        mine, theirs = _arrays(got)[kind], _arrays(mu)[kind]
+        whole = len(mine[0]) == len(theirs[0])
+        for g, m in zip(mine, theirs):
+            assert not g.flags.writeable
+            if len(m):
+                assert np.shares_memory(g, m) == whole
+
+
+def test_prune_leaves_a_gap_between_equal_neighbours():
+    d = [1.0, -2.0]
+    mu = VectorMeasure(atoms=[(0.1, [3.0, 1.0])],
+                       pieces=[((0.2, 0.4), d), ((0.4, 0.5), [1e-12, 0.0]),
+                               ((0.5, 0.8), d)])
+    got = prune(mu, 1e-12)  # the middle piece carries 1e-13
+    assert got.piece_lo.tolist() == [0.2, 0.5]
+    assert got.piece_hi.tolist() == [0.4, 0.8]
+    _assert_canonical_subset(got, mu)
+
+
+def test_prune_returns_canonical_form_sharing_what_it_keeps_whole():
+    rng = np.random.default_rng(43)
+    # atoms lighter than pieces, mixed, and pieces lighter than atoms
+    cases = [VectorMeasure(
+        atoms=[(t, 1e-9 * rng.standard_normal(2)) for t in rng.uniform(0, 1, 9)],
+        pieces=[((0.1 * i, 0.1 * i + 0.05), rng.standard_normal(2))
+                for i in range(9)])]
+    cases += [_tied_measure(rng, 500)]
+    cases += [_canonical(rng, 2) for _ in range(20)]
+    kinds = set()
+    for mu in cases:
+        contrib = np.sort(np.concatenate([
+            measure._row_norms(mu.atom_weights),
+            measure._row_norms(mu.piece_density) * (mu.piece_hi - mu.piece_lo)]))
+        csum = np.cumsum(contrib)
+        for k in (1, 2, len(csum) // 2, len(csum) - 1):
+            got = prune(mu, 0.5 * (csum[k - 1] + csum[k]))
+            kinds.add((got.n_atoms < mu.n_atoms, got.n_pieces < mu.n_pieces))
+            _assert_canonical_subset(got, mu)
+    # atoms only, pieces only and both were dropped
+    assert {(True, False), (False, True), (True, True)} <= kinds
+
+
+# -- _covering's two shortcuts against the oracle ---------------------------
+
+
+def _covering_by_loop(lo, hi, dens, left):
+    """The density of the piece each point of ``left`` lies in, zero in a
+    gap, for the points in the run's span."""
+    rows = [next((d for a, b, d in zip(lo, hi, dens) if a <= x < b),
+                 np.zeros_like(dens[0]))
+            for x in left if lo[0] <= x < hi[-1]]
+    return np.array(rows, dtype=dens.dtype).reshape(-1, dens.shape[1])
+
+
+def _run(cuts, dens, skip=()):
+    keep = [i for i in range(len(cuts) - 1) if i not in skip]
+    return (cuts[:-1][keep], cuts[1:][keep], dens[keep])
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("case, shortcut", [
+    ("tiling", "tiles"), ("one_piece_all", "one_piece"),
+    ("one_piece_part", "one_piece"), ("gap", None)])
+def test_covering_shortcuts_match_the_exact_oracle(case, shortcut, complex_):
+    rng = np.random.default_rng(47)
+    dim = 2
+    cuts = np.sort(rng.uniform(0.0, 1.0, 9))
+    dens = rng.standard_normal((8, dim)) * 10.0 ** rng.uniform(-6, 6, (8, 1))
+    if complex_:
+        dens = dens + 1j * rng.standard_normal((8, dim))
+    other = rng.standard_normal((8, dim))
+    # the run under test, then a second run over part of its events
+    run = {"tiling": _run(cuts, dens),
+           "one_piece_all": _run(cuts[[0, -1]], dens[:1]),
+           "one_piece_part": _run(cuts[[2, 5]], dens[:1]),
+           "gap": _run(cuts, dens, skip=(3,))}[case]
+    second = _run(cuts[::2], other[:4])
+    runs = [run, second]
+    events = np.unique(np.concatenate([x for r in runs for x in r[:2]]))
+    left = events[:-1]
+    a, rows = measure._covering(*run, left)
+    assert (shortcut is not None) == np.shares_memory(rows, run[2])
+    if shortcut == "one_piece":
+        assert len(rows) > 1
+    want = _covering_by_loop(*run, left)
+    assert left[a] == run[0][0]
+    _assert_bitwise([np.asarray(rows)], [want])
+    # and the sum they take part in, against the exact rational sum
+    measures = [VectorMeasure._from_arrays(
+        np.zeros(0), np.zeros((0, dim), r[2].dtype), *r, dim) for r in runs]
+    python_runs = [_python(zip(r[0].tolist(), r[1].tolist(), r[2]))
+                   for r in runs]
+    _assert_oracle(accumulate(measures), _add_runs(python_runs, dim),
+                   [p for r in python_runs for p in r])
+
+
+@pytest.mark.parametrize("atoms, pieces", [
+    # one piece across panels that atoms cut: the one-piece shortcut
+    ([0.1, 0.3, 0.55, 0.7], [(0.2, 0.9)]),
+    # atomless and gapless: the pieces tile the panels they span
+    ([], [(0.1, 0.25), (0.25, 0.6), (0.6, 0.9)]),
+    # atomless with a gap: the general path
+    ([], [(0.1, 0.25), (0.3, 0.6), (0.6, 0.9)]),
+])
+def test_panel_densities_match_the_pieces_they_lie_in(atoms, pieces):
+    rng = np.random.default_rng(61)
+    mu = VectorMeasure(atoms=[(t, rng.standard_normal(2)) for t in atoms],
+                       pieces=[(p, rng.standard_normal(2)) for p in pieces])
+    bps, _, rho = mu.panels()
+    want = np.zeros_like(rho)
+    for j, x in enumerate(bps[:-1]):
+        for a, b, d in zip(mu.piece_lo, mu.piece_hi, mu.piece_density):
+            if a <= x < b:
+                want[j] = d
+    _assert_bitwise([rho], [want])

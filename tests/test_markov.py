@@ -6,7 +6,7 @@ import pytest
 from ifsmeasure import (AffineMap, ContractionFactors, DimensionMismatch,
                         IFSystem, IterationLimit, NotContractive, QuerySet,
                         VectorMeasure, apply_markov, combine, dual_apply,
-                        eval_fixed_point, factors, integrate,
+                        eval_fixed_point, eval_many, factors, integrate,
                         iterate_fixed_point, mk_star_exact, residual,
                         vector_polynomial)
 from ifsmeasure.hilbert import operator_norm
@@ -236,7 +236,7 @@ def test_iterate_refuses_or_certifies_the_one_map_family(slope, r, offset,
     assert abs(res.measure.total()[0] - 1.0 / (1.0 - r)) <= res.error_bound
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_iterate_refuses_a_tolerance_it_can_never_meet(tol):
     # one mass-preserving map keeps the iterate a single atom, so neither
     # the prune budget nor the size cap would stop it before max_iter
@@ -244,6 +244,14 @@ def test_iterate_refuses_a_tolerance_it_can_never_meet(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         iterate_fixed_point(sys, VectorMeasure.dirac(0.0, np.array([1.0])),
                             tol=tol, max_iter=10_000)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_eval_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # an infinite tol made the truncation budget inf and the sweeps
+    # multiply inf by zero
+    with pytest.raises(ValueError, match="tol must be positive"):
+        eval_many(triangular_system(), [QuerySet(intervals=[(0.0, 0.5, True, True)])], tol)
 
 
 def _record_iterates(monkeypatch):

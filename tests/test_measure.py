@@ -283,6 +283,21 @@ def test_prune_respects_budget():
         assert prune(mu, 0.0) is mu
 
 
+def test_apply_operator_refuses_a_product_that_overflows():
+    # numpy warned "overflow encountered in matmul", an error under -W error
+    mu = VectorMeasure(atoms=[(0.5, [1e300])], pieces=[((0.0, 1.0), [1.0])])
+    with pytest.raises(ValueError, match="overflows"):
+        apply_operator(np.array([[1e10]]), mu)
+
+
+@pytest.mark.parametrize("tol", [-1e-300, float("nan")])
+def test_prune_refuses_a_negative_or_nan_budget(tol):
+    # a NaN budget compared false with every running sum and dropped all
+    mu = VectorMeasure(atoms=[(0.5, [1.0])], pieces=[((0.0, 1.0), [2.0])])
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        prune(mu, tol)
+
+
 def test_cumulative_has_jumps_at_atoms():
     mu = VectorMeasure(atoms=[(0.5, np.array([1.0]))],
                        pieces=[((0.0, 1.0), np.array([2.0]))])
