@@ -42,7 +42,7 @@ print(f"  residual {countable_series_residual(P, points, base, nu):.3e}")
 # profile family omega_theta(t) = t/(1 + theta); for f(s) = s x the
 # value is t x integral_0^inf e^-theta/(1+theta) dtheta
 x = np.array([1.0, -0.5])
-f = ContinuousFunction(lambda s: s * x, dim=2,
+f = ContinuousFunction(lambda s: s[:, None] * x, dim=2,
                        sup_bound=float(np.linalg.norm(x)))
 harmonic_exp = 0.596347362323194074  # integral_0^inf e^-theta/(1+theta)
 for t in (0.25, 1.0):

@@ -31,7 +31,7 @@ from .kernelops import (DEFAULT_INHOMOGENEITY, SeparableKernel,
 # eval_fixed_point is unused here; bench/tracing.py wraps it at this binding
 from .markov import (IFSystem, apply_markov, eval_fixed_point, eval_many,
                      factors, iterate_fixed_point, residual)
-from .measure import VectorMeasure
+from .measure import VectorMeasure, _unique
 from .mk_norm import mk_lower_bound, mk_star_exact, mk_upper_bound
 # transfer_residual is unused here; bench/tracing.py wraps it at this binding
 from .semigroup import exp_decay_fixed_point, transfer_residual
@@ -92,7 +92,7 @@ def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
     if mu.n_atoms:
         left = np.nextafter(mu.atom_points, -np.inf)
         ts.append(left[left >= 0.0])
-    grid = np.unique(np.concatenate(ts))
+    grid = _unique(np.concatenate(ts))
     values = mu.cumulative_all(grid)
     if mu.field == "complex":
         cols = [f"F{k + 1}_{part}" for k in range(mu.dim) for part in ("re", "im")]
@@ -185,7 +185,7 @@ class _IFSJob:
             return {"iterations": res.iterations,
                     "error_bound": _num(res.error_bound),
                     "norm": res.norm,
-                    "total": _vec(res.measure.total()),
+                    "total": _vec(res.total),
                     "atoms": res.measure.n_atoms,
                     "pieces": res.measure.n_pieces}
         if cmd == "eval":

@@ -80,13 +80,26 @@ def _norm(x) -> float:
     return float(_row_norms(np.ravel(x)[None, :])[0])
 
 
+def _pairings(x, y):
+    """(x, y) along the last axis, summed left to right from zero.  Complex
+    products are taken in real arithmetic: numpy's complex multiply fuses
+    on some array layouts only, and a row must not depend on the others."""
+    if np.iscomplexobj(x) or np.iscomplexobj(y):
+        p = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), complex)
+        p.real = x.real * y.real + x.imag * y.imag
+        p.imag = x.imag * y.real - x.real * y.imag
+    else:
+        p = x * y
+    return np.cumsum(p, axis=-1)[..., -1] + 0.0
+
+
 def scalar_product(x, y):
     """(x, y) = sum_i x_i conj(y_i); real inputs give a real result."""
     xv = _as_vector(x)
     yv = _as_vector(y)
     if xv.shape != yv.shape:
         raise DimensionMismatch(f"vector shapes differ: {xv.shape} vs {yv.shape}")
-    out = np.sum(xv * np.conj(yv))
+    out = _pairings(xv, yv)
     return complex(out) if np.iscomplexobj(out) else float(out)
 
 

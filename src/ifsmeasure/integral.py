@@ -3,8 +3,8 @@
 The pairing is the uniform (sesquilinear) integral: for a simple function
 f = sum_i x_i 1_{A_i} it is sum_i (x_i, mu(A_i)), linear in the function and
 conjugate-linear in the measure, with |integral| <= sup||f|| * ||mu||.
-Continuous integrands are handled atom-by-atom exactly and piece-by-piece by
-adaptive Gauss-Legendre quadrature.
+Continuous integrands pair exactly with the atoms, all in one call, and
+piece by piece by adaptive Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from ._quadrature import adaptive_gauss
 from .exceptions import DimensionMismatch, PartitionError
-from .hilbert import scalar_product
+from .hilbert import _pairings
 from .measure import VectorMeasure
 from .space import Span
 
@@ -56,32 +56,30 @@ class SimpleFunction:
         if (end, end_incl) != (1.0, True):
             raise PartitionError(f"cells do not partition [0, 1] at {end!r}")
 
-    def __call__(self, t: float) -> np.ndarray:
-        for cell, v in zip(self.cells, self.values):
-            if cell.contains(t):
-                return v
-        raise ValueError(f"point {t!r} not covered by any cell")
-
 
 @dataclass(frozen=True)
 class ContinuousFunction:
-    """Pointwise-defined integrand with declared bounds.
+    """Integrand with declared bounds, evaluated on arrays of points.
 
+    ``func`` maps a 1-D array of k points to a (k, dim) array, row i the
+    value at point i; each row must not depend on the other points.
     ``sup_bound`` dominates sup ||f||; ``lip_bound`` (optional) dominates
     the Lipschitz constant.  The bounds travel through operator transforms,
     so norm estimates stay certified without re-sampling.
     """
-    func: Callable[[float], np.ndarray]
+    func: Callable[[np.ndarray], np.ndarray]
     dim: int
     sup_bound: float
     lip_bound: Optional[float] = None
 
-    def __call__(self, t: float) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(self.func(t)))
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"integrand returned shape {v.shape}, expected ({self.dim},)")
-        return v
+    def __call__(self, t) -> np.ndarray:
+        """f at a point, shape (dim,), or at an array of k points, (k, dim)."""
+        t = np.asarray(t, dtype=float)
+        v = np.asarray(self.func(np.atleast_1d(t)))
+        if v.shape != (t.size, self.dim):
+            raise DimensionMismatch(f"integrand returned shape {v.shape}, "
+                                    f"expected ({t.size}, {self.dim})")
+        return v if t.ndim else v[0]
 
 
 def vector_polynomial(coeffs) -> ContinuousFunction:
@@ -93,9 +91,10 @@ def vector_polynomial(coeffs) -> ContinuousFunction:
     sup = float(norms.sum())
     lip = float(sum(k * norms[k] for k in range(degp1)))
 
-    def f(t, _c=c, _deg=degp1):
-        powers = np.power(float(t), np.arange(_deg))
-        return powers @ _c
+    def f(t, _c=c):
+        # the terms added in degree order, point by point
+        terms = t[:, None, None] ** np.arange(len(_c))[:, None] * _c
+        return np.cumsum(terms, axis=1)[:, -1]
 
     return ContinuousFunction(f, dim=n, sup_bound=sup, lip_bound=lip)
 
@@ -105,10 +104,8 @@ def integrate_simple(f: SimpleFunction, mu: VectorMeasure):
     f.validate_partition()
     if f.dim != mu.dim:
         raise DimensionMismatch(f"function dim {f.dim} vs measure dim {mu.dim}")
-    out = 0.0
-    for v, m in zip(f.values, mu.evaluate_many(f.cells)):
-        out = out + scalar_product(v, m)
-    return out
+    pairs = _pairings(np.array(f.values), mu.evaluate_many(f.cells))
+    return np.cumsum(np.append(0.0, pairs))[-1]
 
 
 def integrate(f: ContinuousFunction, mu: VectorMeasure, tol: float = 1e-10):
@@ -120,15 +117,16 @@ def integrate(f: ContinuousFunction, mu: VectorMeasure, tol: float = 1e-10):
     """
     if f.dim != mu.dim:
         raise DimensionMismatch(f"function dim {f.dim} vs measure dim {mu.dim}")
-    out = 0.0
-    for t, w in zip(mu.atom_points, mu.atom_weights):
-        v = f(t)
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"integrand not finite at atom {t!r}")
-        out = out + scalar_product(v, w)
+    v = f(mu.atom_points)
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"integrand not finite at atom {mu.atom_points[np.argmin(finite)]!r}")
+    # the atoms' pairings added in atom order, from 0.0
+    out = np.cumsum(np.append(0.0, _pairings(v, mu.atom_weights)))[-1]
     if mu.n_pieces:
         per_piece = tol / mu.n_pieces
         for lo, hi, dens in zip(mu.piece_lo, mu.piece_hi, mu.piece_density):
             out = out + adaptive_gauss(
-                lambda t, _d=dens: scalar_product(f(t), _d), lo, hi, per_piece)
+                lambda t, _d=dens: _pairings(f(t), _d), lo, hi, per_piece)
     return out

@@ -36,7 +36,7 @@ import numpy as np
 
 from .exceptions import (DimensionMismatch, FieldMismatch, IterationLimit,
                          NotContractive)
-from .hilbert import (_as_operator, _field_cast, _norm, _row_norms, adjoint,
+from .hilbert import (_as_operator, _field_cast, _norm, _pairings, _row_norms,
                       operator_norm)
 from .integral import ContinuousFunction
 # pushforward, apply_operator, accumulate and preimage are unused here;
@@ -177,13 +177,12 @@ def dual_apply(sys: IFSystem, f: ContinuousFunction) -> ContinuousFunction:
     if f.dim != sys.dim:
         raise DimensionMismatch(
             f"function dimension {f.dim} differs from system dimension {sys.dim}")
-    adjs = [adjoint(r) for r in sys.operators]
-    maps = sys.maps
 
-    def g(t, _adjs=adjs, _maps=maps, _f=f):
+    def g(t, _ops=sys.operators, _maps=sys.maps, _f=f):
         out = None
-        for a, m in zip(_adjs, _maps):
-            v = a @ _f(m(t))
+        for r, m in zip(_ops, _maps):
+            # entry i of adjoint(R) v is (v, R e_i): v paired with column i
+            v = _pairings(_f(m(t))[:, None, :], r.T)
             out = v if out is None else out + v
         return out
 
@@ -206,6 +205,8 @@ class FixedPointResult:
     iterations: int
     error_bound: float
     norm: str
+    # measure.total(), as the rounding-drift check computed it
+    total: np.ndarray
 
 
 def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
@@ -286,14 +287,14 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         bound = (q * distance(nxt, cur) + budget) / (1.0 - q)
         if bound <= tol:
             # pruning moves the total by at most the budget
-            drift = _norm(nxt.total() - op_sum @ cur.total()
-                          - base_total) - budget
+            total = nxt.total()
+            drift = _norm(total - op_sum @ cur.total() - base_total) - budget
             if drift / (1.0 - q) > bound:
                 raise IterationLimit(
                     f"rounding moves the total by {drift:.3g} per step, up to "
                     f"{drift / (1.0 - q):.3g} at the fixed point, more than "
                     f"the bound {bound:.3g}; not certified")
-            return FixedPointResult(nxt, k, bound, norm)
+            return FixedPointResult(nxt, k, bound, norm, total)
         cur = nxt
     raise IterationLimit(
         f"tolerance {tol:g} not certified in {max_iter} iterations "

@@ -64,6 +64,14 @@ def _rows_differ(a: np.ndarray, b) -> np.ndarray:
     return out
 
 
+def _unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` to the bit (-0.0 or 0.0 as its sort leaves them),
+    sorting ``a`` in place: no copy, and no ``numpy.ma`` import, which
+    ``np.unique`` does on its first call."""
+    a.sort()
+    return a[np.concatenate(([True], a[1:] != a[:-1]))[:len(a)]]
+
+
 def _canonical_atoms(points, weights):
     if len(points) > 1 and not np.all(points[1:] > points[:-1]):
         order = np.argsort(points, kind="stable")
@@ -173,7 +181,7 @@ def _sum_overlapping(lo, hi, dens):
     run = _first_fit(lo[order], hi[order])
     group = np.argsort(run, kind="stable")
     order, run = order[group], run[group]
-    events = np.unique(np.concatenate([lo, hi]))
+    events = _unique(np.concatenate([lo, hi]))
     m = len(events)
     k_lo = run * m + np.searchsorted(events, lo[order])
     k_hi = run * m + np.searchsorted(events, hi[order])
@@ -457,7 +465,7 @@ class VectorMeasure:
     def breakpoints(self) -> np.ndarray:
         """Sorted points where the cumulative changes slope or jumps,
         always including 0 and 1."""
-        return np.unique(np.concatenate(
+        return _unique(np.concatenate(
             [self.atom_points, self.piece_lo, self.piece_hi, [0.0, 1.0]]))
 
     def panels(self):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hilbert import _norm
-from .measure import VectorMeasure, _rows_differ, _scatter_rows
+from .measure import VectorMeasure, _rows_differ, _scatter_rows, _unique
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
@@ -194,7 +194,7 @@ def _influence_vectors(mu: VectorMeasure, nodes: np.ndarray) -> np.ndarray:
     if len(nodes) == 1:
         return mu.total()[None, :]
     bps, _, rho = mu.panels()
-    cuts = np.unique(np.concatenate([bps, nodes[(nodes > 0.0) & (nodes < 1.0)]]))
+    cuts = _unique(np.concatenate([bps, nodes[(nodes > 0.0) & (nodes < 1.0)]]))
     j = np.searchsorted(bps, cuts[:-1], side="right") - 1
     t = np.concatenate([mu.atom_points, 0.5 * (cuts[:-1] + cuts[1:])])
     w = np.concatenate([mu.atom_weights, rho[j] * np.diff(cuts)[:, None]])
@@ -235,7 +235,7 @@ def _unit_derivative_witness(mu: VectorMeasure):
     vertex = bps[s] - np.real(np.sum(F[s] * np.conj(rho[s]), axis=1)) / a[s]
     off = _VERTEX_MARGIN * (bps[s + 1] - bps[s])
     inside = (vertex > bps[s] + off) & (vertex < bps[s + 1] - off)
-    nodes = np.union1d(bps, vertex[inside])
+    nodes = _unique(np.concatenate([bps, vertex[inside]]))
     j = np.searchsorted(bps, nodes[:-1], side="right") - 1
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     Fm = F[j] + (mid - bps[j])[:, None] * rho[j]

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._quadrature import adaptive_gauss
 from .exceptions import DimensionMismatch, IterationLimit
-from .hilbert import _norm, matrix_exp, operator_norm, scalar_product
+from .hilbert import _norm, _pairings, matrix_exp, operator_norm
 from .integral import ContinuousFunction, integrate
 from .measure import VectorMeasure, combine
 
@@ -33,10 +33,11 @@ __all__ = ["hc_quadrature", "constant_map_transfer", "exp_decay_fixed_point",
 def _decay_integral(g, rate: float, bound: float, tol: float):
     """integral_0^inf g(theta, e^(-rate theta)) dtheta to within tol.
 
-    ``g`` gets theta and the decay weight, and its value is at most
-    ``bound`` times the weight.  In decay units u = rate theta the tail
-    past U = log(2 bound/(rate tol)) is at most rate tol/2, for any rate;
-    [0, U] gets the other half, and the sum is divided by the rate.
+    ``g`` gets an array of theta and their decay weights and returns one
+    row per theta, of norm at most ``bound`` times the weight.  In decay
+    units u = rate theta the tail past U = log(2 bound/(rate tol)) is at
+    most rate tol/2, for any rate; [0, U] gets the other half, and the sum
+    is divided by the rate.
     """
     u_max = np.log(2.0 * bound / (rate * tol))
     return adaptive_gauss(lambda u: g(u / rate, np.exp(-u)),
@@ -51,8 +52,9 @@ def hc_quadrature(f: ContinuousFunction, t: float,
     omega_theta(t) = t/(1+theta): the exponential weight is exactly the
     operator norm, and sup||f|| bounds the rest of the integrand.
     """
-    return _decay_integral(lambda theta, w: w * f((1.0 / (1.0 + theta)) * t),
-                           1.0, max(f.sup_bound, 1e-300), tol)
+    return _decay_integral(
+        lambda theta, w: w[:, None] * f((1.0 / (1.0 + theta)) * t),
+        1.0, max(f.sup_bound, 1e-300), tol)
 
 
 def constant_map_transfer(rate: float, phi: Callable[[float], float],
@@ -67,7 +69,8 @@ def constant_map_transfer(rate: float, phi: Callable[[float], float],
         integral f d(transfer nu)
             = integral_0^inf e^(-rate theta) (f(phi(theta)), nu total) dtheta.
 
-    The rate (> 0) and sup||f|| ||nu total|| bound the tail.
+    The rate (> 0) and sup||f|| ||nu total|| bound the tail.  ``phi``
+    gets an array of theta; its value is broadcast to theta's shape.
     """
     if not rate > 0:
         raise ValueError("rate must be positive")
@@ -78,7 +81,8 @@ def constant_map_transfer(rate: float, phi: Callable[[float], float],
     if tnorm == 0.0:
         return 0.0
     return _decay_integral(
-        lambda theta, w: scalar_product(f(phi(theta)), w * tot),
+        lambda theta, w: _pairings(
+            f(np.broadcast_to(phi(theta), theta.shape)), w[:, None] * tot),
         rate, max(f.sup_bound, 1e-300) * tnorm, tol)
 
 
@@ -115,11 +119,9 @@ def transfer_residual(rate: float, target: float, base: VectorMeasure,
     polynomial test integrands t^p e_j, p <= 3."""
     worst = 0.0
     for p in range(4):
-        for j in range(base.dim):
-            ej = np.zeros(base.dim)
-            ej[j] = 1.0
+        for ej in np.eye(base.dim):
             f = ContinuousFunction(
-                lambda t, _p=p, _e=ej: (t ** _p) * _e, dim=base.dim,
+                lambda t, _p=p, _e=ej: (t ** _p)[:, None] * _e, dim=base.dim,
                 sup_bound=1.0, lip_bound=float(max(p, 1)))
             lhs = (constant_map_transfer(rate, lambda th: target, mu, f, tol=tol)
                    + integrate(f, base, tol=tol))

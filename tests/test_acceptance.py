@@ -237,7 +237,7 @@ def test_transport_norm_estimator_against_exact_formula():
 def test_decay_family_quadrature_and_fixed_points():
     reference = 0.596347362323194074  # integral of exp(-u)/(1+u), u >= 0
     x = np.array([1.0, -0.5])
-    f = ContinuousFunction(lambda s: s * x, dim=2,
+    f = ContinuousFunction(lambda s: s[:, None] * x, dim=2,
                            sup_bound=float(np.linalg.norm(x)))
     got = hc_quadrature(f, 1.0, tol=1e-10)
     quad_err = float(np.abs(got - x * reference).max())

@@ -1,7 +1,10 @@
 """Tests for the scenario runner and CSV export."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -39,6 +42,50 @@ def test_bundled_blend_scenario(tmp_path):
     code, report = run("cantor_blend", out_dir=str(tmp_path))
     assert code == 0
     assert "residual_mk_star=" in report
+
+
+def test_bundled_scenarios_never_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, which costs more than
+    # a small scenario's own work; the package's sorts must not reach it
+    package_root = str(Path(ifsmeasure.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    sys.exit(3)\n"
+        "from ifsmeasure import cli\n"
+        "for name in ('cantor_triangular', 'cantor_blend', 'decay_transfer',\n"
+        "             'separable_kernel'):\n"
+        "    assert cli.run(name, out_dir=sys.argv[1])[0] == 0, name\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("numpy before 2.0 imports numpy.ma with numpy itself")
+    assert proc.returncode == 0
+
+
+def test_solve_reports_the_total_the_solver_computed(tmp_path, monkeypatch):
+    solved, calls = [], []
+    iterate, total = cli.iterate_fixed_point, VectorMeasure.total
+
+    def iterate_spy(*args, **kwargs):
+        res = iterate(*args, **kwargs)
+        solved.append(res.measure)
+        return res
+
+    def total_spy(self):
+        calls.append(self)
+        return total(self)
+    monkeypatch.setattr(cli, "iterate_fixed_point", iterate_spy)
+    monkeypatch.setattr(VectorMeasure, "total", total_spy)
+    code, report = run("cantor_triangular", out_dir=str(tmp_path))
+    assert code == 0 and "solve: " in report
+    assert len(solved) == 1
+    assert sum(m is solved[0] for m in calls) == 1
 
 
 def test_report_is_deterministic(tmp_path):

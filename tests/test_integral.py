@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from ifsmeasure import (ContinuousFunction, PartitionError, QuerySet,
-                        RefinementLimit, SimpleFunction, VectorMeasure,
-                        integrate, integrate_simple, vector_polynomial)
+from ifsmeasure import (ContinuousFunction, IFSystem, PartitionError,
+                        QuerySet, RefinementLimit, SimpleFunction,
+                        VectorMeasure, dual_apply, integrate,
+                        integrate_simple, vector_polynomial)
+from ifsmeasure import _quadrature as quadrature
 from ifsmeasure._quadrature import adaptive_gauss
+from ifsmeasure.hilbert import _pairings
 
 
 def test_simple_function_requires_a_partition():
@@ -122,9 +125,9 @@ def test_vector_polynomial_bounds_are_certified():
 
 
 def test_continuous_function_validates_shape():
-    f = ContinuousFunction(lambda t: np.array([t, t]), dim=2, sup_bound=2.0)
+    f = ContinuousFunction(lambda t: np.stack([t, t], axis=1), dim=2, sup_bound=2.0)
     assert f(0.5).shape == (2,)
-    bad = ContinuousFunction(lambda t: np.array([t]), dim=2, sup_bound=1.0)
+    bad = ContinuousFunction(lambda t: t[:, None], dim=2, sup_bound=1.0)
     with pytest.raises(ValueError):
         bad(0.5)
 
@@ -155,7 +158,7 @@ def test_integrate_splits_budget_across_pieces():
 
 
 def test_integrate_complex_measure():
-    f = ContinuousFunction(lambda t: np.array([np.exp(1j * t)]), dim=1,
+    f = ContinuousFunction(lambda t: np.exp(1j * t)[:, None], dim=1,
                            sup_bound=1.0)
     mu = VectorMeasure(pieces=[((0.0, 1.0), np.array([1j]))], field="complex")
     want = (np.exp(1j) - 1.0) / 1j * np.conj(1j)
@@ -181,3 +184,73 @@ def test_adaptive_gauss_rejects_non_finite():
     with np.errstate(divide="ignore"):
         with pytest.raises(ValueError):
             adaptive_gauss(lambda t: 1.0 / (t - 0.5), 0.0, 1.0, 1e-8)
+
+
+def _sequential_panel(f, a, b):
+    """A panel the way a loop over its nodes takes it: one integrand call
+    per node, the weighted values added in node order."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    total = None
+    for x, w in zip(quadrature._NODES, quadrature._WEIGHTS):
+        v = f(np.array([mid + half * x]))[0]
+        total = w * v if total is None else total + w * v
+    return half * total
+
+
+def _panel_integrands(dim, field, rng):
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+    poly = vector_polynomial(draw(4, dim))
+    sys = IFSystem([(0.3, 0.0), (-0.4, 0.9), (0.5, 0.5)],
+                   [0.3 * draw(dim, dim) for _ in range(3)], field=field)
+    dual = dual_apply(sys, poly)
+    dens = draw(dim)
+    # the integrand integrate hands to the quadrature for a piece
+    return [poly, dual, lambda t: _pairings(dual(t), dens),
+            lambda t: np.exp(-3.0 * t) * np.sin(7.0 * t)]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_panel_is_the_sequential_node_sum_to_the_bit(dim, field):
+    rng = np.random.default_rng(10 * dim + (field == "complex"))
+    ends = np.sort(rng.random((20, 2)), axis=1)
+    for f in _panel_integrands(dim, field, rng):
+        for a, b in ends:
+            got, want = quadrature._panel(f, a, b), _sequential_panel(f, a, b)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_panel_calls_the_integrand_once_on_its_nodes():
+    calls = []
+
+    def f(t):
+        calls.append(t.copy())
+        return np.stack([t, 2.0 * t], axis=1)
+    quadrature._panel(f, 0.25, 0.75)
+    assert len(calls) == 1
+    assert calls[0].tobytes() == (0.5 + 0.25 * quadrature._NODES).tobytes()
+
+
+def test_panel_names_the_first_non_finite_node():
+    def f(t):
+        out = np.stack([t, t], axis=1)
+        out[7:, 1] = np.inf
+        out[9, 0] = np.nan
+        return out
+    with pytest.raises(ValueError, match="non-finite value") as exc:
+        quadrature._panel(f, 0.0, 1.0)
+    nodes = 0.5 + 0.5 * quadrature._NODES
+    assert f"t={nodes[7]!r}" in str(exc.value)
+
+
+def test_continuous_function_takes_points_and_arrays():
+    f = vector_polynomial([np.array([1.0, 0.0]), np.array([0.0, 2.0])])
+    t = np.linspace(0.0, 1.0, 5)
+    rows = f(t)
+    assert rows.shape == (5, 2) and f(0.5).shape == (2,)
+    assert rows[2].tobytes() == f(t[2]).tobytes()
+    with pytest.raises(ValueError):
+        ContinuousFunction(lambda t: t, dim=1, sup_bound=1.0)(t)

@@ -397,3 +397,17 @@ def test_zero_measure_properties():
     assert z.is_zero() and z.variation_norm() == 0.0
     assert np.array_equal(z.total(), np.zeros(3))
     assert z.dim == 3
+
+
+def test_unique_is_np_unique_to_the_bit():
+    # signed zeros included: both keep whichever zero the sort puts first
+    rng = np.random.default_rng(4)
+    for n in (0, 1, 2, 5, 16, 17, 100, 10_000):
+        a = rng.integers(0, max(1, n // 3), n) / max(1, n // 3)
+        a[rng.random(n) < 0.3] *= -1.0
+        a[rng.random(n) < 0.2] = -0.0
+        got = measure._unique(a.copy())
+        assert got.tobytes() == np.unique(a).tobytes()
+    a = np.array([0.5, 0.25, 0.5])
+    assert measure._unique(a).tolist() == [0.25, 0.5]
+    assert a.tolist() == [0.25, 0.5, 0.5]  # sorted in place

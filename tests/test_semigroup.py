@@ -25,7 +25,7 @@ def test_reference_constant_against_mpmath():
 
 def test_hc_quadrature_matches_reference_integral():
     x = np.array([1.0, -0.5])
-    f = ContinuousFunction(lambda s: s * x, dim=2,
+    f = ContinuousFunction(lambda s: s[:, None] * x, dim=2,
                            sup_bound=float(np.linalg.norm(x)))
     for t in (0.25, 1.0):
         got = hc_quadrature(f, t, tol=1e-10)
@@ -33,7 +33,7 @@ def test_hc_quadrature_matches_reference_integral():
 
 
 def test_constant_map_transfer_zero_measure_vanishes():
-    f = ContinuousFunction(lambda s: np.array([s, s]), dim=2, sup_bound=2.0)
+    f = ContinuousFunction(lambda s: np.stack([s, s], axis=1), dim=2, sup_bound=2.0)
     out = constant_map_transfer(2.0, lambda th: 0.5, VectorMeasure.zero(2), f)
     assert out == 0.0
 
@@ -43,7 +43,7 @@ def test_constant_map_transfer_constant_target_closed_form():
     rng = np.random.default_rng(1)
     nu = VectorMeasure(atoms=[(0.4, rng.standard_normal(2))],
                        pieces=[((0.0, 1.0), rng.standard_normal(2))])
-    f = ContinuousFunction(lambda s: np.array([s, s ** 2]), dim=2,
+    f = ContinuousFunction(lambda s: np.stack([s, s ** 2], axis=1), dim=2,
                            sup_bound=2.0)
     # fast decays too: the tail truncation follows the rate, so a decay
     # much shorter than a unit of theta is not missed (at 1e6 and 1e12 the
@@ -57,7 +57,7 @@ def test_constant_map_transfer_constant_target_closed_form():
 
 
 def test_constant_map_transfer_requires_positive_rate():
-    f = ContinuousFunction(lambda s: np.array([s]), dim=1, sup_bound=1.0)
+    f = ContinuousFunction(lambda s: s[:, None], dim=1, sup_bound=1.0)
     nu = VectorMeasure.dirac(0.5, np.array([1.0]))
     for rate in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="rate must be positive"):
