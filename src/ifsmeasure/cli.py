@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import IterationLimit, RefinementLimit
-from .kernelops import (DEFAULT_INHOMOGENEITY, SeparableKernel,
-                        kernel_sup_bound, partition_variation_estimate,
-                        solve_invariance)
+from .kernelops import (DEFAULT_INHOMOGENEITY, SeparableKernel, _MAX_CELLS,
+                        _MAX_GRID, kernel_sup_bound,
+                        partition_variation_estimate, solve_invariance)
 # eval_fixed_point is unused here; bench/tracing.py wraps it at this binding
 from .markov import (IFSystem, apply_markov, eval_fixed_point, eval_many,
                      factors, iterate_fixed_point, residual)
@@ -67,14 +67,22 @@ def _object(doc, what: str) -> dict:
     return doc
 
 
-def _count(args, default: int) -> int:
-    """The integer argument of a command, ``default`` when there is none."""
-    if not args:
-        return default
+def _count(value, lo: int, hi, what: str) -> int:
+    """``value`` as an integer in ``lo..hi`` (``hi`` None: no cap): an
+    integer, a float equal to one (``1e9``) or, for a command word, the
+    text of one.  A boolean, a fraction, a non-finite float, any other
+    value and one out of range are a ScenarioError that names it."""
     try:
-        return int(args[0])
-    except ValueError:
-        raise ScenarioError(f"expected an integer, got {args[0]!r}") from None
+        n = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(
+            f"{what} must be an integer, got {value!r} ({exc})") from None
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    if n < lo or (hi is not None and n > hi):
+        limits = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+        raise ScenarioError(f"{what} must be {limits}, got {n}")
+    return n
 
 
 def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
@@ -133,9 +141,7 @@ def _parse_measure(doc, field) -> VectorMeasure:
 class _IFSJob:
     def __init__(self, doc):
         field = _field(doc)
-        dim = doc.get("dimension")
-        if dim is None:
-            raise ScenarioError("ifs scenario needs a dimension")
+        dim = _count(doc["dimension"], 1, None, "dimension")
         base = doc.get("base")
         base_m = _parse_measure(base, field) if base is not None else None
         self.system = IFSystem(doc["maps"], doc["operators"], base=base_m,
@@ -146,12 +152,10 @@ class _IFSJob:
                                    "query_sets").items()}
         solver = _object(doc.get("solver", {}), "solver")
         self.tol = _tol(solver, 1e-8)
-        max_iter = solver.get("max_iter", 200)
-        self.max_iter = int(max_iter)
-        if self.max_iter < 0 or self.max_iter != float(max_iter):
-            raise ScenarioError(
-                f"max_iter must be a non-negative integer, got {max_iter!r}")
-        self.samples = int(solver.get("samples", 201))
+        self.max_iter = _count(solver.get("max_iter", 200), 0, None,
+                               "max_iter")
+        self.samples = _count(solver.get("samples", 201), 2, _MAX_SAMPLES,
+                              "samples")
         # the sets the eval commands name, evaluated together on first use
         self.eval_names = [parts[1] for parts in map(str.split, map(
             str, doc.get("commands", []))) if parts[:1] == ["eval"]]
@@ -159,6 +163,11 @@ class _IFSJob:
         start = solver.get("start")
         self.start = (_parse_measure(start, field) if start is not None
                       else VectorMeasure.zero(dim, field))
+        mu = self.start
+        if mu.dim != dim or (mu.field, field) == ("complex", "real"):
+            raise ScenarioError(
+                f"start is a {mu.field} dimension-{mu.dim} measure in a "
+                f"{field} dimension-{dim} system")
 
     @cached_property
     def solution(self):
@@ -249,7 +258,7 @@ class _KernelJob:
 
     def command(self, cmd, args, out_dir, name):
         if cmd == "supbound":
-            grid = _count(args, 64)
+            grid = _count(args[0] if args else 64, 2, _MAX_GRID, "supbound")
             return {"grid": grid,
                     "values": [_num(kernel_sup_bound(k, grid))
                                for k in self.kernels]}
@@ -267,7 +276,7 @@ class _KernelJob:
             return {"exact_residual_zero": exact_zero,
                     "grid_residual": _num(grid_res)}
         if cmd == "partition":
-            n = _count(args, 4096)
+            n = _count(args[0] if args else 4096, 1, _MAX_CELLS, "partition")
             return {"n": n, "value": _num(partition_variation_estimate(n))}
         raise ScenarioError(f"unknown kernel command {cmd!r}")
 

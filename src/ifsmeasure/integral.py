@@ -16,7 +16,7 @@ import numpy as np
 
 from ._quadrature import adaptive_gauss
 from .exceptions import DimensionMismatch, PartitionError
-from .hilbert import _pairings
+from .hilbert import _pairings, _row_norms
 from .measure import VectorMeasure
 from .space import Span
 
@@ -87,7 +87,7 @@ def vector_polynomial(coeffs) -> ContinuousFunction:
     certified sup and Lipschitz bounds on [0, 1]."""
     c = np.atleast_2d(np.asarray(coeffs))
     degp1, n = c.shape
-    norms = np.sqrt(np.sum(np.abs(c) ** 2, axis=1))
+    norms = _row_norms(c)
     sup = float(norms.sum())
     lip = float(sum(k * norms[k] for k in range(degp1)))
 

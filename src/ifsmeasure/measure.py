@@ -25,17 +25,16 @@ and ``VectorMeasure.variation_distance`` pass their terms as the runs,
 and ``markov.apply_markov`` each map's image arrays (``_image``) times
 its operator, so a Markov step builds no measure but its result; raw
 input that overlaps or is out of order (the constructor, ``from_dict``)
-is first dealt into runs.  Input already sorted and disjoint, as
-``pushforward`` and ``apply_operator`` produce it, keeps its
-coefficients: only zero rows go, and equal contiguous pieces merge.
+is first dealt into runs by one cut: in start order, a run begins where
+a piece starts before the piece ahead of it ends.  Input already sorted
+and disjoint, as ``pushforward`` and ``apply_operator`` produce it, keeps
+its coefficients: only zero rows go, and equal contiguous pieces merge.
 ``prune`` skips canonicalisation: what it keeps of a canonical measure
 is canonical, and a kind it drops nothing of keeps its arrays.  A sum
 that overflows raises ValueError.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -157,35 +156,24 @@ def _sum_runs(runs, dtype):
     return left[keep], events[1:][keep], dens[keep]
 
 
-def _first_fit(lo, hi):
-    """Run of each piece, ``lo`` sorted: the lowest-numbered run whose last
-    piece ends by the piece's start, else a new one."""
-    run, free, busy = [], [], []  # free run numbers; (end, run) in use
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        while busy and busy[0][0] <= a:
-            heapq.heappush(free, heapq.heappop(busy)[1])
-        run.append(heapq.heappop(free) if free else len(busy))
-        heapq.heappush(busy, (b, run[-1]))
-    return np.array(run, dtype=np.int64)
-
-
 def _sum_overlapping(lo, hi, dens):
     """Disjoint segments and summed densities of unsorted or overlapping
-    pieces: dealt by ``_first_fit`` into sorted, disjoint runs, grouped by
-    one stable argsort and summed pairwise, round after round.  Each round
+    pieces.  In stable start order, a run begins wherever a piece starts
+    before the piece ahead of it ends, so the runs are sorted, disjoint
+    and grouped; they are summed pairwise, round after round.  Each round
     is one ``_sum_runs`` call: an endpoint's key is run * M + its rank
     among the M distinct endpoints, shifted to pair * M for the round, so
-    the pairs lie apart.  R runs of S pieces cost O(S log R).
+    the pairs lie apart.  R runs take ceil(log2 R) rounds, and S pieces
+    O(S log S) time.
     """
     order = np.argsort(lo, kind="stable")
-    run = _first_fit(lo[order], hi[order])
-    group = np.argsort(run, kind="stable")
-    order, run = order[group], run[group]
+    lo, hi, dens = lo[order], hi[order], dens[order]
+    run = np.zeros(len(lo), dtype=np.int64)
+    np.cumsum(lo[1:] < hi[:-1], out=run[1:])
     events = _unique(np.concatenate([lo, hi]))
     m = len(events)
-    k_lo = run * m + np.searchsorted(events, lo[order])
-    k_hi = run * m + np.searchsorted(events, hi[order])
-    dens = dens[order]
+    k_lo = run * m + np.searchsorted(events, lo)
+    k_hi = run * m + np.searchsorted(events, hi)
     while len(run) and run[-1] > 0:
         shift, even = (run - run // 2) * m, run % 2 == 0
         k_lo, k_hi, dens = _sum_runs(

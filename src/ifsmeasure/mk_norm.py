@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import _norm
+from .hilbert import _norm, _row_norms
 from .measure import VectorMeasure, _rows_differ, _scatter_rows, _unique
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
@@ -166,10 +166,10 @@ class LipschitzWitness:
         h = np.diff(self.points)
         if len(h) == 0:
             return 0.0
-        return float((np.sqrt(np.sum(np.abs(d) ** 2, axis=1)) / h).max()) / self.scale
+        return float((_row_norms(d) / h).max()) / self.scale
 
     def sup_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1)).max()) / self.scale
+        return float(_row_norms(np.asarray(self.values)).max()) / self.scale
 
     def size(self) -> float:
         """The ball's gauge: Lip(f), plus sup||f|| for "bl1"."""
@@ -239,7 +239,7 @@ def _unit_derivative_witness(mu: VectorMeasure):
     j = np.searchsorted(bps, nodes[:-1], side="right") - 1
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     Fm = F[j] + (mid - bps[j])[:, None] * rho[j]
-    n = np.sqrt(np.sum(np.abs(Fm) ** 2, axis=1))
+    n = _row_norms(Fm)
     u = np.zeros_like(Fm)
     # F within rounding of zero has no direction to steer along
     nz = n > (mu.n_atoms + mu.n_pieces) * _EPS * mu.variation_norm() * unit

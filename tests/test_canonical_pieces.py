@@ -134,6 +134,44 @@ def test_an_iteration_step_never_splits_raw_input_into_runs(monkeypatch):
     assert calls == [2]
 
 
+def _blocks(r, per=10):
+    """r blocks of ``per`` contiguous pieces, each block's last piece
+    reaching past the next block's start: r runs by the cut."""
+    cuts = np.arange(r * per + 1) / per
+    lo, hi = cuts[:-1], cuts[1:].copy()
+    hi[per - 1:-1:per] += 0.5 / per
+    return lo, hi
+
+
+def _nested(s):
+    """s pieces, each inside the one before: s runs by the cut."""
+    i = np.arange(s)
+    return i / 256, 1.0 - i / 256
+
+
+@pytest.mark.parametrize("pieces, rounds", [
+    *[(_blocks(r), (r - 1).bit_length()) for r in (2, 3, 5, 8, 9)],
+    (_blocks(1, per=50), 0), (_nested(7), 3), (_nested(64), 6)])
+def test_the_deal_sums_its_runs_in_log_rounds(monkeypatch, pieces, rounds):
+    # ceil(log2 R) pairwise rounds for R runs, one _sum_runs call each
+    calls = []
+    sum_runs = measure._sum_runs
+
+    def spy(runs, dtype):
+        calls.append(len(runs))
+        return sum_runs(runs, dtype)
+
+    lo, hi = pieces
+    rng = np.random.default_rng(53)
+    p = rng.permutation(len(lo))
+    dens = rng.standard_normal((len(lo), 2))
+    monkeypatch.setattr(measure, "_sum_runs", spy)
+    got = measure._sum_overlapping(lo[p], hi[p], dens[p])
+    assert calls == [2] * rounds
+    if rounds == 0:  # disjoint pieces out of order: sorted, as given
+        _assert_bitwise(got, [lo, hi, dens])
+
+
 # -- piece sums against an exact oracle, and the row scatter ------------
 #
 # Every sum of pieces is one or more calls of ``measure._sum_runs``: the
@@ -141,8 +179,8 @@ def test_an_iteration_step_never_splits_raw_input_into_runs(monkeypatch):
 # 0 plus the densities covering it, in run order.  The oracle writes that
 # out in plain Python floats and complexes, one piece at a time, and
 # checks each sum against its exact rational value with ``fractions``.
-# Raw constructor input is first dealt into runs by textbook first fit
-# and the runs are summed pairwise, round after round.
+# Raw constructor input is first dealt into runs by one cut in start
+# order and the runs are summed pairwise, round after round.
 
 
 def _add_runs(runs, dim):
@@ -160,15 +198,13 @@ def _add_runs(runs, dim):
     return out
 
 
-def _first_fit(pieces):
-    """Each piece, by start, into the first run whose last piece ends at or
-    before the piece starts, else into a new run."""
+def _deal(pieces):
+    """The pieces by start, a new run wherever a piece starts before the
+    piece ahead of it ends."""
     runs = []
     for p in sorted(pieces, key=lambda p: p[0]):
-        for run in runs:
-            if run[-1][1] <= p[0]:
-                run.append(p)
-                break
+        if runs and p[0] >= runs[-1][-1][1]:
+            runs[-1].append(p)
         else:
             runs.append([p])
     return runs
@@ -260,7 +296,7 @@ def test_piece_sums_match_an_exact_oracle(complex_):
         raw = _raw_pieces(rng, dim, complex_)
         mu = VectorMeasure(pieces=[((lo, hi), d) for lo, hi, d in raw])
         kept = [p for p in _python(raw) if p[1] > p[0] and any(p[2])]
-        segments = _pairwise(_first_fit(kept), dim)
+        segments = _pairwise(_deal(kept), dim)
         _assert_oracle(mu, segments, kept)
         # only the 1e-3 piece reaches 1, past the 1e9 one: no huge minus huge
         assert mu.piece_hi[-1] == 1.0

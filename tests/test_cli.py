@@ -419,6 +419,10 @@ _KERNEL = {"kind": "kernel",
 _SEMIGROUP = {"kind": "semigroup", "rate": 1.0, "target": 0.5,
               "base": {"dimension": 1, "pieces": [[0.0, 1.0, [1.0]]]},
               "commands": ["solve"]}
+# start measures that do not fit _IFS's real, 1-dimensional system
+_COMPLEX_START = {"dimension": 1, "field": "complex",
+                  "atoms": [[0.5, [[1.0, 1.0]]]]}
+_PLANE_START = {"dimension": 2, "atoms": [[0.5, [1.0, 0.0]]]}
 
 
 @pytest.mark.parametrize("doc", [
@@ -450,6 +454,14 @@ _SEMIGROUP = {"kind": "semigroup", "rate": 1.0, "target": 0.5,
     {**_IFS, "solver": {"tol": float("nan")}},
     {**_IFS, "solver": {"max_iter": -3}},
     {**_IFS, "solver": {"max_iter": 1.5}},
+    {**_IFS, "solver": {"max_iter": True}},
+    {**_IFS, "solver": {"samples": 2.9}, "commands": ["export"]},
+    {**_KERNEL, "commands": ["supbound 1"]},
+    {**_KERNEL, "commands": ["partition 0"]},
+    {**_IFS, "solver": {"start": _COMPLEX_START}},
+    {**_IFS, "solver": {"start": _COMPLEX_START}, "commands": []},
+    {**_IFS, "solver": {"start": _PLANE_START}},
+    {**_IFS, "solver": {"start": _PLANE_START}, "commands": []},
 ], ids=["array", "solver-list", "query-sets-list", "query-set-list",
         "measure-list", "one-number-map", "tol-abc", "max-iter-x",
         "samples-null", "semigroup-tol-x", "kernel-list", "supbound-x",
@@ -458,10 +470,34 @@ _SEMIGROUP = {"kind": "semigroup", "rate": 1.0, "target": 0.5,
         "semigroup-target-1.5", "semigroup-target-minus-inf",
         "semigroup-tol-nan", "semigroup-tol-0", "semigroup-tol-minus-1",
         "semigroup-tol-inf", "ifs-tol-minus-1", "ifs-tol-nan",
-        "max-iter-minus-3", "max-iter-1.5"])
+        "max-iter-minus-3", "max-iter-1.5", "max-iter-true", "samples-2.9",
+        "supbound-1", "partition-0", "complex-start-solve",
+        "complex-start-no-commands", "plane-start-solve",
+        "plane-start-no-commands"])
 def test_malformed_value_is_a_parse_error(tmp_path, doc):
     code, report = _run_doc(tmp_path, doc)
     assert code == 2 and "invalid scenario" in report
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**_IFS, "solver": {"max_iter": True}},
+     "max_iter must be an integer, got True"),
+    ({**_IFS, "solver": {"samples": 2.9}},
+     "samples must be an integer, got 2.9"),
+    ({**_KERNEL, "commands": ["supbound 1"]},
+     "supbound must be between 2 and 2048, got 1"),
+    ({**_KERNEL, "commands": ["partition 0"]},
+     "partition must be between 1 and 1048576, got 0"),
+    ({**_KERNEL, "commands": ["partition 1000000000000"]},
+     "got 1000000000000"),
+    ({**_IFS, "solver": {"start": _COMPLEX_START}},
+     "start is a complex dimension-1 measure in a real dimension-1 system"),
+    ({**_IFS, "solver": {"start": _PLANE_START}},
+     "start is a real dimension-2 measure in a real dimension-1 system"),
+])
+def test_count_and_start_errors_name_the_value(tmp_path, doc, message):
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2 and message in report
 
 
 def test_base_that_overflows_when_resolved_is_a_validation_error(tmp_path):
@@ -509,7 +545,7 @@ def test_kernel_degree_is_capped_at_the_parse_boundary(tmp_path):
 def test_partition_size_is_capped_before_allocating(tmp_path):
     code, report = _run_doc(
         tmp_path, {**_KERNEL, "commands": ["partition 1000000000000"]})
-    assert code == 3 and "between 1 and 1048576" in report
+    assert code == 2 and "between 1 and 1048576" in report
 
 
 def test_export_samples_are_capped_before_allocating(tmp_path):

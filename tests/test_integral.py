@@ -30,6 +30,13 @@ def test_simple_function_requires_a_partition():
         gappy.validate_partition()
 
 
+def test_vector_polynomial_bounds_hold_outside_the_range_of_a_square():
+    # 5e200 squared overflows: the bounds are the coefficient norms
+    f = vector_polynomial([[0, 0], [3e200, 4e200]])
+    assert f.sup_bound == pytest.approx(5e200, rel=1e-15)
+    assert f.lip_bound == pytest.approx(5e200, rel=1e-15)
+
+
 _EIGHTHS = np.linspace(0.0, 1.0, 9)
 
 

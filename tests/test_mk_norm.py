@@ -196,6 +196,17 @@ def test_witness_interpolation_and_constants():
     assert w.is_feasible()
 
 
+def test_witness_norms_hold_outside_the_range_of_a_square():
+    # 5e200 squared overflows and 2e-300 squared underflows; the witness
+    # reads both rows at their norm, with no warning
+    big = LipschitzWitness([0, 1], [[0, 0], [3e200, 4e200]], "bl1")
+    assert big.lipschitz() == pytest.approx(5e200, rel=1e-15)
+    assert big.sup_norm() == pytest.approx(5e200, rel=1e-15)
+    tiny = LipschitzWitness([0, 1e-300], [[0], [2e-300]], "l1")
+    assert tiny.lipschitz() == pytest.approx(2.0, rel=1e-15)
+    assert not tiny.is_feasible()
+
+
 def test_witness_pairing_matches_direct_sum_for_atoms():
     rng = np.random.default_rng(3)
     pts = np.linspace(0, 1, 101)
