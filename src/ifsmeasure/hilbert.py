@@ -45,6 +45,32 @@ def _field_cast(arrays, field, what: str):
     return field, [np.real(a).astype(np.float64) for a in arrays]
 
 
+def _fold_columns(f, n, op=np.add):
+    """``op`` folded from the left, in place, over ``f(0), ..., f(n - 1)``,
+    new arrays made from the columns of (rows, n) arrays: several times
+    faster than a reduction along the short axis, and for ``np.add`` that
+    sum to the bit on rows of fewer than 8 real or 4 complex entries."""
+    out = f(0)
+    for j in range(1, n):
+        op(out, f(j), out=out)
+    return out
+
+
+def _rows_differ(a: np.ndarray, b) -> np.ndarray:
+    """``np.any(a != b, axis=1)`` for ``b`` an array of a's shape or 0."""
+    if not a.shape[1]:
+        return np.zeros(len(a), dtype=bool)
+    b = b.T if isinstance(b, np.ndarray) else [b] * a.shape[1]
+    return _fold_columns(lambda j: a[:, j] != b[j], a.shape[1], np.logical_or)
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    """sum_j |a_ij|^2 for each row i, by ``_fold_columns``: real entries
+    squared as they are, complex magnitudes taken whole (not by column)."""
+    m = np.abs(a) if np.iscomplexobj(a) else a
+    return _fold_columns(lambda j: m[:, j] ** 2, a.shape[1])
+
+
 # rows whose norm comes out outside this range are recomputed, scaled by
 # their largest entry, so that no square overflows or underflows to zero;
 # every other row keeps the plain formula's result
@@ -52,26 +78,23 @@ _NORM_LO, _NORM_HI = 1e-150, 1e150
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    # squares summed column by column, left to right: the order numpy's
-    # reduction along a row of fewer than eight takes, several times faster
-    mag = np.abs(a)
+    # squares summed by column (``_squares``), with no |a| copied for real
+    # rows: numpy's sum along a short row to the bit, several times faster
     with np.errstate(over="ignore"):
-        sq = mag[:, 0] ** 2
-        for j in range(1, a.shape[1]):
-            sq += mag[:, j] ** 2
-        out = np.sqrt(sq)
+        out = np.sqrt(_squares(a))
     odd = (out < _NORM_LO) | (out > _NORM_HI)
-    if odd.any():
-        # zero rows, which set evaluation has many of, stay zero
-        nonzero = mag[:, 0] > 0.0
-        for j in range(1, a.shape[1]):
-            nonzero |= mag[:, j] > 0.0
-        odd &= nonzero
-    if odd.any():
-        m = mag[odd]
-        top = np.max(m, axis=1)
-        out[odd] = np.sqrt(np.sum((m / top[:, None]) ** 2, axis=1)) * top
+    # zero rows, which set evaluation has many of, stay zero
+    odd = np.flatnonzero(odd & _rows_differ(a, 0)) if odd.any() else ()
+    if len(odd):
+        m = np.abs(a.take(odd, axis=0))
+        top = _fold_columns(lambda j: m[:, j].copy(), m.shape[1], np.maximum)
+        out[odd] = np.sqrt(_squares(m / top[:, None])) * top
     return out
+
+
+def _up(x) -> float:
+    """The next double above ``x``: a bound from norms rounded to nearest."""
+    return float(np.nextafter(x, np.inf))
 
 
 def _norm(x) -> float:

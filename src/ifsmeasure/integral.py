@@ -16,7 +16,7 @@ import numpy as np
 
 from ._quadrature import adaptive_gauss
 from .exceptions import DimensionMismatch, PartitionError
-from .hilbert import _pairings, _row_norms
+from .hilbert import _pairings, _row_norms, _up
 from .measure import VectorMeasure
 from .space import Span
 
@@ -88,8 +88,8 @@ def vector_polynomial(coeffs) -> ContinuousFunction:
     c = np.atleast_2d(np.asarray(coeffs))
     degp1, n = c.shape
     norms = _row_norms(c)
-    sup = float(norms.sum())
-    lip = float(sum(k * norms[k] for k in range(degp1)))
+    sup = _up(norms.sum())
+    lip = _up(sum(k * norms[k] for k in range(degp1)))
 
     def f(t, _c=c):
         # the terms added in degree order, point by point

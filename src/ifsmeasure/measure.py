@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DimensionMismatch
-from .hilbert import _field_cast, _row_norms
+from .hilbert import _field_cast, _row_norms, _rows_differ
 from .space import AffineMap, QuerySet, _span_rows
 
 __all__ = ["VectorMeasure", "pushforward", "apply_operator", "combine",
@@ -50,17 +50,15 @@ __all__ = ["VectorMeasure", "pushforward", "apply_operator", "combine",
 _PRUNE_START = 1 << 17
 
 
-def _rows_differ(a: np.ndarray, b) -> np.ndarray:
-    """``np.any(a != b, axis=1)`` for ``b`` an array of a's shape or 0.
-
-    A loop over the few columns runs several times faster than a
-    reduction along the short axis.
-    """
-    b = np.broadcast_to(b, a.shape)
-    out = np.zeros(len(a), dtype=bool)
-    for j in range(a.shape[1]):
-        out |= a[:, j] != b[:, j]
-    return out
+def _take(idx, *arrays):
+    """The arrays' rows at ``idx``, an index array or a boolean mask (the
+    arrays themselves if it keeps every row), by ``take`` along the first
+    axis: several times faster than indexing 2-D rows by either."""
+    if idx.dtype == bool:
+        if idx.all():
+            return arrays
+        idx = np.flatnonzero(idx)
+    return tuple(a.take(idx, axis=0) for a in arrays)
 
 
 def _unique(a: np.ndarray) -> np.ndarray:
@@ -68,21 +66,15 @@ def _unique(a: np.ndarray) -> np.ndarray:
     sorting ``a`` in place: no copy, and no ``numpy.ma`` import, which
     ``np.unique`` does on its first call."""
     a.sort()
-    return a[np.concatenate(([True], a[1:] != a[:-1]))[:len(a)]]
+    return _take(np.concatenate(([True], a[1:] != a[:-1]))[:len(a)], a)[0]
 
 
 def _canonical_atoms(points, weights):
     if len(points) > 1 and not np.all(points[1:] > points[:-1]):
-        order = np.argsort(points, kind="stable")
-        p = points[order]
-        w = weights[order]
-        starts = np.concatenate(([True], p[1:] != p[:-1]))
-        idx = np.flatnonzero(starts)
-        points, weights = p[idx], np.add.reduceat(w, idx, axis=0)
-    keep = _rows_differ(weights, 0)
-    if keep.all():
-        return points, weights
-    return points[keep], weights[keep]
+        p, w = _take(np.argsort(points, kind="stable"), points, weights)
+        idx = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
+        points, weights = p.take(idx), np.add.reduceat(w, idx, axis=0)
+    return _take(_rows_differ(weights, 0), points, weights)
 
 
 def _scatter_rows(n, idx, rows):
@@ -110,10 +102,11 @@ def _scatter_rows(n, idx, rows):
 def _covering(lo, hi, dens, left):
     """``(a, rows)``: for the sorted points ``left[a:a + len(rows)]`` in the
     span of the sorted, disjoint, nonempty run ``(lo, hi, dens)``, whose
-    starts are among the points, the density of the piece each lies in
-    (zero in a gap), by a mark at each start and a cumulative sum.  A run
-    whose span holds no points but its starts, and a one-piece run, need
-    neither: their rows are ``dens`` itself and its one row broadcast."""
+    starts are among the points, the density of the piece each lies in,
+    by a mark at each start and a cumulative sum; a point in a gap takes
+    one zero row appended to ``dens``.  A run whose span holds no points
+    but its starts, and a one-piece run, need neither: their rows are
+    ``dens`` itself and its one row broadcast."""
     a, b = np.searchsorted(left, (lo[0], hi[-1]))
     if b - a == len(lo):  # the points are the starts: one piece each
         return a, dens
@@ -122,9 +115,8 @@ def _covering(lo, hi, dens, left):
     k = np.zeros(b - a, dtype=np.intp)
     k[np.searchsorted(left[a:b], lo[1:])] = 1
     np.cumsum(k, out=k)
-    rows = dens.take(k, axis=0)
-    rows[hi[k] <= left[a:b]] = 0
-    return a, rows
+    np.putmask(k, hi.take(k) <= left[a:b], len(lo))
+    return a, np.concatenate([dens, np.zeros_like(dens[:1])]).take(k, axis=0)
 
 
 def _sum_runs(runs, dtype):
@@ -136,12 +128,16 @@ def _sum_runs(runs, dtype):
     segments are dropped; an overflow comes out inf or nan.
     """
     # each run's ends lo_0, hi_0, lo_1, ... are sorted; a timsort merges them
-    ends = np.concatenate([np.stack((lo, hi), axis=1).ravel()
-                           for lo, hi, _ in runs])
+    ends = np.empty(2 * sum(len(r[0]) for r in runs),
+                    dtype=np.result_type(*[r[0] for r in runs]))
+    i = 0
+    for lo, hi, _ in runs:
+        ends[i:i + 2 * len(lo):2], ends[i + 1:i + 2 * len(lo):2] = lo, hi
+        i += 2 * len(lo)
     ends.sort(kind="stable")
     first = np.ones(len(ends), dtype=bool)
     np.not_equal(ends[1:], ends[:-1], out=first[1:])
-    events = ends[first]
+    (events,) = _take(first, ends)
     del ends
     left = events[:-1]
     dens = np.zeros((len(left), runs[0][2].shape[1]), dtype=dtype)
@@ -150,10 +146,7 @@ def _sum_runs(runs, dtype):
             if len(lo):
                 a, rows = _covering(lo, hi, d, left)
                 dens[a:a + len(rows)] += rows
-    keep = _rows_differ(dens, 0)
-    if keep.all():
-        return left, events[1:], dens
-    return left[keep], events[1:][keep], dens[keep]
+    return _take(_rows_differ(dens, 0), left, events[1:], dens)
 
 
 def _sum_overlapping(lo, hi, dens):
@@ -166,8 +159,7 @@ def _sum_overlapping(lo, hi, dens):
     the pairs lie apart.  R runs take ceil(log2 R) rounds, and S pieces
     O(S log S) time.
     """
-    order = np.argsort(lo, kind="stable")
-    lo, hi, dens = lo[order], hi[order], dens[order]
+    lo, hi, dens = _take(np.argsort(lo, kind="stable"), lo, hi, dens)
     run = np.zeros(len(lo), dtype=np.int64)
     np.cumsum(lo[1:] < hi[:-1], out=run[1:])
     events = _unique(np.concatenate([lo, hi]))
@@ -177,16 +169,14 @@ def _sum_overlapping(lo, hi, dens):
     while len(run) and run[-1] > 0:
         shift, even = (run - run // 2) * m, run % 2 == 0
         k_lo, k_hi, dens = _sum_runs(
-            [(k_lo[s] - shift[s], k_hi[s] - shift[s], dens[s])
-             for s in (even, ~even)], dens.dtype)
+            [_take(s, k_lo - shift, k_hi - shift, dens) for s in (even, ~even)],
+            dens.dtype)
         run = k_lo // m
     return events[k_lo % m], events[k_hi % m], dens
 
 
 def _canonical_pieces(lo, hi, dens):
-    keep = (hi > lo) & _rows_differ(dens, 0)
-    if not keep.all():
-        lo, hi, dens = lo[keep], hi[keep], dens[keep]
+    lo, hi, dens = _take((hi > lo) & _rows_differ(dens, 0), lo, hi, dens)
     if np.any(lo[1:] < hi[:-1]):  # out of order or overlapping
         lo, hi, dens = _sum_overlapping(lo, hi, dens)
     return _merged_pieces(lo, hi, dens)
@@ -202,7 +192,7 @@ def _merged_pieces(lo, hi, dens):
         return lo, hi, dens
     idx = np.flatnonzero(starts)
     ends = np.concatenate((idx[1:], [len(lo)])) - 1
-    return lo[idx], hi[ends], dens[idx]
+    return lo.take(idx), hi.take(ends), dens.take(idx, axis=0)
 
 
 class VectorMeasure:
@@ -349,11 +339,11 @@ class VectorMeasure:
             a1 = np.where(hi_incl[span], np.searchsorted(pts, hi, side="right"),
                           np.searchsorted(pts, hi, side="left"))
             owners.append(owner)
-            rows.append(prefix[a1] - prefix[a0])
+            rows.append(prefix.take(a1, axis=0) - prefix.take(a0, axis=0))
             i = np.minimum(np.searchsorted(pts, q), len(pts) - 1)
             hit = pts[i] == q
             owners.append(q_owner[hit])
-            rows.append(wts[i[hit]])
+            rows.append(wts.take(i[hit], axis=0))
         if self.n_pieces and len(span):
             p_lo, p_hi, dens = self.piece_lo, self.piece_hi, self.piece_density
             first = np.searchsorted(p_hi, lo, side="right")  # ends after lo
@@ -363,14 +353,15 @@ class VectorMeasure:
             first, last = first[meets], last[meets]
             lo, hi = lo[meets], hi[meets]
 
-            def end_piece(k, lo, hi):
+            def end_piece(k):
                 ov = np.minimum(p_hi[k], hi) - np.maximum(p_lo[k], lo)
-                return dens[k] * ov[:, None]
+                return dens.take(k, axis=0) * ov[:, None]
 
-            val = end_piece(first, lo, hi)
-            inner = np.flatnonzero(last > first)
-            val[inner] += mass[last[inner]] - mass[first[inner] + 1]
-            val[inner] += end_piece(last[inner], lo[inner], hi[inner])
+            # a span over several pieces adds the ones inside, then the last
+            val, inner = end_piece(first), (last > first)[:, None]
+            np.add(val, mass.take(last, axis=0) - mass.take(first + 1, axis=0),
+                   out=val, where=inner)
+            np.add(val, end_piece(last), out=val, where=inner)
             owners.append(owner[meets])
             rows.append(val)
         if not rows:
@@ -432,12 +423,14 @@ class VectorMeasure:
         atoms, mass = self._prefixes()
         # added to zeros, so a -0.0 prefix entry reads 0.0 in exports
         out = np.zeros((len(ts), self.dim), dtype=self.atom_weights.dtype)
-        out += atoms[np.searchsorted(self.atom_points, ts, side="right")]
+        out += atoms.take(np.searchsorted(self.atom_points, ts, side="right"),
+                          axis=0)
         if self.n_pieces:
-            lo, hi = self.piece_lo, self.piece_hi
-            k = np.maximum(np.searchsorted(lo, ts, side="right") - 1, 0)
-            inside = np.clip(ts - lo[k], 0.0, hi[k] - lo[k])  # 0 before lo_0
-            out += mass[k] + self.piece_density[k] * inside[:, None]
+            k = np.maximum(np.searchsorted(self.piece_lo, ts, side="right") - 1, 0)
+            lo, hi, mass, dens = _take(k, self.piece_lo, self.piece_hi, mass,
+                                       self.piece_density)
+            inside = np.clip(ts - lo, 0.0, hi - lo)  # 0 before lo_0
+            out += mass + dens * inside[:, None]
         return out
 
     def _prefixes(self):
@@ -565,10 +558,10 @@ def _image(m: AffineMap, mu: VectorMeasure):
     hi = s * p_hi + o
     flat = hi <= lo
     if flat.any():
-        pts = np.concatenate([pts, lo[flat]])
-        width = np.abs(p_hi[flat] - p_lo[flat])
-        wts = np.concatenate([wts, p_d[flat] * width[:, None]])
-        lo, hi, p_d = lo[~flat], hi[~flat], p_d[~flat]
+        f_lo, f_plo, f_phi, f_d = _take(flat, lo, p_lo, p_hi, p_d)
+        pts = np.concatenate([pts, f_lo])
+        wts = np.concatenate([wts, f_d * np.abs(f_phi - f_plo)[:, None]])
+        lo, hi, p_d = _take(~flat, lo, hi, p_d)
     # dividing by a slope below 1 can overflow a large density, and so can
     # merging atoms; canonical form refuses the inf that results, so numpy
     # need not warn
@@ -584,10 +577,7 @@ def _operated(r, pts, wts, lo, hi, dens):
     # a product can overflow; canonical form refuses the inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
         wts, dens = wts @ r.T, dens @ r.T
-    keep = _rows_differ(wts, 0)
-    if not keep.all():
-        pts, wts = pts[keep], wts[keep]
-    return pts, wts, lo, hi, dens
+    return (*_take(_rows_differ(wts, 0), pts, wts), lo, hi, dens)
 
 
 def pushforward(m: AffineMap, mu: VectorMeasure) -> VectorMeasure:
@@ -695,23 +685,12 @@ def prune(mu: VectorMeasure, tol: float) -> VectorMeasure:
     n_drop = int(np.searchsorted(csum, tol, side="right"))
     if n_drop == 0:
         return mu
-    dropped = order[:n_drop]
-    atoms = _kept(na, dropped[dropped < na],
-                  mu.atom_points, mu.atom_weights)
-    pieces = _kept(mu.n_pieces, dropped[dropped >= na] - na,
-                   mu.piece_lo, mu.piece_hi, mu.piece_density)
+    keep = np.ones(len(contrib), dtype=bool)
+    keep[order[:n_drop]] = False
     # a subset of canonical form is canonical: still sorted, disjoint and
     # nonzero, and a dropped piece leaves a gap, so no neighbours merge
     out = VectorMeasure.__new__(VectorMeasure)
-    out._hold(*atoms, *pieces, mu.dim)
+    out._hold(*_take(keep[:na], mu.atom_points, mu.atom_weights),
+              *_take(keep[na:], mu.piece_lo, mu.piece_hi, mu.piece_density),
+              mu.dim)
     return out
-
-
-def _kept(n, dropped, *arrays):
-    """The arrays, of n rows each, without the ``dropped`` rows; the arrays
-    themselves when none is."""
-    if not len(dropped):
-        return arrays
-    keep = np.ones(n, dtype=bool)
-    keep[dropped] = False
-    return tuple(a[keep] for a in arrays)

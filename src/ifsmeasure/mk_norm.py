@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import _norm, _row_norms
+from .hilbert import _fold_columns, _norm, _row_norms, _squares, _up
 from .measure import VectorMeasure, _rows_differ, _scatter_rows, _unique
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
@@ -47,6 +47,13 @@ _ROUNDING = 1.0 + 1e-12  # relative slack of the sandwich_check inequalities
 # difference quotient under rounding, and skipping it loses at most
 # about 2e-6 of the panel's integral (scalar F)
 _VERTEX_MARGIN = 1e-3
+
+
+def _real_pairings(x, y):
+    """Re (x_i, y_i) for each row i, by ``_fold_columns`` over products of
+    whole rows (a complex product may round otherwise on a column)."""
+    p = np.real(x * np.conj(y))
+    return _fold_columns(lambda i: p[:, i].copy(), p.shape[1])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # only in lanes redone below
@@ -67,24 +74,25 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
     2^400] is evaluated again with f0 and rho scaled by a power of two,
     which the integral (homogeneous of degree one) carries back exactly.
     """
-    a = np.sum(np.abs(rho) ** 2, axis=1)
-    c = np.sum(np.abs(f0) ** 2, axis=1)
+    a, c = _squares(rho), _squares(f0)
     # lanes whose squares leave [2^-400, 2^400], zero lanes aside, go again
     # scaled by 2^-e, before h narrows below; e is clipped so that 2^-e is
     # finite, and non-finite lanes (exponent 0) stay as they are
     odd = np.maximum(a, c)
     odd = np.flatnonzero((odd > 2.0 ** 400) | ((odd < 2.0 ** -400) & (
         _rows_differ(f0, 0) | _rows_differ(rho, 0))))
-    e = np.clip(np.frexp(np.max(np.abs(np.hstack([f0[odd], rho[odd]])),
-                                axis=1, initial=0.0))[1], -1000, 1000)
+    m = np.abs(np.hstack([f0.take(odd, axis=0), rho.take(odd, axis=0)]))
+    e = np.clip(np.frexp(_fold_columns(lambda i: m[:, i].copy(), m.shape[1],
+                                       np.maximum))[1], -1000, 1000)
     odd, scale = odd[e != 0], np.ldexp(1.0, -e[e != 0])[:, None]
     rescaled = scale[:, 0] if not len(odd) else _segment_norm_integral(
-        f0[odd] * scale, rho[odd] * scale, h[odd]) / scale[:, 0]
+        f0.take(odd, axis=0) * scale, rho.take(odd, axis=0) * scale,
+        h[odd]) / scale[:, 0]
     # flat, or the density moves F by a negligible fraction of ||f0||
     out = np.sqrt(c) * h
     j = np.flatnonzero((a != 0.0) & (np.sqrt(a) * h > 1e-12 * np.sqrt(c)))
     a, c, h = a[j], c[j], h[j]
-    b = 2.0 * np.real(np.sum(f0[j] * np.conj(rho[j]), axis=1))
+    b = 2.0 * _real_pairings(f0.take(j, axis=0), rho.take(j, axis=0))
     u = b / (2.0 * a)
     v = u + h
     q = np.maximum(c - b * b / (4.0 * a), 0.0)
@@ -134,11 +142,11 @@ def mk_star_exact(mu: VectorMeasure) -> float:
     Requires ||mu([0, 1])|| <= 1e-12 max(1, ||mu||_var); raises ValueError
     otherwise, since the supremum over the unbounded ball is infinite for
     nonzero total.  The panel terms are summed with ``math.fsum``, so the
-    result is their correctly rounded sum.
+    result is their correctly rounded sum.  The total is read as F(1):
+    ``mu.total()`` to the bit for dim >= 2, but summed in order for dim 1.
     """
-    _require_zero_total(mu, _norm(mu.total()),
-                        "defined only for zero-total measures")
     bps, F, rho = mu.panels()
+    _require_zero_total(mu, _norm(F[-1]), "defined only for zero-total measures")
     return math.fsum(
         _segment_norm_integral(F[:-1], rho, np.diff(bps)).tolist())
 
@@ -166,14 +174,16 @@ class LipschitzWitness:
         h = np.diff(self.points)
         if len(h) == 0:
             return 0.0
-        return float((_row_norms(d) / h).max()) / self.scale
+        return _up(float((_row_norms(d) / h).max()) / self.scale)
 
     def sup_norm(self) -> float:
-        return float(_row_norms(np.asarray(self.values)).max()) / self.scale
+        return _up(float(_row_norms(np.asarray(self.values)).max()) / self.scale)
 
     def size(self) -> float:
-        """The ball's gauge: Lip(f), plus sup||f|| for "bl1"."""
-        return self.lipschitz() + (self.sup_norm() if self.ball == "bl1" else 0.0)
+        """The ball's gauge: Lip(f), plus sup||f|| for "bl1", each norm and
+        their sum rounded up one step."""
+        lip = self.lipschitz()
+        return _up(lip + self.sup_norm()) if self.ball == "bl1" else lip
 
     def is_feasible(self, tol: float = 1e-9) -> bool:
         return self.size() <= 1.0 + tol
@@ -197,7 +207,8 @@ def _influence_vectors(mu: VectorMeasure, nodes: np.ndarray) -> np.ndarray:
     cuts = _unique(np.concatenate([bps, nodes[(nodes > 0.0) & (nodes < 1.0)]]))
     j = np.searchsorted(bps, cuts[:-1], side="right") - 1
     t = np.concatenate([mu.atom_points, 0.5 * (cuts[:-1] + cuts[1:])])
-    w = np.concatenate([mu.atom_weights, rho[j] * np.diff(cuts)[:, None]])
+    w = np.concatenate([mu.atom_weights,
+                        rho.take(j, axis=0) * np.diff(cuts)[:, None]])
     k = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
     lam = np.clip((t - nodes[k]) / (nodes[k + 1] - nodes[k]), 0.0, 1.0)[:, None]
     return _scatter_rows(len(nodes), np.concatenate([k, k + 1]),
@@ -230,20 +241,20 @@ def _unit_derivative_witness(mu: VectorMeasure):
               float(np.abs(rho).max(initial=0.0)))
     unit = math.ldexp(1.0, -math.frexp(top)[1]) if top > 0.0 else 1.0
     F, rho = F * unit, rho * unit
-    a = np.sum(np.abs(rho) ** 2, axis=1)
+    a = _squares(rho)
     s = np.flatnonzero(a > 0.0)
-    vertex = bps[s] - np.real(np.sum(F[s] * np.conj(rho[s]), axis=1)) / a[s]
+    vertex = bps[s] - _real_pairings(F.take(s, axis=0),
+                                     rho.take(s, axis=0)) / a[s]
     off = _VERTEX_MARGIN * (bps[s + 1] - bps[s])
     inside = (vertex > bps[s] + off) & (vertex < bps[s + 1] - off)
     nodes = _unique(np.concatenate([bps, vertex[inside]]))
     j = np.searchsorted(bps, nodes[:-1], side="right") - 1
     mid = 0.5 * (nodes[:-1] + nodes[1:])
-    Fm = F[j] + (mid - bps[j])[:, None] * rho[j]
+    Fm = F.take(j, axis=0) + (mid - bps[j])[:, None] * rho.take(j, axis=0)
     n = _row_norms(Fm)
-    u = np.zeros_like(Fm)
     # F within rounding of zero has no direction to steer along
     nz = n > (mu.n_atoms + mu.n_pieces) * _EPS * mu.variation_norm() * unit
-    u[nz] = -Fm[nz] / n[nz, None]
+    u = np.divide(-Fm, n[:, None], out=np.zeros_like(Fm), where=nz[:, None])
     steps = u * np.diff(nodes)[:, None]
     return nodes, np.concatenate([np.zeros((1, mu.dim), dtype=u.dtype),
                                   np.cumsum(steps, axis=0)])
@@ -291,7 +302,8 @@ def mk_lower_bound(mu: VectorMeasure, ball: str = "l1"):
             for c in (half, _midrange(values))]
     if tot > 0.0:
         # one node: the pairing reads mu.total(), the vector the upper
-        # bound measures, so a closed bracket reports equal ends
+        # bound measures, so a closed bracket's ends differ only by the
+        # steps that round the witness's size up
         best.append(_certify(mu, np.zeros(1), (total / tot)[None, :], ball))
     return max(best, key=lambda c: c[0])
 

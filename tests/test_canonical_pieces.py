@@ -549,6 +549,29 @@ def test_covering_shortcuts_match_the_exact_oracle(case, shortcut, complex_):
                    [p for r in python_runs for p in r])
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+def test_covering_through_many_gaps_matches_the_exact_oracle(complex_):
+    # a point in a gap takes the zero row appended to the densities: gaps
+    # of one missing piece and of several in a row, each holding points
+    rng = np.random.default_rng(48)
+    gaps = wide = 0
+    for _ in range(60):
+        n = int(rng.integers(3, 40))
+        cuts = np.sort(rng.uniform(0.0, 1.0, n + 1))
+        dens = rng.standard_normal((n, 3))
+        if complex_:
+            dens = dens + 1j * rng.standard_normal((n, 3))
+        skip = np.flatnonzero(rng.uniform(size=n) < 0.4)
+        skip = skip[(skip > 0) & (skip < n - 1)]
+        run = _run(cuts, dens, skip=set(skip.tolist()))
+        left = np.unique(np.concatenate([cuts, rng.uniform(0.0, 1.0, 3 * n)]))
+        a, rows = measure._covering(*run, left)
+        _assert_bitwise([np.asarray(rows)], [_covering_by_loop(*run, left)])
+        gaps += len(skip)
+        wide += np.any(np.diff(skip) == 1)
+    assert gaps > 100 and wide > 10
+
+
 @pytest.mark.parametrize("atoms, pieces", [
     # one piece across panels that atoms cut: the one-piece shortcut
     ([0.1, 0.3, 0.55, 0.7], [(0.2, 0.9)]),

@@ -1,5 +1,7 @@
 """Tests for integration of simple and continuous functions against measures."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from ifsmeasure import (ContinuousFunction, IFSystem, PartitionError,
                         integrate_simple, vector_polynomial)
 from ifsmeasure import _quadrature as quadrature
 from ifsmeasure._quadrature import adaptive_gauss
-from ifsmeasure.hilbert import _pairings
+from ifsmeasure.hilbert import _pairings, _row_norms
 
 
 def test_simple_function_requires_a_partition():
@@ -35,6 +37,18 @@ def test_vector_polynomial_bounds_hold_outside_the_range_of_a_square():
     f = vector_polynomial([[0, 0], [3e200, 4e200]])
     assert f.sup_bound == pytest.approx(5e200, rel=1e-15)
     assert f.lip_bound == pytest.approx(5e200, rel=1e-15)
+
+
+def test_vector_polynomial_bounds_dominate_the_exact_norm():
+    # the doubles 3e200 and 4e200 have the norm 4.99999999999999984866e200;
+    # rounded to nearest it reads 4.9999999999999995e200, below it, so the
+    # bounds are rounded up one step
+    row = [3e200, 4e200]
+    exact_square = sum(Fraction(x) ** 2 for x in row)
+    assert Fraction(float(_row_norms(np.array([row]))[0])) ** 2 < exact_square
+    f = vector_polynomial([[0, 0], row])
+    assert Fraction(f.sup_bound) ** 2 >= exact_square
+    assert Fraction(f.lip_bound) ** 2 >= exact_square
 
 
 _EIGHTHS = np.linspace(0.0, 1.0, 9)

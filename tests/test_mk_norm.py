@@ -2,6 +2,7 @@
 closed-form upper bound and the sandwich checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -205,6 +206,18 @@ def test_witness_norms_hold_outside_the_range_of_a_square():
     tiny = LipschitzWitness([0, 1e-300], [[0], [2e-300]], "l1")
     assert tiny.lipschitz() == pytest.approx(2.0, rel=1e-15)
     assert not tiny.is_feasible()
+
+
+def test_witness_norms_dominate_the_exact_norm():
+    # each norm is rounded up one step past 4.9999999999999995e200, the
+    # norm of (3e200, 4e200) rounded to nearest, below the exact one; the
+    # gauge adds them and rounds the sum up too
+    row = [3e200, 4e200]
+    exact_square = sum(Fraction(x) ** 2 for x in row)
+    w = LipschitzWitness([0, 1], [[0, 0], row], "bl1")
+    lip, sup = Fraction(w.lipschitz()), Fraction(w.sup_norm())
+    assert lip ** 2 >= exact_square and sup ** 2 >= exact_square
+    assert Fraction(w.size()) > lip + sup
 
 
 def test_witness_pairing_matches_direct_sum_for_atoms():
