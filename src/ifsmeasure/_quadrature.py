@@ -16,11 +16,10 @@ import itertools
 import numpy as np
 
 from .exceptions import RefinementLimit
-from .hilbert import _norm
+from .hilbert import _EPS, _norm
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MAX_PANELS = 16384
-_EPS = float(np.finfo(float).eps)
 
 
 def _panel(f, a: float, b: float):

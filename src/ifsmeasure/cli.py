@@ -9,8 +9,9 @@ formatting (15 significant digits), no randomness.  Another CPU or numpy
 build may round a vectorised sum differently and move low digits.
 
 Exit codes: 0 success, 2 scenario parse/validation error (a malformed
-document, value or command argument), 3 solver precondition violated, 4
-tolerance not reached within budget.
+document, value or command argument, or an output path that cannot be
+written), 3 solver precondition violated, 4 tolerance not reached within
+budget.
 """
 
 from __future__ import annotations
@@ -142,10 +143,13 @@ class _IFSJob:
     def __init__(self, doc):
         field = _field(doc)
         dim = _count(doc["dimension"], 1, None, "dimension")
-        base = doc.get("base")
-        base_m = _parse_measure(base, field) if base is not None else None
-        self.system = IFSystem(doc["maps"], doc["operators"], base=base_m,
-                               dim=dim, field=field)
+
+        def measure(m):  # an absent base or start is the zero measure
+            return (VectorMeasure.zero(dim, field) if m is None
+                    else _parse_measure(m, field))
+        self.system = IFSystem(doc["maps"], doc["operators"],
+                               base=measure(doc.get("base")), dim=dim,
+                               field=field)
         self.query_sets = {
             name: QuerySet.from_dict(_object(q, "query set"))
             for name, q in _object(doc.get("query_sets", {}),
@@ -156,14 +160,7 @@ class _IFSJob:
                                "max_iter")
         self.samples = _count(solver.get("samples", 201), 2, _MAX_SAMPLES,
                               "samples")
-        # the sets the eval commands name, evaluated together on first use
-        self.eval_names = [parts[1] for parts in map(str.split, map(
-            str, doc.get("commands", []))) if parts[:1] == ["eval"]]
-        self.evals = {}
-        start = solver.get("start")
-        self.start = (_parse_measure(start, field) if start is not None
-                      else VectorMeasure.zero(dim, field))
-        mu = self.start
+        self.start = mu = measure(solver.get("start"))
         if mu.dim != dim or (mu.field, field) == ("complex", "real"):
             raise ScenarioError(
                 f"start is a {mu.field} dimension-{mu.dim} measure in a "
@@ -174,15 +171,13 @@ class _IFSJob:
         return iterate_fixed_point(self.system, self.start, tol=self.tol,
                                    max_iter=self.max_iter)
 
-    def evaluate(self, names):
-        """``eval_many`` results by name: every set the eval commands name
-        and ``names`` that is not cached yet, in one call."""
-        todo = [n for n in dict.fromkeys([*names, *self.eval_names])
-                if n in self.query_sets and n not in self.evals]
-        if todo:
-            self.evals.update(zip(todo, eval_many(
-                self.system, [self.query_sets[n] for n in todo], self.tol)))
-        return [self.evals[n] for n in names]
+    @cached_property
+    def evals(self):
+        """``eval_many`` results by name for every declared query set, in
+        declaration order: one call, on one graph, the first time a
+        command reads a value."""
+        return dict(zip(self.query_sets, eval_many(
+            self.system, list(self.query_sets.values()), self.tol)))
 
     def command(self, cmd, args, out_dir, name):
         if cmd == "factors":
@@ -200,7 +195,7 @@ class _IFSJob:
         if cmd == "eval":
             if len(args) != 1 or args[0] not in self.query_sets:
                 raise ScenarioError(f"eval needs a declared query set, got {args}")
-            v = self.evaluate(args)[0].value
+            v = self.evals[args[0]].value
             # tol, not the achieved bound: the report format is pinned
             return {"set": args[0], "value": _vec(v),
                     "error_bound": _num(self.tol)}
@@ -222,14 +217,10 @@ class _IFSJob:
             out = {}
             if sol.norm == "variation":
                 out["residual_variation"] = _num(residual(self.system, mu))
-                names = sorted(self.query_sets)
-                worst = 0.0
-                for q, res in zip(mu.evaluate_many(
-                        [self.query_sets[n] for n in names]),
-                        self.evaluate(names)):
-                    worst = max(worst, float(np.abs(q - res.value).max()))
                 if self.query_sets:
-                    out["solver_vs_eval"] = _num(worst)
+                    got = mu.evaluate_many(list(self.query_sets.values()))
+                    want = [res.value for res in self.evals.values()]
+                    out["solver_vs_eval"] = _num(np.abs(got - want).max())
             else:
                 diff = apply_markov(self.system, mu) - mu
                 out["residual_mk_star"] = _num(mk_star_exact(diff))
@@ -336,22 +327,24 @@ def run(spec: str, out_dir: str = ".", tol: float | None = None,
         kind = _object(doc, "scenario").get("kind")
         if kind not in _JOBS:
             raise ScenarioError(f"unknown scenario kind {kind!r}")
+        name = doc.get("name", name)
+        if not isinstance(name, str) or any(c in name for c in "/\0"):
+            raise ScenarioError(f"name must be a file name, got {name!r}")
         if tol is not None:
             doc = {**doc, "solver": {**doc.get("solver", {}), "tol": tol}}
         commands = doc.get("commands", [])
         if not isinstance(commands, list):
             raise ScenarioError("commands must be a list")
         job = _JOBS[kind](doc)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # FileNotFoundError among them
         return 2, f"error: {exc}"
     except KeyError as exc:
         return 2, f"error: invalid scenario: missing key {exc}"
     except (TypeError, ValueError, OverflowError) as exc:
         return 2, f"error: invalid scenario: {exc}"
-    name = doc.get("name", name)
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     results = []
     try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         for line in commands:
             parts = str(line).split()
             if not parts:
@@ -360,6 +353,8 @@ def run(spec: str, out_dir: str = ".", tol: float | None = None,
                                               name)))
     except ScenarioError as exc:
         return 2, f"error: invalid scenario: {exc}"
+    except OSError as exc:  # --out or an export file
+        return 2, f"error: cannot write to --out {out_dir!r}: {exc}"
     except (IterationLimit, RefinementLimit) as exc:
         return 4, _render(name, results, fmt,
                           error=f"tolerance not reached: {exc}")

@@ -14,6 +14,8 @@ from .exceptions import DimensionMismatch, FieldMismatch
 
 __all__ = ["scalar_product", "operator_norm", "adjoint", "matrix_exp"]
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _as_vector(x) -> np.ndarray:
     a = np.asarray(x)

@@ -168,11 +168,10 @@ def kernel_sup_bound(F: SeparableKernel, grid: int = 64) -> float:
     return val
 
 
-def _solve_exact(M, rhs):
-    """Gaussian elimination over the rationals with partial pivoting."""
-    k = len(rhs)
-    A = [[Fraction(M[i][j]) for j in range(k)] + [Fraction(rhs[i])]
-         for i in range(k)]
+def _solve_exact(A):
+    """Gaussian elimination over the rationals with partial pivoting: the
+    solution of the system whose augmented rows (Fractions) are ``A``."""
+    k = len(A)
     for col in range(k):
         piv = None
         for row in range(col, k):
@@ -214,13 +213,12 @@ def solve_invariance(F1: SeparableKernel, F2: SeparableKernel) -> PolynomialFunc
     k = len(basis)
     if k > _MAX_RANK:
         raise ValueError(f"combined separable rank {k} exceeds {_MAX_RANK}")
-    # a_i = int v_i g + sum_j scale_j (int v_i u_j) a_j
-    M = [[basis[j][0] * basis[i][2].times(basis[j][1]).integral01()
-          for j in range(k)] for i in range(k)]
-    rhs = [basis[i][2].times(g).integral01() for i in range(k)]
-    I_minus_M = [[(Fraction(1) if i == j else Fraction(0)) - M[i][j]
-                  for j in range(k)] for i in range(k)]
-    moments = _solve_exact(I_minus_M, rhs)
+    # a_i = int v_i g + sum_j scale_j (int v_i u_j) a_j: the rows of
+    # I - M, each followed by its int v_i g
+    moments = _solve_exact([
+        [int(i == j) - sj * vi.times(uj).integral01()
+         for j, (sj, uj, _) in enumerate(basis)] + [vi.times(g).integral01()]
+        for i, (_, _, vi) in enumerate(basis)])
     phi = g
     for (scale, u, _v), a in zip(basis, moments):
         phi = phi + u.scale(scale * a)

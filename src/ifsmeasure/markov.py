@@ -1,15 +1,15 @@
 """Markov-type operators from iterated function systems with operator weights.
 
 A system pairs contractive affine self-maps omega_i of [0, 1] with matrices
-R_i on the coefficient space, plus an optional base measure mu0.  The
-operator acts on vector measures by
+R_i on the coefficient space, plus a base measure mu0, zero when none is
+given.  The operator acts on vector measures by
 
-    M(nu)  =  sum_i R_i (pushforward(omega_i, nu))  (+ mu0)
+    M(nu)  =  sum_i R_i (pushforward(omega_i, nu))  +  mu0
 
 and its dual acts on integrands by f -> sum_i adjoint(R_i) f(omega_i(t)),
 related through the change-of-variables identity
 
-    integral f d(M nu)  =  integral (dual f) d nu  (+ integral f dmu0).
+    integral f d(M nu)  =  integral (dual f) d nu  +  integral f dmu0.
 
 Three contraction factors govern convergence, one per norm: the variation
 factor sum ||R_i||, the bounded-Lipschitz factor sum ||R_i|| (1 + r_i), and
@@ -36,8 +36,8 @@ import numpy as np
 
 from .exceptions import (DimensionMismatch, FieldMismatch, IterationLimit,
                          NotContractive)
-from .hilbert import (_as_operator, _field_cast, _norm, _pairings, _row_norms,
-                      operator_norm)
+from .hilbert import (_EPS, _as_operator, _field_cast, _norm, _pairings,
+                      _row_norms, operator_norm)
 from .integral import ContinuousFunction
 # pushforward, apply_operator, accumulate and preimage are unused here;
 # bench/tracing.py wraps them at these bindings
@@ -52,7 +52,6 @@ __all__ = ["IFSystem", "ContractionFactors", "FixedPointResult", "EvalResult",
            "eval_fixed_point", "eval_many", "residual"]
 
 _MASS_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
 # set evaluation refuses tolerances that need more Jacobi sweeps than this
 _MAX_SWEEPS = 10_000
 # refuse, rather than exhaust memory, when the exact representation of an
@@ -72,9 +71,8 @@ _CUT_SLACK = 1e-3
 def _check_size(sys: IFSystem, cur: VectorMeasure, k: int) -> None:
     # before step k allocates: apply_markov concatenates one image of cur
     # per map, plus the base, before canonicalizing
-    n = len(sys.maps) * (cur.n_atoms + cur.n_pieces)
-    if sys.base is not None:
-        n += sys.base.n_atoms + sys.base.n_pieces
+    n = (len(sys.maps) * (cur.n_atoms + cur.n_pieces)
+         + sys.base.n_atoms + sys.base.n_pieces)
     if n > _MAX_COMPONENTS:
         raise IterationLimit(
             f"iterate {k} would hold {n} atoms/pieces (cap {_MAX_COMPONENTS}); "
@@ -83,10 +81,11 @@ def _check_size(sys: IFSystem, cur: VectorMeasure, k: int) -> None:
 
 
 class IFSystem:
-    """Affine maps paired with operator weights and an optional base measure.
+    """Affine maps paired with operator weights and a base measure.
 
-    ``norms`` holds the operator norm ||R_i|| of each weight, computed
-    once here; a non-finite operator entry raises ValueError.
+    ``base`` is a measure, zero when none is given.  ``norms`` holds the
+    operator norm ||R_i|| of each weight, computed once here; a
+    non-finite operator entry raises ValueError.
     """
 
     __slots__ = ("maps", "operators", "norms", "base", "dim", "field")
@@ -107,12 +106,13 @@ class IFSystem:
         if field is None and base is not None and base.field == "complex":
             field = "complex"
         field, ops = _field_cast(ops, field, "operator in a real system")
-        if base is not None:
-            if base.dim != dim:
-                raise DimensionMismatch(
-                    f"base dimension {base.dim} differs from system dimension {dim}")
-            if field == "real" and base.field == "complex":
-                raise FieldMismatch("complex base measure in a real system")
+        if base is None:
+            base = VectorMeasure.zero(dim, field)
+        if base.dim != dim:
+            raise DimensionMismatch(
+                f"base dimension {base.dim} differs from system dimension {dim}")
+        if field == "real" and base.field == "complex":
+            raise FieldMismatch("complex base measure in a real system")
         for b in ops:
             b.setflags(write=False)
         object.__setattr__(self, "maps", maps)
@@ -126,8 +126,9 @@ class IFSystem:
         raise AttributeError("IFSystem is immutable")
 
     def __repr__(self):
+        base = "no" if self.base.is_zero() else "yes"
         return (f"IFSystem({len(self.maps)} maps, dim={self.dim}, "
-                f"field={self.field}, base={'yes' if self.base else 'no'})")
+                f"field={self.field}, base={base})")
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,7 @@ def apply_markov(sys: IFSystem, nu: VectorMeasure) -> VectorMeasure:
             f"measure dimension {nu.dim} differs from system dimension {sys.dim}")
     parts = [_operated(r, *_image(m, nu))
              for m, r in zip(sys.maps, sys.operators)]
-    if sys.base is not None:
-        parts.append(_parts(sys.base))
+    parts.append(_parts(sys.base))
     return VectorMeasure._from_arrays(*_summed(parts), nu.dim)
 
 
@@ -227,9 +227,9 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     iterates in mk_star: q is the mk_star factor, which must be < 1, and
     the distance ``mk_star_exact`` of mu_k - mu_{k-1}.  Iterates are never
     pruned there (p = 0): pruning would perturb totals, and the metric
-    only controls measures of equal total mass.  A base measure, if present, must have zero
-    total.  The variation norm goes first because inside the 1e-12 band a
-    system can lose mass (variation factor just below 1, fixed point
+    only controls measures of equal total mass, so the base must have
+    zero total.  The variation norm goes first because inside the 1e-12
+    band a system can lose mass (variation factor just below 1, fixed point
     zero); mk_star would certify a measure of the wrong total there.
     ``FixedPointResult.norm`` names the metric used.
 
@@ -271,7 +271,7 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         if q >= 1.0:
             raise NotContractive(
                 f"mk_star factor {q:.6g} >= 1 for a mass-preserving system")
-        if sys.base is not None and _norm(sys.base.total()) > _MASS_TOL:
+        if _norm(sys.base.total()) > _MASS_TOL:
             raise NotContractive(
                 "mk_star iteration with a base measure requires the base "
                 "to have zero total mass")
@@ -279,7 +279,7 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
 
         def distance(a, b):
             return mk_star_exact(a - b)
-    base_total = 0.0 if sys.base is None else sys.base.total()
+    base_total = sys.base.total()
     cur, bound = start, math.inf
     for k in range(1, max_iter + 1):
         _check_size(sys, cur, k)
@@ -310,6 +310,33 @@ def _memo_keys(lo, hi, lo_incl, hi_incl) -> np.ndarray:
     keys[:, 0] = (lo << 1) | lo_incl
     keys[:, 1] = (hi << 1) | hi_incl
     return keys.view(np.dtype((np.void, 16))).ravel()
+
+
+# the memo of a graph with no nodes: its sorted keys and their nodes
+_NO_MEMO = (np.empty(0, dtype=np.dtype((np.void, 16))),
+            np.empty(0, dtype=np.intp))
+
+
+def _intern(keys: np.ndarray, memo, n: int):
+    """``(ids, memo, src)`` for rows keyed ``keys``: each row's node, the
+    memo with the new nodes added, and the row that makes each new node.
+    Keys the memo lacks become nodes n, n + 1, ... in the order their
+    rows first came; past _MAX_NODES nodes IterationLimit is raised."""
+    known, node = memo
+    u, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    pos = np.searchsorted(known, u)
+    found = pos < len(known)
+    found[found] = known[pos[found]] == u[found]
+    ids = np.empty(len(u), dtype=np.intp)
+    ids[found] = node[pos[found]]
+    new = np.flatnonzero(~found)
+    if n + len(new) > _MAX_NODES:
+        raise IterationLimit(f"set-transition graph exceeded {_MAX_NODES} nodes")
+    order = new[np.argsort(first[new], kind="stable")]
+    ids[order] = n + np.arange(len(new))
+    memo = (np.insert(known, pos[new], u[new]),
+            np.insert(node, pos[new], ids[new]))
+    return ids[inv.ravel()], memo, first[order]
 
 
 def _cut_exposure(child: np.ndarray, expanded: np.ndarray, norms,
@@ -396,14 +423,8 @@ def _set_graph(sys: IFSystem, rows, owner: np.ndarray, n_roots: int,
         budget = -math.inf
     slopes = np.array([[m.slope] for m in sys.maps])
     offsets = np.array([[m.offset] for m in sys.maps])
-    memo, first, inv = np.unique(_memo_keys(*rows), return_index=True,
-                                 return_inverse=True)
-    if len(memo) > _MAX_NODES:
-        raise IterationLimit(f"set-transition graph exceeded {_MAX_NODES} nodes")
-    rank = np.empty(len(memo), dtype=np.intp)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(memo))
-    memo_node, root = rank, rank[inv.ravel()]
-    lo, hi, li, ri = (r[np.sort(first)] for r in rows)
+    root, memo, src = _intern(_memo_keys(*rows), _NO_MEMO, 0)
+    lo, hi, li, ri = (r[src] for r in rows)
     N = len(lo)
     weight = np.bincount(root, minlength=N).astype(float)
     expanded = np.zeros(N, dtype=bool)
@@ -444,30 +465,13 @@ def _set_graph(sys: IFSystem, rows, owner: np.ndarray, n_roots: int,
         parent = np.tile(front, k)[keep]
         flow = (np.repeat(norms, F) * np.tile(weight[front], k))[keep]
         c_lo, c_hi, c_li, c_ri = c_lo[keep], c_hi[keep], c_li[keep], c_ri[keep]
-        u, first, inv = np.unique(_memo_keys(c_lo, c_hi, c_li, c_ri),
-                                  return_index=True, return_inverse=True)
-        pos = np.searchsorted(memo, u)
-        found = pos < len(memo)
-        found[found] = memo[pos[found]] == u[found]
-        ids = np.empty(len(u), dtype=np.intp)
-        ids[found] = memo_node[pos[found]]
-        new = np.flatnonzero(~found)
-        if N + len(new) > _MAX_NODES:
-            raise IterationLimit(
-                f"set-transition graph exceeded {_MAX_NODES} nodes")
-        # new nodes in the order their rows first came
-        order = new[np.argsort(first[new], kind="stable")]
-        ids[order] = N + np.arange(len(new))
-        memo = np.insert(memo, pos[new], u[new])
-        memo_node = np.insert(memo_node, pos[new], ids[new])
-        src = first[order]
+        kid, memo, src = _intern(_memo_keys(c_lo, c_hi, c_li, c_ri), memo, N)
         lo, hi = np.concatenate([lo, c_lo[src]]), np.concatenate([hi, c_hi[src]])
         li, ri = np.concatenate([li, c_li[src]]), np.concatenate([ri, c_ri[src]])
         depth = np.concatenate([depth, depth[parent[src]] + 1])
-        N += len(new)
-        expanded = np.concatenate([expanded, np.zeros(len(new), dtype=bool)])
-        child = np.concatenate([child, np.full((len(new), k), -1, dtype=np.intp)])
-        kid = ids[inv.ravel()]
+        N += len(src)
+        expanded = np.concatenate([expanded, np.zeros(len(src), dtype=bool)])
+        child = np.concatenate([child, np.full((len(src), k), -1, dtype=np.intp)])
         row = np.full(k * F, -1, dtype=np.intp)
         row[keep] = kid
         child[front] = row.reshape(k, F).T
@@ -475,7 +479,7 @@ def _set_graph(sys: IFSystem, rows, owner: np.ndarray, n_roots: int,
         # is marked first, so that a self-loop (the empty set and [0, 1]
         # are their own preimages) is a memo hit
         live = ~expanded[kid]
-        weight = np.concatenate([weight, np.zeros(len(new))])
+        weight = np.concatenate([weight, np.zeros(len(src))])
         weight += np.bincount(kid[live], flow[live], minlength=N)
 
 
@@ -560,7 +564,7 @@ def eval_many(sys: IFSystem, sets, tol: float = 1e-10) -> list:
     sets = list(sets)
     dtype = sys.operators[0].dtype
     *rows, owner = _span_rows(sets)
-    if sys.base is None or not len(owner):
+    if sys.base.is_zero() or not len(owner):
         # zero is the only fixed point of the homogeneous contraction,
         # and the empty set's measure
         return [EvalResult(np.zeros(sys.dim, dtype=dtype), 0.0, 0, 0, True)

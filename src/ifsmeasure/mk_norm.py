@@ -33,14 +33,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import _fold_columns, _norm, _row_norms, _squares, _up
+from .hilbert import _EPS, _fold_columns, _norm, _row_norms, _squares, _up
 from .measure import VectorMeasure, _rows_differ, _scatter_rows, _unique
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
 
 _TOTAL_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
 _ROUNDING = 1.0 + 1e-12  # relative slack of the sandwich_check inequalities
 # a vertex of ||F|| this close (relative to the panel) to a panel end is
 # not a node: the cell it would cut off is too narrow to hold its

@@ -772,3 +772,77 @@ def test_semigroup_of_huge_weights_meets_or_refuses_its_tol(tmp_path, tol,
         assert "below the rounding of the integral" in report
     else:
         assert "solve: total=[5e+199, 5e+199]" in report
+
+
+def _bundled(name):
+    return json.loads((Path(ifsmeasure.__file__).parent / "scenarios"
+                       / f"{name}.json").read_text())
+
+
+def test_a_bare_eval_is_a_validation_error(tmp_path):
+    doc = _bundled("cantor_triangular")
+    doc["commands"] = ["eval"]
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2
+    assert report.endswith("eval needs a declared query set, got []")
+
+
+def test_the_declared_sets_are_one_eval_batch(tmp_path, monkeypatch):
+    # eval a reads one eval_many call over every declared set, in
+    # declaration order; the second eval and verify reuse it
+    calls = []
+    real = cli.eval_many
+
+    def spy(sys, sets, tol):
+        calls.append(list(sets))
+        return real(sys, sets, tol)
+    monkeypatch.setattr(cli, "eval_many", spy)
+    doc = _bundled("cantor_triangular")
+    doc.update(query_sets={"a": {"intervals": [[0.0, 0.5]]},
+                           "b": {"atoms": [0.0]}},
+               commands=["eval a", "eval a", "verify"])
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 0, report
+    assert calls == [[ifsmeasure.QuerySet.from_dict(q)
+                      for q in doc["query_sets"].values()]]
+
+
+@pytest.mark.parametrize("name", ["nested/x", "../sibling/escaped", 5,
+                                  None, "nul\0byte"])
+def test_a_name_that_is_no_file_name_is_a_validation_error(tmp_path, name):
+    # a sibling of --out that an escaping name could write into
+    doc = _bundled("cantor_triangular")
+    doc.update(name=name, commands=["export"])
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    (tmp_path / "sibling").mkdir()
+    code, report = run(str(p), out_dir=str(tmp_path / "out"))
+    assert code == 2
+    assert report == ("error: invalid scenario: name must be a file name, "
+                      f"got {name!r}")
+    assert sorted(tmp_path.rglob("*")) == [p, tmp_path / "sibling"]
+
+
+def test_an_out_that_is_a_file_is_refused(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("kept")
+    code, report = run("cantor_triangular", out_dir=str(out))
+    assert code == 2
+    assert report.startswith(f"error: cannot write to --out {str(out)!r}: ")
+    assert out.read_text() == "kept"
+    assert sorted(tmp_path.iterdir()) == [out]
+
+
+def test_an_export_file_that_cannot_be_written_is_refused(tmp_path):
+    # the export path is a directory
+    blocker = tmp_path / "cantor_triangular_cumulative.csv"
+    blocker.mkdir()
+    code, report = run("cantor_triangular", out_dir=str(tmp_path))
+    assert code == 2
+    assert report.startswith(f"error: cannot write to --out {str(tmp_path)!r}: ")
+    assert str(blocker) in report
+
+
+def test_a_scenario_path_that_is_a_directory_is_a_parse_error(tmp_path):
+    code, report = run(str(tmp_path))
+    assert code == 2 and report.startswith("error: ")

@@ -1023,3 +1023,51 @@ def test_eval_refuses_what_it_cannot_certify():
     got = eval_fixed_point(fast, QuerySet.point(0.0), tol=1e-9)
     assert got.closed and got.nodes == 1
     assert 0.0 < abs(got.value[0] - 100.0) <= got.error_bound <= 1e-9
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_system_without_a_base_holds_the_zero_measure(field):
+    sys = IFSystem([AffineMap(0.5, 0.0)], [0.5 * np.eye(3)], field=field)
+    assert isinstance(sys.base, VectorMeasure) and sys.base.is_zero()
+    assert (sys.base.dim, sys.base.field) == (3, field)
+    assert repr(sys).endswith("base=no)")
+
+
+def _same_bits(a: VectorMeasure, b: VectorMeasure) -> bool:
+    return (a == b and a.atom_weights.dtype == b.atom_weights.dtype
+            and a.piece_density.dtype == b.piece_density.dtype)
+
+
+@pytest.mark.parametrize("field, seed", [("real", 31), ("complex", 32)])
+def test_no_base_is_an_explicit_zero_base_to_the_bit(field, seed):
+    # variation systems from a nonzero start, and a mass-preserving one
+    # that iterates in mk_star
+    rng = np.random.default_rng(seed)
+    cases = [_batch_system(rng, field) for _ in range(6)]
+    blend = blend_system()
+    cases.append((IFSystem(blend.maps, blend.operators, field=field),
+                  [0.0, 0.5, 1.0]))
+    for sys, pts in cases:
+        bare = IFSystem(sys.maps, sys.operators, dim=sys.dim, field=field)
+        zero = IFSystem(sys.maps, sys.operators, dim=sys.dim, field=field,
+                        base=VectorMeasure.zero(sys.dim, field))
+        atom = VectorMeasure(atoms=[(0.25, np.ones(sys.dim))], field=field)
+        nu = atom + VectorMeasure(
+            pieces=[((0.5, 0.9), np.arange(sys.dim) + 1.0)], field=field)
+        assert repr(bare) == repr(zero)
+        assert _same_bits(apply_markov(bare, nu), apply_markov(zero, nu))
+        # from an atom: overlapping images of a piece multiply by the maps
+        a, b = (iterate_fixed_point(s, atom, tol=1e-2) for s in (bare, zero))
+        assert _same_bits(a.measure, b.measure)
+        assert ((a.iterations, a.error_bound, a.norm)
+                == (b.iterations, b.error_bound, b.norm))
+        assert np.array_equal(a.total, b.total)
+        if factors(sys).variation >= 1.0:
+            continue  # set evaluation needs a variation contraction
+        sets = _batch(rng, pts)
+        for x, y in zip(eval_many(bare, sets, 1e-8),
+                        eval_many(zero, sets, 1e-8)):
+            assert x.value.dtype == y.value.dtype
+            assert np.array_equal(x.value, y.value)
+            assert ((x.error_bound, x.nodes, x.depth, x.closed)
+                    == (y.error_bound, y.nodes, y.depth, y.closed))
