@@ -56,6 +56,9 @@ def _vec(v):
 _EXPORT_CHUNK_ROWS = 1024
 # cap on the equispaced export samples, checked before allocating
 _MAX_SAMPLES = 1 << 20
+# cap on a semigroup base's coordinates: verify integrates four test
+# functions per coordinate
+_MAX_SEMIGROUP_DIM = 256
 
 
 class ScenarioError(ValueError):
@@ -143,28 +146,38 @@ class _IFSJob:
     def __init__(self, doc):
         field = _field(doc)
         dim = _count(doc["dimension"], 1, None, "dimension")
-
-        def measure(m):  # an absent base or start is the zero measure
-            return (VectorMeasure.zero(dim, field) if m is None
-                    else _parse_measure(m, field))
-        self.system = IFSystem(doc["maps"], doc["operators"],
-                               base=measure(doc.get("base")), dim=dim,
-                               field=field)
+        solver = _object(doc.get("solver", {}), "solver")
+        # every width is checked before any measure is built: a measure is
+        # as wide as its document declares, the system as its operators
+        for r in doc["operators"]:
+            if np.shape(r) != (dim, dim):
+                raise ScenarioError(f"operator of shape {np.shape(r)} in a "
+                                    f"dimension-{dim} system")
+        given = {"base": doc.get("base"), "start": solver.get("start")}
+        for what, m in given.items():
+            if m is None:
+                continue
+            m_field = _object(m, what).get("field", field)
+            m_dim = m["dimension"]
+            if m_dim != dim or (m_field, field) == ("complex", "real"):
+                raise ScenarioError(
+                    f"{what} is a {m_field} dimension-{m_dim!r} measure in a "
+                    f"{field} dimension-{dim} system")
+        # an absent base or start is the zero measure
+        base, self.start = (VectorMeasure.zero(dim, field) if m is None
+                            else _parse_measure(m, field)
+                            for m in given.values())
+        self.system = IFSystem(doc["maps"], doc["operators"], base=base,
+                               dim=dim, field=field)
         self.query_sets = {
             name: QuerySet.from_dict(_object(q, "query set"))
             for name, q in _object(doc.get("query_sets", {}),
                                    "query_sets").items()}
-        solver = _object(doc.get("solver", {}), "solver")
         self.tol = _tol(solver, 1e-8)
         self.max_iter = _count(solver.get("max_iter", 200), 0, None,
                                "max_iter")
         self.samples = _count(solver.get("samples", 201), 2, _MAX_SAMPLES,
                               "samples")
-        self.start = mu = measure(solver.get("start"))
-        if mu.dim != dim or (mu.field, field) == ("complex", "real"):
-            raise ScenarioError(
-                f"start is a {mu.field} dimension-{mu.dim} measure in a "
-                f"{field} dimension-{dim} system")
 
     @cached_property
     def solution(self):
@@ -281,7 +294,9 @@ class _SemigroupJob:
         self.target = float(doc["target"])
         if not 0.0 <= self.target <= 1.0:
             raise ScenarioError(f"target outside [0, 1]: {self.target!r}")
-        self.base = _parse_measure(doc["base"], field)
+        base = _object(doc["base"], "base")
+        _count(base["dimension"], 0, _MAX_SEMIGROUP_DIM, "base dimension")
+        self.base = _parse_measure(base, field)
         self.tol = _tol(_object(doc.get("solver", {}), "solver"), 1e-12)
 
     @cached_property

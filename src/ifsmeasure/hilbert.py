@@ -60,7 +60,7 @@ def _fold_columns(f, n, op=np.add):
 
 def _rows_differ(a: np.ndarray, b) -> np.ndarray:
     """``np.any(a != b, axis=1)`` for ``b`` an array of a's shape or 0."""
-    if not a.shape[1]:
+    if not a.size:  # no rows, or rows of no entries: no column to fold
         return np.zeros(len(a), dtype=bool)
     b = b.T if isinstance(b, np.ndarray) else [b] * a.shape[1]
     return _fold_columns(lambda j: a[:, j] != b[j], a.shape[1], np.logical_or)
@@ -106,9 +106,11 @@ def _norm(x) -> float:
 
 
 def _pairings(x, y):
-    """(x, y) along the last axis, summed left to right from zero.  Complex
-    products are taken in real arithmetic: numpy's complex multiply fuses
-    on some array layouts only, and a row must not depend on the others."""
+    """(x, y) along the last axis, summed left to right from zero: the
+    package's one pairing of coefficient rows.  Complex products are taken
+    in real arithmetic, two products and a sum per part: numpy's complex
+    multiply rounds about a quarter of the real parts otherwise (numpy 2.4
+    on x86-64, on C, Fortran and strided layouts alike)."""
     if np.iscomplexobj(x) or np.iscomplexobj(y):
         p = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), complex)
         p.real = x.real * y.real + x.imag * y.imag

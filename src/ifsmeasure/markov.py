@@ -41,9 +41,8 @@ from .hilbert import (_EPS, _as_operator, _field_cast, _norm, _pairings,
 from .integral import ContinuousFunction
 # pushforward, apply_operator, accumulate and preimage are unused here;
 # bench/tracing.py wraps them at these bindings
-from .measure import (VectorMeasure, _image, _operated, _parts,
-                      _scatter_rows, _summed, accumulate, apply_operator,
-                      prune, pushforward)
+from .measure import (VectorMeasure, _image, _operated, _parts, _summed,
+                      accumulate, apply_operator, prune, pushforward)
 from .mk_norm import mk_star_exact
 from .space import AffineMap, QuerySet, _preimage_rows, _span_rows, preimage
 
@@ -583,7 +582,8 @@ def eval_many(sys: IFSystem, sets, tol: float = 1e-10) -> list:
     m = np.bincount(owner, minlength=len(sets))
 
     def results(x, node_bound, reserve):
-        values = _scatter_rows(len(sets), owner, [x[g.root]])
+        values = np.zeros((len(sets), sys.dim), dtype=dtype)
+        np.add.at(values, owner, x[g.root])
         bounds = np.where(m > 0, trunc + m * node_bound + reserve, 0.0)
         return [EvalResult(v, float(eb), N, g.depth, closed)
                 for v, eb in zip(values, bounds)]

@@ -77,28 +77,6 @@ def _canonical_atoms(points, weights):
     return _take(_rows_differ(weights, 0), points, weights)
 
 
-def _scatter_rows(n, idx, rows):
-    """Rows summed by index, as an ``(n, dim)`` array.
-
-    ``idx`` lines up with the stacked ``rows``; row k of the result is 0
-    plus the rows at k, in input order.  ``np.bincount`` sums each bin
-    from 0.0 in input order, so this is bitwise what ``np.add.at`` into
-    zeros gives, at a fraction of its cost.  It runs once per real column
-    (the real and imaginary parts of complex ones), and every column is
-    summed before the result is allocated.
-    """
-    dim, dtype = rows[0].shape[1], np.result_type(*rows)
-    parts = (np.real, np.imag) if dtype.kind == "c" else (np.real,)
-    columns = [(j, part) for j in range(dim) for part in parts]
-    sums = [np.bincount(idx, np.concatenate([part(r[:, j]) for r in rows]),
-                        minlength=n)
-            for j, part in columns]
-    out = np.empty((n, dim), dtype=dtype)
-    for (j, part), s in zip(columns, sums):
-        part(out)[:, j] = s
-    return out
-
-
 def _covering(lo, hi, dens, left):
     """``(a, rows)``: for the sorted points ``left[a:a + len(rows)]`` in the
     span of the sorted, disjoint, nonempty run ``(lo, hi, dens)``, whose
@@ -322,12 +300,13 @@ class VectorMeasure:
         points match atoms by exact equality.  Canonical pieces are
         disjoint and sorted, so a span meets a contiguous run of them: the
         two end pieces count by their overlap lengths, the ones strictly
-        inside by a difference of piece-mass prefix sums.  Each set sums
-        its span atoms, then its points, then its span pieces.
+        inside by a difference of piece-mass prefix sums.  Each set starts
+        at zero and adds, by ``np.add.at``, its span atoms, then its
+        points, then its span pieces.
         """
         if owner is None:
             owner, n = np.arange(len(lo)), len(lo)
-        owners, rows = [], []  # summed by owner in one scatter
+        out = np.zeros((n, self.dim), dtype=self.atom_weights.dtype)
         span = np.flatnonzero(lo < hi)
         owner, q_owner, q = owner[span], owner[lo == hi], lo[lo == hi]
         lo, hi = lo[span], hi[span]
@@ -338,12 +317,11 @@ class VectorMeasure:
                           np.searchsorted(pts, lo, side="right"))
             a1 = np.where(hi_incl[span], np.searchsorted(pts, hi, side="right"),
                           np.searchsorted(pts, hi, side="left"))
-            owners.append(owner)
-            rows.append(prefix.take(a1, axis=0) - prefix.take(a0, axis=0))
+            np.add.at(out, owner,
+                      prefix.take(a1, axis=0) - prefix.take(a0, axis=0))
             i = np.minimum(np.searchsorted(pts, q), len(pts) - 1)
             hit = pts[i] == q
-            owners.append(q_owner[hit])
-            rows.append(wts.take(i[hit], axis=0))
+            np.add.at(out, q_owner[hit], wts.take(i[hit], axis=0))
         if self.n_pieces and len(span):
             p_lo, p_hi, dens = self.piece_lo, self.piece_hi, self.piece_density
             first = np.searchsorted(p_hi, lo, side="right")  # ends after lo
@@ -362,11 +340,8 @@ class VectorMeasure:
             np.add(val, mass.take(last, axis=0) - mass.take(first + 1, axis=0),
                    out=val, where=inner)
             np.add(val, end_piece(last), out=val, where=inner)
-            owners.append(owner[meets])
-            rows.append(val)
-        if not rows:
-            return np.zeros((n, self.dim), dtype=self.atom_weights.dtype)
-        return _scatter_rows(n, np.concatenate(owners), rows)
+            np.add.at(out, owner[meets], val)
+        return out
 
     def total(self) -> np.ndarray:
         """mu([0, 1]): all atom weights plus density mass."""

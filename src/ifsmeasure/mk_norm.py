@@ -33,8 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import _EPS, _fold_columns, _norm, _row_norms, _squares, _up
-from .measure import VectorMeasure, _rows_differ, _scatter_rows, _unique
+from .hilbert import (_EPS, _fold_columns, _norm, _pairings, _row_norms,
+                      _squares, _up)
+from .measure import VectorMeasure, _rows_differ, _unique
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
@@ -46,13 +47,6 @@ _ROUNDING = 1.0 + 1e-12  # relative slack of the sandwich_check inequalities
 # difference quotient under rounding, and skipping it loses at most
 # about 2e-6 of the panel's integral (scalar F)
 _VERTEX_MARGIN = 1e-3
-
-
-def _real_pairings(x, y):
-    """Re (x_i, y_i) for each row i, by ``_fold_columns`` over products of
-    whole rows (a complex product may round otherwise on a column)."""
-    p = np.real(x * np.conj(y))
-    return _fold_columns(lambda i: p[:, i].copy(), p.shape[1])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # only in lanes redone below
@@ -91,7 +85,7 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
     out = np.sqrt(c) * h
     j = np.flatnonzero((a != 0.0) & (np.sqrt(a) * h > 1e-12 * np.sqrt(c)))
     a, c, h = a[j], c[j], h[j]
-    b = 2.0 * _real_pairings(f0.take(j, axis=0), rho.take(j, axis=0))
+    b = 2.0 * np.real(_pairings(f0.take(j, axis=0), rho.take(j, axis=0)))
     u = b / (2.0 * a)
     v = u + h
     q = np.maximum(c - b * b / (4.0 * a), 0.0)
@@ -189,7 +183,8 @@ class LipschitzWitness:
 
     def pairing(self, mu: VectorMeasure):
         """Exact integral of the interpolant against a measure."""
-        out = np.sum(self.values * np.conj(_influence_vectors(mu, self.points)))
+        out = _pairings(np.ravel(self.values),
+                        np.ravel(_influence_vectors(mu, self.points)))
         return (complex(out) if np.iscomplexobj(self.values) else float(out)) / self.scale
 
 
@@ -210,8 +205,10 @@ def _influence_vectors(mu: VectorMeasure, nodes: np.ndarray) -> np.ndarray:
                         rho.take(j, axis=0) * np.diff(cuts)[:, None]])
     k = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
     lam = np.clip((t - nodes[k]) / (nodes[k + 1] - nodes[k]), 0.0, 1.0)[:, None]
-    return _scatter_rows(len(nodes), np.concatenate([k, k + 1]),
-                         [(1.0 - lam) * w, lam * w])
+    out = np.zeros((len(nodes), mu.dim), dtype=w.dtype)
+    np.add.at(out, k, (1.0 - lam) * w)
+    np.add.at(out, k + 1, lam * w)
+    return out
 
 
 def _midrange(F: np.ndarray) -> np.ndarray:
@@ -242,8 +239,8 @@ def _unit_derivative_witness(mu: VectorMeasure):
     F, rho = F * unit, rho * unit
     a = _squares(rho)
     s = np.flatnonzero(a > 0.0)
-    vertex = bps[s] - _real_pairings(F.take(s, axis=0),
-                                     rho.take(s, axis=0)) / a[s]
+    vertex = bps[s] - np.real(_pairings(F.take(s, axis=0),
+                                        rho.take(s, axis=0))) / a[s]
     off = _VERTEX_MARGIN * (bps[s + 1] - bps[s])
     inside = (vertex > bps[s] + off) & (vertex < bps[s + 1] - off)
     nodes = _unique(np.concatenate([bps, vertex[inside]]))

@@ -35,11 +35,12 @@ def _decay_integral(g, rate: float, bound: float, tol: float):
 
     ``g`` gets an array of theta and their decay weights and returns one
     row per theta, of norm at most ``bound`` times the weight.  In decay
-    units u = rate theta the tail past U = log(2 bound/(rate tol)) is at
-    most rate tol/2, for any rate; [0, U] gets the other half, and the sum
-    is divided by the rate.
+    units u = rate theta the tail past U = log(max(1, 2 bound/(rate tol)))
+    is at most rate tol/2, for any rate; [0, U] gets the other half, and
+    the sum is divided by the rate.  A ratio below 1 (0 once rate tol
+    overflows) leaves no range: the whole integral is within the tail.
     """
-    u_max = np.log(2.0 * bound / (rate * tol))
+    u_max = np.log(max(2.0 * bound / (rate * tol), 1.0))
     return adaptive_gauss(lambda u: g(u / rate, np.exp(-u)),
                           0.0, u_max, tol * rate / 2.0) / rate
 

@@ -12,10 +12,9 @@ Every piece sum (constructor input, ``accumulate``, ``combine`` and
 ``-``) is checked against a plain-Python oracle to the bit and against
 the exact rational sum within one rounding per covering piece, and so
 are the run sum's two shortcuts (a run that tiles the events, a
-one-piece run) and the panel densities that use them.  The row scatter
-and ``prune``'s partial selection are checked bit for bit against
-``np.add.at`` and a full stable sort, and a traced-memory bound guards
-the peak of a subtraction.
+one-piece run) and the panel densities that use them.  ``prune``'s
+partial selection is checked bit for bit against a full stable sort,
+and a traced-memory bound guards the peak of a subtraction.
 """
 
 import tracemalloc
@@ -172,7 +171,7 @@ def test_the_deal_sums_its_runs_in_log_rounds(monkeypatch, pieces, rounds):
         _assert_bitwise(got, [lo, hi, dens])
 
 
-# -- piece sums against an exact oracle, and the row scatter ------------
+# -- piece sums against an exact oracle ---------------------------------
 #
 # Every sum of pieces is one or more calls of ``measure._sum_runs``: the
 # segments between the distinct endpoints of sorted, disjoint runs, each
@@ -312,23 +311,6 @@ def test_piece_sums_match_an_exact_oracle(complex_):
                                 x * m.piece_density)) for x, m in terms]
             _assert_oracle(got, _add_runs(runs, dim),
                            [p for run in runs for p in run])
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_scatter_rows_is_bitwise_add_at(dtype):
-    rng = np.random.default_rng(31)
-    n = 50
-    parts = [rng.standard_normal((k, 2)) * 10.0 ** rng.uniform(-8, 8, (k, 1))
-             for k in (700, 1, 300)]
-    if dtype is np.complex128:
-        parts = [p + 1j * p[:, ::-1] for p in parts]
-    parts[0][::7] = -0.0
-    idx = [rng.integers(0, n - 1, len(p)) for p in parts]
-    want = np.zeros((n, 2), dtype=dtype)
-    for i, p in zip(idx, parts):
-        np.add.at(want, i, p)
-    got = measure._scatter_rows(n, np.concatenate(idx), parts)
-    _assert_bitwise([got], [want])
 
 
 def _assert_bitwise(got, want):

@@ -500,6 +500,54 @@ def test_count_and_start_errors_name_the_value(tmp_path, doc, message):
     assert code == 2 and message in report
 
 
+def _measure_widths(monkeypatch):
+    """The ``dim`` of every VectorMeasure built from here on."""
+    widths, init = [], VectorMeasure.__init__
+
+    def spy(self, atoms=(), pieces=(), dim=None, field=None):
+        widths.append(dim)
+        init(self, atoms, pieces, dim, field)
+    monkeypatch.setattr(VectorMeasure, "__init__", spy)
+    return widths
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**_IFS, "dimension": 10 ** 6},
+     "operator of shape (1, 1) in a dimension-1000000 system"),
+    ({**_IFS, "base": {"dimension": 10 ** 6}},
+     "base is a real dimension-1000000 measure in a real dimension-1 system"),
+    ({**_IFS, "solver": {"start": {"dimension": 10 ** 6}}},
+     "start is a real dimension-1000000 measure in a real dimension-1 system"),
+], ids=["system", "base", "start"])
+def test_widths_are_checked_before_any_measure_is_built(tmp_path, monkeypatch,
+                                                        doc, message):
+    # a measure of width 10^6 once took about 3 s to build, and one of
+    # 2 * 10^8 did not finish
+    widths = _measure_widths(monkeypatch)
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2 and message in report
+    assert 10 ** 6 not in widths
+
+
+def test_semigroup_base_width_is_capped_at_the_parse_boundary(tmp_path,
+                                                              monkeypatch):
+    # verify integrates four test functions per coordinate: a base of
+    # 10,000 coordinates took over five minutes
+    widths = _measure_widths(monkeypatch)
+    base = {"dimension": 257, "atoms": [[0.5, [1.0] * 257]]}
+    code, report = _run_doc(tmp_path, {**_SEMIGROUP, "rate": 2.0, "base": base,
+                                       "commands": ["solve", "verify"]})
+    assert code == 2
+    assert "base dimension must be between 0 and 256, got 257" in report
+    assert not widths
+
+
+def test_decay_transfer_at_the_largest_tolerance_does_not_warn():
+    # rate * tol overflows, and the suite turns a warning into an error
+    code, report = run("decay_transfer", tol=1e308)
+    assert code == 0 and "error_bound=1e+308" in report
+
+
 def test_base_that_overflows_when_resolved_is_a_validation_error(tmp_path):
     # each density is finite; their sum on the overlap is not
     base = {"dimension": 1, "pieces": [[0.0, 1.0, [1e308]], [0.0, 1.0, [1e308]]]}

@@ -3,8 +3,9 @@
 Row gathers go through ``take`` and short rows are summed column by
 column (``hilbert._fold_columns``).  The closed-form panel integral and
 the row norms are checked here against the formulas they replaced, kept
-as oracles: a reduction along the short axis (``np.sum(..., axis=1)``)
-and, for the norms, a copy of |a| first.  The zero-total check of
+as oracles: a reduction along the short axis (``np.sum(..., axis=1)``),
+of Re (f0, rho) written out in real products as ``hilbert._pairings``
+forms it, and, for the norms, a copy of |a| first.  The zero-total check of
 ``mk_star_exact`` now reads F(1), which ``panels()`` computes, in place
 of ``mu.total()``: the two agree to the bit for dim >= 2, and for dim 1,
 where numpy sums the contiguous atom column pairwise, within rounding.
@@ -59,7 +60,8 @@ def _segment_by_axis_sums(f0, rho, h):
     out = np.sqrt(c) * h
     j = np.flatnonzero((a != 0.0) & (np.sqrt(a) * h > 1e-12 * np.sqrt(c)))
     a, c, h = a[j], c[j], h[j]
-    b = 2.0 * np.real(np.sum(f0[j] * np.conj(rho[j]), axis=1))
+    b = 2.0 * np.sum(f0[j].real * rho[j].real + f0[j].imag * rho[j].imag,
+                     axis=1)
     u = b / (2.0 * a)
     v = u + h
     q = np.maximum(c - b * b / (4.0 * a), 0.0)
@@ -141,13 +143,7 @@ def test_panel_integral_keeps_the_bits_of_the_axis_sums(dim, complex_):
     rng = np.random.default_rng(100 + dim)
     f0, rho, h = _panels(rng, 4000, dim, complex_)
     got = _segment_norm_integral(f0, rho, h)
-    want = _segment_by_axis_sums(f0, rho, h)
-    if complex_ and dim >= 4:
-        # numpy sums four or more complex entries of a row pairwise, so
-        # Re (f0, rho) may take another last bit there than in order
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    else:
-        _assert_same_bits(got, want)
+    _assert_same_bits(got, _segment_by_axis_sums(f0, rho, h))
     assert np.isfinite(got).all()
 
 
@@ -205,11 +201,7 @@ def test_campaign_fast_paths_against_their_oracles(complex_):
     for dim in range(1, 8):
         f0, rho, h = _panels(rng, 70_000, dim, complex_)
         got = _segment_norm_integral(f0, rho, h)
-        want = _segment_by_axis_sums(f0, rho, h)
-        if complex_ and dim >= 4:
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-        else:
-            _assert_same_bits(got, want)
+        _assert_same_bits(got, _segment_by_axis_sums(f0, rho, h))
         rows = _rows(rng, 70_000, dim, complex_)
         with np.errstate(invalid="ignore"):
             _assert_same_bits(_row_norms(rows), _row_norms_by_copy(rows))
