@@ -191,11 +191,49 @@ def dual_apply(sys: IFSystem, f: ContinuousFunction) -> ContinuousFunction:
                               lip_bound=lip)
 
 
+def _metric(sys: IFSystem):
+    """``(norm, q, distance)``: the metric in which the system contracts,
+    its factor q < 1 and the distance of two measures in it;
+    NotContractive when there is none.
+
+    The variation norm when its factor is < 1, with
+    ``VectorMeasure.variation_distance``, which builds no difference
+    measure.  Otherwise only a system that preserves mass (sum_i R_i = I
+    within 1e-12) can contract: in mk_star, with ``mk_star_exact`` of the
+    difference.  That metric only controls measures of equal total mass,
+    so the base must have zero total.  Variation goes first: inside the
+    1e-12 band a system can lose mass (variation factor just below 1,
+    fixed point zero), and mk_star would certify a measure of the wrong
+    total there.
+    """
+    fac = factors(sys)
+    if fac.variation < 1.0:
+        return "variation", fac.variation, VectorMeasure.variation_distance
+    op_sum = np.sum(np.stack(sys.operators), axis=0)
+    if np.abs(op_sum - np.eye(sys.dim)).max() > _MASS_TOL:
+        raise NotContractive(
+            f"variation factor {fac.variation:.6g} >= 1; iteration will "
+            "not certify (the operators do not sum to the identity, so "
+            "the mk_star metric does not apply)")
+    if fac.mk_star >= 1.0:
+        raise NotContractive(
+            f"mk_star factor {fac.mk_star:.6g} >= 1 for a mass-preserving system")
+    if _norm(sys.base.total()) > _MASS_TOL:
+        raise NotContractive(
+            "mk_star iteration with a base measure requires the base "
+            "to have zero total mass")
+    return "mk_star", fac.mk_star, lambda a, b: mk_star_exact(a - b)
+
+
 def residual(sys: IFSystem, mu: VectorMeasure) -> float:
-    """Variation norm of M(mu) - mu, zero exactly at the fixed point,
-    taken by ``VectorMeasure.variation_distance`` without building the
-    difference."""
-    return apply_markov(sys, mu).variation_distance(mu)
+    """Distance of M(mu) from mu in the metric the system decides
+    (``_metric``), zero exactly at the fixed point."""
+    norm, _, distance = _metric(sys)
+    if norm == "mk_star":
+        # the difference alone: the image is freed before mk_star_exact
+        # makes its temporaries
+        return mk_star_exact(apply_markov(sys, mu) - mu)
+    return distance(apply_markov(sys, mu), mu)
 
 
 @dataclass(frozen=True)
@@ -217,20 +255,10 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     bound ||mu_k - mu*|| <= (q*dist(mu_k, mu_{k-1}) + p) / (1-q) certifies
     the stop, so the returned error_bound is rigorous despite the pruning.
 
-    The system decides the metric.  When the variation factor is < 1 it
-    iterates in the variation norm: q is that factor, p = tol*(1-q)/4 and
-    the distance is ``VectorMeasure.variation_distance``, one merge of the
-    two iterates that builds no difference measure.  Otherwise only a
-    system that preserves mass (sum_i R_i = I within 1e-12; its variation
-    factor sum ||R_i|| >= ||sum R_i|| is about 1) can contract, and it
-    iterates in mk_star: q is the mk_star factor, which must be < 1, and
-    the distance ``mk_star_exact`` of mu_k - mu_{k-1}.  Iterates are never
-    pruned there (p = 0): pruning would perturb totals, and the metric
-    only controls measures of equal total mass, so the base must have
-    zero total.  The variation norm goes first because inside the 1e-12
-    band a system can lose mass (variation factor just below 1, fixed point
-    zero); mk_star would certify a measure of the wrong total there.
-    ``FixedPointResult.norm`` names the metric used.
+    The system decides the metric (``_metric``), and
+    ``FixedPointResult.norm`` names it.  In the variation norm the budget
+    is p = tol*(1-q)/4.  In mk_star iterates are never pruned (p = 0):
+    pruning would perturb totals, which that metric needs equal.
 
     An mk_star certificate is about the system whose operators sum to the
     identity exactly: inside the 1e-12 band it certifies that idealised
@@ -254,30 +282,9 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     if start.dim != sys.dim:
         raise DimensionMismatch(
             f"start dimension {start.dim} differs from system dimension {sys.dim}")
-    fac = factors(sys)
+    norm, q, distance = _metric(sys)
+    budget = tol * (1.0 - q) / 4.0 if norm == "variation" else 0.0
     op_sum = np.sum(np.stack(sys.operators), axis=0)
-    if fac.variation < 1.0:
-        norm, q = "variation", fac.variation
-        budget = tol * (1.0 - q) / 4.0
-        distance = VectorMeasure.variation_distance
-    else:
-        norm, q = "mk_star", fac.mk_star
-        if np.abs(op_sum - np.eye(sys.dim)).max() > _MASS_TOL:
-            raise NotContractive(
-                f"variation factor {fac.variation:.6g} >= 1; iteration will "
-                "not certify (the operators do not sum to the identity, so "
-                "the mk_star metric does not apply)")
-        if q >= 1.0:
-            raise NotContractive(
-                f"mk_star factor {q:.6g} >= 1 for a mass-preserving system")
-        if _norm(sys.base.total()) > _MASS_TOL:
-            raise NotContractive(
-                "mk_star iteration with a base measure requires the base "
-                "to have zero total mass")
-        budget = 0.0
-
-        def distance(a, b):
-            return mk_star_exact(a - b)
     base_total = sys.base.total()
     cur, bound = start, math.inf
     for k in range(1, max_iter + 1):
@@ -300,42 +307,19 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         f"(last bound {bound:g})")
 
 
-def _memo_keys(lo, hi, lo_incl, hi_incl) -> np.ndarray:
-    """One 16-byte key per node row: each end's bit pattern (-0.0 taken
-    as 0.0, below 2^62 on [0, 1]) shifted up by one plus its inclusion
-    flag, so equal keys are equal rows."""
-    lo, hi = (lo + 0.0).view(np.int64), (hi + 0.0).view(np.int64)
-    keys = np.empty((len(lo), 2), dtype=np.int64)
-    keys[:, 0] = (lo << 1) | lo_incl
-    keys[:, 1] = (hi << 1) | hi_incl
-    return keys.view(np.dtype((np.void, 16))).ravel()
-
-
-# the memo of a graph with no nodes: its sorted keys and their nodes
-_NO_MEMO = (np.empty(0, dtype=np.dtype((np.void, 16))),
-            np.empty(0, dtype=np.intp))
-
-
-def _intern(keys: np.ndarray, memo, n: int):
-    """``(ids, memo, src)`` for rows keyed ``keys``: each row's node, the
-    memo with the new nodes added, and the row that makes each new node.
-    Keys the memo lacks become nodes n, n + 1, ... in the order their
-    rows first came; past _MAX_NODES nodes IterationLimit is raised."""
-    known, node = memo
-    u, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    pos = np.searchsorted(known, u)
-    found = pos < len(known)
-    found[found] = known[pos[found]] == u[found]
-    ids = np.empty(len(u), dtype=np.intp)
-    ids[found] = node[pos[found]]
-    new = np.flatnonzero(~found)
-    if n + len(new) > _MAX_NODES:
+def _intern(rows, memo: dict):
+    """``(ids, src)`` for node rows ``(lo, hi, lo_incl, hi_incl)``: each
+    row's node and the row that makes each new node.  ``memo`` maps every
+    row interned so far to its node (-0.0 equals 0.0 as a float); rows it
+    lacks become nodes len(memo), len(memo) + 1, ... in the order they
+    first come, and past _MAX_NODES nodes IterationLimit is raised."""
+    n = len(memo)
+    ids = np.array([memo.setdefault(r, len(memo))
+                    for r in zip(*(a.tolist() for a in rows))], dtype=np.intp)
+    if len(memo) > _MAX_NODES:
         raise IterationLimit(f"set-transition graph exceeded {_MAX_NODES} nodes")
-    order = new[np.argsort(first[new], kind="stable")]
-    ids[order] = n + np.arange(len(new))
-    memo = (np.insert(known, pos[new], u[new]),
-            np.insert(node, pos[new], ids[new]))
-    return ids[inv.ravel()], memo, first[order]
+    u, first = np.unique(ids, return_index=True)
+    return ids, first[u >= n]
 
 
 def _cut_exposure(child: np.ndarray, expanded: np.ndarray, norms,
@@ -422,7 +406,8 @@ def _set_graph(sys: IFSystem, rows, owner: np.ndarray, n_roots: int,
         budget = -math.inf
     slopes = np.array([[m.slope] for m in sys.maps])
     offsets = np.array([[m.offset] for m in sys.maps])
-    root, memo, src = _intern(_memo_keys(*rows), _NO_MEMO, 0)
+    memo = {}
+    root, src = _intern(rows, memo)
     lo, hi, li, ri = (r[src] for r in rows)
     N = len(lo)
     weight = np.bincount(root, minlength=N).astype(float)
@@ -464,7 +449,7 @@ def _set_graph(sys: IFSystem, rows, owner: np.ndarray, n_roots: int,
         parent = np.tile(front, k)[keep]
         flow = (np.repeat(norms, F) * np.tile(weight[front], k))[keep]
         c_lo, c_hi, c_li, c_ri = c_lo[keep], c_hi[keep], c_li[keep], c_ri[keep]
-        kid, memo, src = _intern(_memo_keys(c_lo, c_hi, c_li, c_ri), memo, N)
+        kid, src = _intern((c_lo, c_hi, c_li, c_ri), memo)
         lo, hi = np.concatenate([lo, c_lo[src]]), np.concatenate([hi, c_hi[src]])
         li, ri = np.concatenate([li, c_li[src]]), np.concatenate([ri, c_ri[src]])
         depth = np.concatenate([depth, depth[parent[src]] + 1])

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._quadrature import adaptive_gauss
-from .exceptions import DimensionMismatch, IterationLimit
+from .exceptions import DimensionMismatch, IterationLimit, RefinementLimit
 from .hilbert import _norm, _pairings, matrix_exp, operator_norm
 from .integral import ContinuousFunction, integrate
 from .measure import VectorMeasure, combine
@@ -39,8 +39,14 @@ def _decay_integral(g, rate: float, bound: float, tol: float):
     is at most rate tol/2, for any rate; [0, U] gets the other half, and
     the sum is divided by the rate.  A ratio below 1 (0 once rate tol
     overflows) leaves no range: the whole integral is within the tail.
+    A ratio that overflows (rate tol near the smallest float) leaves no
+    finite cut: RefinementLimit.
     """
-    u_max = np.log(max(2.0 * bound / (rate * tol), 1.0))
+    ratio = 2.0 * bound / (rate * tol) if rate * tol else np.inf
+    if ratio == np.inf:
+        raise RefinementLimit(f"tol={tol:g} leaves no finite tail cut: "
+                              f"2 bound/(rate tol) overflows at rate {rate:g}")
+    u_max = np.log(max(ratio, 1.0))
     return adaptive_gauss(lambda u: g(u / rate, np.exp(-u)),
                           0.0, u_max, tol * rate / 2.0) / rate
 

@@ -213,12 +213,13 @@ def _preimage_rows(slope, offset, lo, hi, lo_incl, hi_incl):
     Returns ``(lo, hi, lo_incl, hi_incl, keep)``; ``keep`` is False where
     the preimage is empty.  A constant map (slope 0) pulls a span back to
     all of [0, 1] when the span holds its value and to nothing otherwise.
-    A closed end of (end - offset)/slope moves by up to four ulps to the
-    float where the map as ``pushforward`` rounds it, fl(fl(slope x) +
-    offset), enters or leaves the span, so that an atom there is in the
-    preimage exactly when its image is in the span: t/3 + 2/3 sends 1 to
-    1, and the preimage of [a, 1] ends at 1, not at 1 + 2 ulps.  Open
-    ends stay where the division puts them.  A point pulls back to a
+    A closed end of (end - offset)/slope moves at most four ulps toward
+    the float where the map as ``pushforward`` rounds it, fl(fl(slope x)
+    + offset), enters or leaves the span: t/3 + 2/3 sends 1 to 1, and the
+    preimage of [a, 1] ends at 1, not at 1 + 2 ulps.  A crossing farther
+    off is not reached, and an atom between it and the end can have its
+    image in the span but not be in the preimage.  Open ends stay where
+    the division puts them.  A point pulls back to a
     point, moved into the floats the map sends onto it if any are that
     near, and to nothing when no float there maps onto it.  Ends that the
     clipping moves strictly inward become included (the clipped-away part

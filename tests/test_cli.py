@@ -548,6 +548,22 @@ def test_decay_transfer_at_the_largest_tolerance_does_not_warn():
     assert code == 0 and "error_bound=1e+308" in report
 
 
+@pytest.mark.parametrize("tol", [5e-324, 1e-320])
+def test_decay_transfer_whose_tail_cut_overflows_exits_4(tol):
+    # 2 bound/(rate tol) overflows: refused before integrating, without
+    # the warnings the suite turns into errors
+    code, report = run("decay_transfer", tol=tol)
+    assert code == 4 and "leaves no finite tail cut" in report
+
+
+def test_semigroup_dimension_must_match_its_base(tmp_path):
+    doc = json.loads((Path(ifsmeasure.__file__).parent / "scenarios"
+                      / "decay_transfer.json").read_text())
+    code, report = _run_doc(tmp_path, {**doc, "dimension": 3})
+    assert code == 2
+    assert "dimension 3 differs from the base dimension 2" in report
+
+
 def test_base_that_overflows_when_resolved_is_a_validation_error(tmp_path):
     # each density is finite; their sum on the overlap is not
     base = {"dimension": 1, "pieces": [[0.0, 1.0, [1e308]], [0.0, 1.0, [1e308]]]}

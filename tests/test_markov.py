@@ -417,6 +417,24 @@ def test_eval_memo_absorbs_preimage_rounding():
     assert abs(it.measure.total()[0] - 3.0) <= it.error_bound
 
 
+def test_eval_rows_that_differ_in_the_sign_of_a_zero_end_are_one_node():
+    base = VectorMeasure(atoms=[(0.0, np.array([1.0]))],
+                         pieces=[((0.0, 1.0), np.array([0.5]))])
+    sys = IFSystem([AffineMap(-0.5, 0.5), AffineMap(0.5, 0.5)],
+                   [np.array([[0.3]]), np.array([[0.4]])], base=base)
+    neg, pos = QuerySet.closed(-0.0, 0.5), QuerySet.closed(0.0, 0.5)
+    assert np.signbit(neg.spans[0].lo) and not np.signbit(pos.spans[0].lo)
+    both = eval_many(sys, [neg, pos], tol=1e-10)
+    for alone in (eval_fixed_point(sys, neg, tol=1e-10),
+                  eval_fixed_point(sys, pos, tol=1e-10)):
+        assert alone.nodes == both[0].nodes
+        assert alone.value.tobytes() == both[0].value.tobytes()
+    assert both[0].value.tobytes() == both[1].value.tobytes()
+    # the maps pull {0.5} back to {-0.0} and {0.0}, one node: the graph
+    # is {0.5}, {0} and {1}
+    assert eval_fixed_point(sys, QuerySet.point(0.5), tol=1e-10).nodes == 3
+
+
 def test_eval_refuses_non_contractive():
     with pytest.raises(NotContractive):
         eval_fixed_point(blend_system(), QuerySet.unit())
@@ -464,6 +482,19 @@ def test_residual_properties():
         assert r <= (1 + e) * mu.variation_norm() + base_norm + 1e-10
     res = iterate_fixed_point(sys, VectorMeasure.zero(2), tol=1e-9)
     assert residual(sys, res.measure) < 1e-8
+
+
+def test_residual_of_a_mass_preserving_system_is_its_mk_star_distance():
+    # the metric the solve certifies, to the bit; neither metric: refused
+    sys = blend_system()
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        mu = _random_measure(rng, 2)
+        want = mk_star_exact(apply_markov(sys, mu) - mu)
+        assert np.float64(residual(sys, mu)).tobytes() == \
+            np.float64(want).tobytes()
+    with pytest.raises(NotContractive, match="do not sum to the identity"):
+        residual(overweight_system(), VectorMeasure.dirac(0.0, np.array([1.0])))
 
 
 # slopes of the generated maps: 0 (a constant map), negative, and the
