@@ -51,7 +51,7 @@ print(f"right cylinder mass {right}   (weight {1 - alpha:.6f})")
 # by the variation norm; the bounded-Lipschitz norm sits in a bracket
 # whose upper end splits off a measure of the same total in closed form
 diff = mu - start
-star = mk_star_exact(diff)
+star = mk_star_exact(mu, start)  # the distance, from one merge of the two
 # the bound divides the witness pairing by the Lipschitz constant measured
 # on its node values; on these 3^-17 wide cells rounding puts that
 # constant a few 1e-9 above 1, and the witness keeps it as its scale, so

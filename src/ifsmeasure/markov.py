@@ -200,11 +200,11 @@ def _metric(sys: IFSystem):
     ``VectorMeasure.variation_distance``, which builds no difference
     measure.  Otherwise only a system that preserves mass (sum_i R_i = I
     within 1e-12) can contract: in mk_star, with ``mk_star_exact`` of the
-    difference.  That metric only controls measures of equal total mass,
-    so the base must have zero total.  Variation goes first: inside the
-    1e-12 band a system can lose mass (variation factor just below 1,
-    fixed point zero), and mk_star would certify a measure of the wrong
-    total there.
+    two measures, which reads the difference off one merge of them.  That
+    metric only controls measures of equal total mass, so the base must
+    have zero total.  Variation goes first: inside the 1e-12 band a system
+    can lose mass (variation factor just below 1, fixed point zero), and
+    mk_star would certify a measure of the wrong total there.
     """
     fac = factors(sys)
     if fac.variation < 1.0:
@@ -222,18 +222,15 @@ def _metric(sys: IFSystem):
         raise NotContractive(
             "mk_star iteration with a base measure requires the base "
             "to have zero total mass")
-    return "mk_star", fac.mk_star, lambda a, b: mk_star_exact(a - b)
+    return "mk_star", fac.mk_star, mk_star_exact
 
 
 def residual(sys: IFSystem, mu: VectorMeasure) -> float:
     """Distance of M(mu) from mu in the metric the system decides
-    (``_metric``), zero exactly at the fixed point."""
-    norm, _, distance = _metric(sys)
-    if norm == "mk_star":
-        # the difference alone: the image is freed before mk_star_exact
-        # makes its temporaries
-        return mk_star_exact(apply_markov(sys, mu) - mu)
-    return distance(apply_markov(sys, mu), mu)
+    (``_metric``), zero exactly at the fixed point.  Neither distance
+    builds the difference: the image stays alive through the merge, whose
+    one weight buffer holds less than building the difference did."""
+    return _metric(sys)[2](apply_markov(sys, mu), mu)
 
 
 @dataclass(frozen=True)

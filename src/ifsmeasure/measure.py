@@ -20,8 +20,9 @@ densities merged.  Equality is structural on the canonical arrays.
 Pieces are summed one way, by ``_sum_runs``: over sorted, disjoint runs
 of pieces, each segment between their distinct endpoints starts at zero
 and adds, in run order, the density covering it in each run, so a small
-density next to a large one keeps its bits.  ``accumulate``, ``combine``
-and ``VectorMeasure.variation_distance`` pass their terms as the runs,
+density next to a large one keeps its bits.  ``accumulate``, ``combine``,
+``VectorMeasure.variation_distance`` and the mk_star distance
+(``_panels``) pass their terms as the runs,
 and ``markov.apply_markov`` each map's image arrays (``_image``) times
 its operator, so a Markov step builds no measure but its result; raw
 input that overlaps or is out of order (the constructor, ``from_dict``)
@@ -67,6 +68,12 @@ def _unique(a: np.ndarray) -> np.ndarray:
     ``np.unique`` does on its first call."""
     a.sort()
     return _take(np.concatenate(([True], a[1:] != a[:-1]))[:len(a)], a)[0]
+
+
+def _variation(wts, lo, hi, dens) -> float:
+    """The variation norm of canonical coefficient arrays."""
+    return (float(_row_norms(wts).sum())
+            + float((_row_norms(dens) * (hi - lo)).sum()))
 
 
 def _canonical_atoms(points, weights):
@@ -358,11 +365,7 @@ class VectorMeasure:
         Exact for this representation because atoms and pieces (after
         canonicalization) live on disjoint parts of the interval.
         """
-        v = float(_row_norms(self.atom_weights).sum()) if self.n_atoms else 0.0
-        if self.n_pieces:
-            v += float((_row_norms(self.piece_density)
-                        * (self.piece_hi - self.piece_lo)).sum())
-        return v
+        return _variation(*_parts(self)[1:])
 
     def variation_distance(self, other: "VectorMeasure") -> float:
         """``(self - other).variation_norm()`` without building the difference.
@@ -379,8 +382,7 @@ class VectorMeasure:
             _, wts = _canonical_atoms(pts, wts)
         if not (np.isfinite(wts).all() and np.isfinite(dens).all()):
             raise ValueError("a coefficient overflows to a non-finite value")
-        return (float(_row_norms(wts).sum())
-                + float((_row_norms(dens) * (hi - lo)).sum()))
+        return _variation(wts, lo, hi, dens)
 
     def cumulative(self, t: float) -> np.ndarray:
         """mu([0, t]) as a function of the right endpoint."""
@@ -427,18 +429,9 @@ class VectorMeasure:
     def panels(self):
         """``(bps, F, rho)``: the breakpoints, ``F = cumulative_all(bps)``
         and the density ``rho[j]`` on the open panel (bps[j], bps[j+1]),
-        so F(t) = F[j] + (t - bps[j]) rho[j] inside it.
+        so F(t) = F[j] + (t - bps[j]) rho[j] inside it (``_panels``).
         """
-        bps = self.breakpoints()
-        F = self.cumulative_all(bps)
-        rho = np.zeros((len(bps) - 1, self.dim), dtype=F.dtype)
-        if self.n_pieces:
-            # canonical pieces are disjoint, sorted and end on breakpoints;
-            # left ends, not midpoints, so a one-ulp panel cannot round over
-            a, rows = _covering(self.piece_lo, self.piece_hi,
-                                self.piece_density, bps[:-1])
-            rho[a:a + len(rows)] = rows
-        return bps, F, rho
+        return _panels(self)[:3]
 
     # -- algebra ------------------------------------------------------
 
@@ -608,6 +601,54 @@ def _linear(terms):
     dtype = np.result_type(*{np.asarray(a).dtype for a, _ in terms},
                            *{m.atom_weights.dtype for _, m in terms})
     return (*_summed([_parts(m, a) for a, m in terms], dtype), dim)
+
+
+def _panels(mu: VectorMeasure, nu: VectorMeasure | None = None):
+    """``(bps, F, rho, (wts, lo, hi, dens))``: ``VectorMeasure.panels`` of
+    mu - nu (of mu when nu is None) and its coefficients, one weight row
+    per breakpoint, read off one stable merge of the atom points, the ends
+    of the pieces ``combine`` would make, 0 and 1.  A canonical measure
+    holds a point once, so a run of equal keys starts with its atoms, mu's
+    then nu's negated, whose sum is ``combine``'s weight; a run of atoms
+    that cancel is no breakpoint.  A panel lies in the last piece started
+    before it unless that piece has ended.
+    """
+    nu = VectorMeasure.zero(mu.dim, mu.field) if nu is None else nu
+    if nu.dim != mu.dim:
+        raise DimensionMismatch("measures of different dimension in sum")
+    dtype = np.result_type(mu.atom_weights, nu.atom_weights)
+    lo, hi, dens = mu.piece_lo, mu.piece_hi, mu.piece_density.astype(dtype, copy=False)
+    if nu.n_pieces:  # else mu's canonical pieces are the sum
+        lo, hi, dens = _merged_pieces(*_sum_runs(
+            [(lo, hi, dens), (nu.piece_lo, nu.piece_hi, -nu.piece_density)], dtype))
+    keys = np.concatenate([mu.atom_points, nu.atom_points, lo, hi, [0.0, 1.0]])
+    order = np.argsort(keys, kind="stable")
+    keys = keys.take(order)
+    run = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    last = np.append(run[1:], len(keys)) - 1
+    # the atoms' rows, a zero row for every other key, and one more that
+    # a run of one key adds as its second row
+    wts, n = np.zeros((len(keys) + 1, mu.dim), dtype), mu.n_atoms + nu.n_atoms
+    wts[:mu.n_atoms] = mu.atom_weights
+    np.negative(nu.atom_weights, out=wts[mu.n_atoms:n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = wts.take(order.take(run), axis=0) + wts.take(
+            np.where(last > run, order.take(run + 1, mode="clip"), len(keys)), axis=0)
+    if not (np.isfinite(w).all() and np.isfinite(dens).all()):
+        raise ValueError("a coefficient overflows to a non-finite value")
+    bps, w, last = _take(_rows_differ(w, 0) | (order.take(last) >= n),
+                         keys.take(run), w, last)
+    F = np.cumsum(w, axis=0) + 0.0  # as zeros + prefix: -0.0 reads 0.0
+    rho = np.zeros((len(bps) - 1, mu.dim), dtype=dtype)
+    if len(lo):
+        k = np.cumsum((order >= n) & (order < n + len(lo))).take(last) - 1
+        mass = np.cumsum(np.concatenate([rho[:1], dens * (hi - lo)[:, None]]), axis=0)
+        j = np.maximum(k, 0)
+        F += mass.take(j, axis=0) + dens.take(j, axis=0) * np.clip(
+            bps - lo.take(j), 0.0, hi.take(j) - lo.take(j))[:, None]
+        rho = np.concatenate([dens, rho[:1]]).take(
+            np.where((k >= 0) & (bps < hi.take(k)), k, len(lo))[:-1], axis=0)
+    return bps, F, rho, (w, lo, hi, dens)
 
 
 def _smallest_first(contrib, tol):

@@ -17,8 +17,11 @@ Two independent routes are implemented and cross-checked:
 
 Both routes run as one array sweep over ``VectorMeasure.panels()`` (the
 breakpoints, F entering each panel, and the density on it): the closed
-form evaluates every panel at once, and the witness pairing reduces the
-measure to one influence vector per witness node.
+form evaluates every panel at once and sums the terms exactly
+(``_exact_sum``), and the witness pairing reduces the measure to one
+influence vector per witness node.  ``mk_star_exact(mu, nu)`` is the
+distance of two measures: it reads the panels of mu - nu off one merge
+of the two, so the iteration in this metric builds no difference.
 
 Balls: "l1" is the Lipschitz seminorm ball (zero-total measures only, the
 pairing is otherwise unbounded); "bl1" is the bounded-Lipschitz ball
@@ -35,7 +38,8 @@ import numpy as np
 
 from .hilbert import (_EPS, _fold_columns, _norm, _pairings, _row_norms,
                       _squares, _up)
-from .measure import VectorMeasure, _rows_differ, _unique
+from .measure import (VectorMeasure, _panels, _rows_differ, _take, _unique,
+                      _variation)
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
@@ -122,26 +126,52 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
     return out
 
 
-def _require_zero_total(mu: VectorMeasure, tot: float, what: str) -> None:
+def _require_zero_total(tot: float, variation, what: str) -> None:
     """Refuse a total above rounding residue: ||total|| must be at most
-    1e-12 max(1, ||mu||_var), relative to the mass that rounded into it."""
-    if tot > _TOTAL_TOL and tot > _TOTAL_TOL * mu.variation_norm():
+    1e-12 max(1, variation()), relative to the mass that rounded into it."""
+    if tot > _TOTAL_TOL and tot > _TOTAL_TOL * variation():
         raise ValueError(f"{what} (||total|| = {tot:g})")
 
 
-def mk_star_exact(mu: VectorMeasure) -> float:
-    """Lipschitz-ball dual norm of a zero-total measure, evaluated exactly.
+def _exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x.tolist())`` from exact integer bins: the 27- and
+    26-bit halves of each term's 53-bit mantissa (``np.frexp``) are summed
+    by exponent with ``np.bincount``, exactly below 2^26 terms, and the
+    bins as one Python int, divided once.  A zero sum (for its sign), more
+    terms or a non-finite one go to fsum.  Where only a partial sum
+    overflows, fsum raises OverflowError and this returns the sum."""
+    if len(x) >= 1 << 26 or not np.isfinite(x).all():
+        return math.fsum(x.tolist())
+    m, e = np.frexp(x)
+    m *= 2.0 ** 27
+    hi, low = np.trunc(m), int(e.min(initial=0))
+    bins = [np.bincount(e - low, weights=w).tolist()
+            for w in (hi, (m - hi) * 2.0 ** 26)]
+    total = sum(((int(h) << 26) + int(l)) << i
+                for i, (h, l) in enumerate(zip(*bins)))
+    if not total:
+        return math.fsum(x.tolist())
+    shift = low - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
-    Requires ||mu([0, 1])|| <= 1e-12 max(1, ||mu||_var); raises ValueError
-    otherwise, since the supremum over the unbounded ball is infinite for
-    nonzero total.  The panel terms are summed with ``math.fsum``, so the
-    result is their correctly rounded sum.  The total is read as F(1):
-    ``mu.total()`` to the bit for dim >= 2, but summed in order for dim 1.
+
+def mk_star_exact(mu: VectorMeasure, nu: VectorMeasure | None = None) -> float:
+    """Lipschitz-ball dual norm of the zero-total measure mu - nu (mu when
+    nu is None), evaluated exactly, with no difference measure built.
+
+    Requires ||(mu - nu)([0, 1])|| <= 1e-12 max(1, ||mu - nu||_var);
+    raises ValueError otherwise, since the supremum over the unbounded
+    ball is infinite for nonzero total.  The panels come from one merge of
+    mu and nu (``_panels``), so the value is bitwise that of
+    ``mk_star_exact(mu - nu)``, and the panel terms are summed exactly
+    (``_exact_sum``).  The total is read as F(1): ``(mu - nu).total()``
+    to the bit for dim >= 2, but summed in order for dim 1.
     """
-    bps, F, rho = mu.panels()
-    _require_zero_total(mu, _norm(F[-1]), "defined only for zero-total measures")
-    return math.fsum(
-        _segment_norm_integral(F[:-1], rho, np.diff(bps)).tolist())
+    bps, F, rho, (wts, *pieces) = _panels(mu, nu)
+    _require_zero_total(  # the atoms of mu - nu are its nonzero weight rows
+        _norm(F[-1]), lambda: _variation(*_take(_rows_differ(wts, 0), wts), *pieces),
+        "defined only for zero-total measures")
+    return _exact_sum(_segment_norm_integral(F[:-1], rho, np.diff(bps)))
 
 
 @dataclass(frozen=True)
@@ -290,7 +320,7 @@ def mk_lower_bound(mu: VectorMeasure, ball: str = "l1"):
     total = mu.total()
     tot = _norm(total)
     if ball == "l1":
-        _require_zero_total(mu, tot, "l1 ball requires zero total mass")
+        _require_zero_total(tot, mu.variation_norm, "l1 ball requires zero total mass")
         return _certify(mu, *_unit_derivative_witness(mu), ball)
     nodes, values = _unit_derivative_witness(mu)
     half = LipschitzWitness(nodes, values, ball)(0.5)
@@ -315,7 +345,7 @@ def mk_upper_bound(mu: VectorMeasure) -> float:
     (1 - eps) m_t = m_t V / (m_t - T + V) when m_t > T, and eps = 0
     gives T otherwise.  t is the breakpoint minimizing
     m_t = integral_0^t ||F|| + integral_t^1 ||F - T||, found by one
-    prefix-sum sweep over the panels; m_t is then the ``math.fsum`` of its
+    prefix-sum sweep over the panels; m_t is then the ``_exact_sum`` of its
     panel terms, as ``mk_star_exact(mu - T delta_t)`` would sum them.
     """
     total = mu.total()
@@ -326,7 +356,7 @@ def mk_upper_bound(mu: VectorMeasure) -> float:
     after = _segment_norm_integral(F[:-1] - total[None, :], rho, h)
     i = int(np.argmin(np.concatenate([[0.0], np.cumsum(before)])
                       + np.concatenate([np.cumsum(after[::-1])[::-1], [0.0]])))
-    m = math.fsum(np.concatenate([before[:i], after[i:]]).tolist())
+    m = _exact_sum(np.concatenate([before[:i], after[i:]]))
     if m <= tot:
         return tot
     # m V / (m - T + V) with no product that can overflow
