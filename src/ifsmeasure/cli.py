@@ -101,7 +101,9 @@ def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
     """
     if not 2 <= samples <= _MAX_SAMPLES:
         raise ScenarioError(f"samples must be between 2 and {_MAX_SAMPLES}")
-    ts = [np.linspace(0.0, 1.0, samples), mu.breakpoints()]
+    # the samples hold 0 and 1, so one sort gives every breakpoint too
+    ts = [np.linspace(0.0, 1.0, samples), mu.atom_points, mu.piece_lo,
+          mu.piece_hi]
     if mu.n_atoms:
         left = np.nextafter(mu.atom_points, -np.inf)
         ts.append(left[left >= 0.0])

@@ -2,11 +2,11 @@
 
 A kernel F(x, y) = scale * sum_k u_k(x) v_k(y) acts on densities by
 (T phi)(x) = integral_0^1 F(x, y) phi(y) dy, which ``SeparableKernel.apply``
-computes in exact rationals.  Because the range is spanned
-by the u_k, the invariance equation phi = g + (T1 + T2) phi reduces to a
-small linear system in the moments a_k = integral v_k phi, solved here in
-exact rational arithmetic so the fixed-point density has exact fractional
-coefficients.
+computes in exact rationals, with numpy's polynomial routines on Fraction
+coefficients.  Because the range is spanned by the u_k, the invariance
+equation phi = g + (T1 + T2) phi reduces to a small linear system in the
+moments a_k = integral v_k phi, solved by Gauss-Jordan elimination on
+Fractions, so the fixed-point density has exact fractional coefficients.
 
 Also provided: a refining sup bound for kernels on the unit square, and the
 partition-sum estimate of the variation of the interval-indexed family
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 __all__ = ["PolynomialFunction", "SeparableKernel", "kernel_sup_bound",
            "solve_invariance", "partition_variation_estimate"]
@@ -44,6 +45,10 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"cannot convert {x!r} to an exact rational")
 
 
+def _obj(p: "PolynomialFunction") -> np.ndarray:
+    return np.array(p.coeffs, dtype=object)
+
+
 @dataclass(frozen=True)
 class PolynomialFunction:
     """Polynomial with exact rational coefficients, ascending powers."""
@@ -56,39 +61,26 @@ class PolynomialFunction:
         object.__setattr__(self, "coeffs", c if c else (Fraction(0),))
 
     def __call__(self, x):
-        """p(x): exact for Fraction and int x; the float Horner rule over
-        the coefficients for floats and for arrays, elementwise."""
-        if isinstance(x, np.ndarray):
-            return np.polynomial.polynomial.polyval(
-                x, [float(c) for c in self.coeffs])
-        out = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            out = out * x + c
-        return out
+        """p(x): exact for Fraction and int x; a float for a float x, and
+        elementwise for arrays, by Horner on the coefficients as floats."""
+        if isinstance(x, (Fraction, int)):
+            return P.polyval(x, _obj(self))
+        out = P.polyval(x, [float(c) for c in self.coeffs])
+        return out if isinstance(x, np.ndarray) else float(out)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __add__(self, other: "PolynomialFunction") -> "PolynomialFunction":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolynomialFunction(tuple(out))
+        return PolynomialFunction(tuple(P.polyadd(_obj(self), _obj(other))))
 
     def scale(self, a) -> "PolynomialFunction":
         a = _to_fraction(a)
         return PolynomialFunction(tuple(a * c for c in self.coeffs))
 
     def times(self, other: "PolynomialFunction") -> "PolynomialFunction":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolynomialFunction(tuple(out))
+        return PolynomialFunction(tuple(P.polymul(_obj(self), _obj(other))))
 
     def integral01(self) -> Fraction:
         """Exact integral over [0, 1]."""
@@ -169,25 +161,20 @@ def kernel_sup_bound(F: SeparableKernel, grid: int = 64) -> float:
 
 
 def _solve_exact(A):
-    """Gaussian elimination over the rationals with partial pivoting: the
-    solution of the system whose augmented rows (Fractions) are ``A``."""
+    """Gauss-Jordan elimination over the rationals, pivoting on the first
+    nonzero entry of each column: the solution of the system whose
+    augmented rows (Fractions) are ``A``."""
+    A = np.array(A, dtype=object)
     k = len(A)
     for col in range(k):
-        piv = None
-        for row in range(col, k):
-            if A[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
+        rows = col + np.flatnonzero(A[col:, col] != 0)
+        if not len(rows):
             raise ValueError("moment system is singular")
-        A[col], A[piv] = A[piv], A[col]
-        inv = A[col][col]
-        A[col] = [x / inv for x in A[col]]
-        for row in range(k):
-            if row != col and A[row][col] != 0:
-                f = A[row][col]
-                A[row] = [x - f * y for x, y in zip(A[row], A[col])]
-    return [A[i][k] for i in range(k)]
+        A[[col, rows[0]]] = A[[rows[0], col]]
+        pivot = A[col] / A[col, col]
+        A -= np.outer(A[:, col], pivot)  # zeroes the pivot row too
+        A[col] = pivot
+    return list(A[:, k])
 
 
 # x/2, the cumulative of the half-Lebesgue base: the inhomogeneity that

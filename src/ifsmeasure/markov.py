@@ -255,7 +255,9 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
     The system decides the metric (``_metric``), and
     ``FixedPointResult.norm`` names it.  In the variation norm the budget
     is p = tol*(1-q)/4.  In mk_star iterates are never pruned (p = 0):
-    pruning would perturb totals, which that metric needs equal.
+    pruning would perturb totals, which that metric needs equal.  A
+    variation contraction with a zero base has the fixed point zero: it is
+    returned at once, after one iteration with error_bound 0.
 
     An mk_star certificate is about the system whose operators sum to the
     identity exactly: inside the 1e-12 band it certifies that idealised
@@ -280,6 +282,9 @@ def iterate_fixed_point(sys: IFSystem, start: VectorMeasure, tol: float = 1e-8,
         raise DimensionMismatch(
             f"start dimension {start.dim} differs from system dimension {sys.dim}")
     norm, q, distance = _metric(sys)
+    if norm == "variation" and sys.base.is_zero() and max_iter >= 1:
+        zero = VectorMeasure.zero(sys.dim, sys.field)
+        return FixedPointResult(zero, 1, 0.0, norm, zero.total())
     budget = tol * (1.0 - q) / 4.0 if norm == "variation" else 0.0
     op_sum = np.sum(np.stack(sys.operators), axis=0)
     base_total = sys.base.total()

@@ -76,8 +76,10 @@ def _segment_norm_integral(f0: np.ndarray, rho: np.ndarray,
     # scaled by 2^-e, before h narrows below; e is clipped so that 2^-e is
     # finite, and non-finite lanes (exponent 0) stay as they are
     odd = np.maximum(a, c)
-    odd = np.flatnonzero((odd > 2.0 ** 400) | ((odd < 2.0 ** -400) & (
-        _rows_differ(f0, 0) | _rows_differ(rho, 0))))
+    tiny = np.flatnonzero(odd < 2.0 ** -400)
+    odd = odd > 2.0 ** 400
+    odd[tiny] = _rows_differ(np.hstack([f0[tiny], rho[tiny]]), 0)
+    odd = np.flatnonzero(odd)
     m = np.abs(np.hstack([f0.take(odd, axis=0), rho.take(odd, axis=0)]))
     e = np.clip(np.frexp(_fold_columns(lambda i: m[:, i].copy(), m.shape[1],
                                        np.maximum))[1], -1000, 1000)

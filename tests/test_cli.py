@@ -15,6 +15,7 @@ import ifsmeasure
 from ifsmeasure import VectorMeasure
 from ifsmeasure import cli
 from ifsmeasure.cli import export_cumulative, main, run
+from ifsmeasure.measure import _unique
 
 
 def test_bundled_triangular_scenario(tmp_path):
@@ -284,6 +285,32 @@ def test_export_cumulative_shows_jumps(tmp_path):
 def test_export_cumulative_requires_two_samples(tmp_path):
     with pytest.raises(ValueError):
         export_cumulative(VectorMeasure.zero(1), 1, tmp_path / "x.csv")
+
+
+def test_export_grid_is_the_breakpoint_grid(tmp_path):
+    # the grid from one sort of samples, points, piece ends and left
+    # neighbours equals the samples joined with breakpoints(), sorted again
+    # (a zero's sign follows the sort in both, and 0.0 == -0.0 here)
+    rng = np.random.default_rng(5)
+    path = tmp_path / "grid.csv"
+    for _ in range(60):
+        n, k = int(rng.integers(0, 30)), int(rng.integers(0, 12))
+        pts = rng.uniform(size=n)
+        pts[rng.uniform(size=n) < 0.4] = rng.choice([0.0, -0.0, 1.0, 0.5])
+        lo = rng.choice([0.0, -0.0, 0.25, 0.5], k)
+        hi = lo + rng.uniform(0.0, 0.5, k)
+        mu = VectorMeasure(atoms=[(t, [1.0]) for t in pts],
+                           pieces=[((a, b), [-1.0]) for a, b in zip(lo, hi)],
+                           dim=1)
+        samples = int(rng.choice([2, 5, 64]))
+        ts = [np.linspace(0.0, 1.0, samples), mu.breakpoints()]
+        if mu.n_atoms:
+            left = np.nextafter(mu.atom_points, -np.inf)
+            ts.append(left[left >= 0.0])
+        want = _unique(np.concatenate(ts))
+        assert export_cumulative(mu, samples, path) == len(want)
+        got = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+        assert np.array_equal(got, want)
 
 
 def _reference_csv(mu, grid):

@@ -1,5 +1,6 @@
 """Tests for separable polynomial kernels and the moment-space solver."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ifsmeasure import (PolynomialFunction, SeparableKernel, kernel_sup_bound,
                         partition_variation_estimate, solve_invariance)
+from ifsmeasure.kernelops import _solve_exact
 
 
 def test_polynomial_exact_arithmetic():
@@ -25,6 +27,97 @@ def test_polynomial_trims_leading_zeros():
     assert p.degree == 1
     z = PolynomialFunction((0, 0))
     assert z.degree == 0 and z(3) == 0
+
+
+def _loop_add(a, b):
+    """The coefficient sum by the hand loop that numpy's polyadd replaced."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return tuple(out)
+
+
+def _loop_times(a, b):
+    """The coefficient product by the hand loop that polymul replaced."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _loop_horner(coeffs, x):
+    """Horner's loop, as p(x) ran it on scalars before polyval."""
+    out = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = out * x + c
+    return out
+
+
+def _random_fraction(r):
+    kind = r.random()
+    if kind < 0.2:
+        return Fraction(0)
+    if kind < 0.5:
+        return Fraction(r.randint(-9, 9), r.randint(1, 9))
+    return Fraction(r.randint(-10 ** 40, 10 ** 40), r.randint(1, 10 ** 40))
+
+
+def _random_polynomial(r):
+    """Degree 0-32, some coefficients zero, some trailing zeros to trim,
+    now and then the zero polynomial."""
+    c = [_random_fraction(r) for _ in range(r.randint(1, 33))]
+    if r.random() < 0.2:
+        c += [Fraction(0)] * r.randint(1, 3)
+    if r.random() < 0.05:
+        c = [Fraction(0)] * len(c)
+    return PolynomialFunction(tuple(c))
+
+
+def test_polynomial_sum_and_product_match_the_hand_loops():
+    r = random.Random(0)
+    degrees = set()
+    for _ in range(200):
+        p, q = _random_polynomial(r), _random_polynomial(r)
+        degrees.update((p.degree, q.degree))
+        for got, want in ((p + q, _loop_add(p.coeffs, q.coeffs)),
+                          (p.times(q), _loop_times(p.coeffs, q.coeffs))):
+            assert got == PolynomialFunction(want)
+            assert all(type(c) is Fraction for c in got.coeffs)
+    assert {0, 32} <= degrees
+
+
+def test_polynomial_evaluation_exact_and_float_rules():
+    r = random.Random(1)
+    xs = np.concatenate([np.linspace(-1.5, 1.5, 7), [-0.0, 0.1, 1 / 3]])
+    for _ in range(200):
+        p = _random_polynomial(r)
+        # Fraction and int points: exact, on the Fraction coefficients
+        for x in (_random_fraction(r), Fraction(1, 3), r.randint(-3, 3),
+                  10 ** 20, True):
+            got = p(x)
+            assert type(got) is Fraction and got == _loop_horner(p.coeffs, x)
+        # float points: Horner on the float coefficients, bit for bit
+        floats = [float(c) for c in p.coeffs]
+        for x in (r.uniform(-1.5, 1.5), 0.0, -0.0, 1.0, 1 / 3):
+            got = p(x)
+            assert type(got) is float
+            assert got.hex() == float(_loop_horner(floats, x)).hex()
+            if p.degree:  # the Fraction loop rounds the same way
+                assert got.hex() == _loop_horner(p.coeffs, x).hex()
+        got = p(xs)
+        want = np.array([_loop_horner(floats, x) for x in xs.tolist()])
+        assert got.shape == xs.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_constant_polynomial_at_a_float_is_a_float():
+    p = PolynomialFunction((Fraction(1, 3),))
+    assert type(p(0.5)) is float and p(0.5) == 1 / 3
+    assert type(p(2)) is Fraction and p(2) == Fraction(1, 3)
+    assert np.array_equal(p(np.array([0.0, 1.0])), [1 / 3, 1 / 3])
 
 
 def test_polynomial_accepts_exact_floats():
@@ -229,6 +322,47 @@ def test_solve_invariance_singular_system_raises():
     z = SeparableKernel(terms=(((0,), (0,)),), scale=1)
     with pytest.raises(ValueError):
         solve_invariance(k, z)
+
+
+def _loop_solve(A):
+    """The list elimination that the object-array Gauss-Jordan replaced."""
+    k = len(A)
+    for col in range(k):
+        piv = next((row for row in range(col, k) if A[row][col] != 0), None)
+        if piv is None:
+            raise ValueError("moment system is singular")
+        A[col], A[piv] = A[piv], A[col]
+        inv = A[col][col]
+        A[col] = [x / inv for x in A[col]]
+        for row in range(k):
+            if row != col and A[row][col] != 0:
+                f = A[row][col]
+                A[row] = [x - f * y for x, y in zip(A[row], A[col])]
+    return [A[i][k] for i in range(k)]
+
+
+def test_solve_exact_matches_the_list_elimination():
+    r = random.Random(2)
+    solved = swapped = singular = 0
+    for _ in range(300):
+        k = r.randint(1, 8)
+        A = [[_random_fraction(r) for _ in range(k + 1)] for _ in range(k)]
+        if r.random() < 0.2:  # a dependent row
+            i, j = r.sample(range(k), 2) if k > 1 else (0, 0)
+            A[i] = [x * Fraction(-3, 7) for x in A[j]]
+            A[i][k] = _random_fraction(r)
+        try:
+            want = _loop_solve([row[:] for row in A])
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="moment system is singular"):
+                _solve_exact([row[:] for row in A])
+            continue
+        got = _solve_exact([row[:] for row in A])
+        assert got == want and all(type(x) is Fraction for x in got)
+        solved += 1
+        swapped += A[0][0] == 0
+    assert solved > 100 and swapped > 10 and singular > 10
 
 
 def test_solve_invariance_rank_cap():

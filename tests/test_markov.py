@@ -350,14 +350,23 @@ def test_iterate_mk_star_mode_requires_mass_conservation():
 def test_iterate_prefers_variation_inside_the_mass_tolerance():
     # the operators sum to the identity within 1e-12, yet their variation
     # factor 1 - 5e-13 is below one: the system loses mass and its fixed
-    # point is zero.  The loop runs in the variation norm and refuses;
-    # mk_star would certify a measure of total about 1.
-    sys = IFSystem([(1 / 3, 0.0), (1 / 3, 2 / 3)],
-                   [np.array([[0.5 - 5e-13]]), np.array([[0.5]])])
+    # point is zero.  The loop runs in the variation norm and returns that
+    # zero exactly; mk_star would certify a measure of total about 1.
+    ops = [np.array([[0.5 - 5e-13]]), np.array([[0.5]])]
+    maps = [(1 / 3, 0.0), (1 / 3, 2 / 3)]
+    sys = IFSystem(maps, ops)
     assert factors(sys).variation < 1.0
+    atom = VectorMeasure.dirac(0.0, np.array([1.0]))
+    res = iterate_fixed_point(sys, atom, tol=1e-8, max_iter=12)
+    assert res.measure.is_zero() and res.measure.dim == 1
+    assert (res.iterations, res.error_bound, res.norm) == (1, 0.0, "variation")
+    assert np.array_equal(res.total, [0.0])
+    # a base of zero total is not zero: the contraction is too slow to
+    # certify in 12 steps
+    sys = IFSystem(maps, ops,
+                   base=atom - VectorMeasure.dirac(1.0, np.array([1.0])))
     with pytest.raises(IterationLimit, match="not certified in 12 iterations"):
-        iterate_fixed_point(sys, VectorMeasure.dirac(0.0, np.array([1.0])),
-                            tol=1e-8, max_iter=12)
+        iterate_fixed_point(sys, atom, tol=1e-8, max_iter=12)
 
 
 def test_iterate_mk_star_mode_refusals():
@@ -1102,3 +1111,21 @@ def test_no_base_is_an_explicit_zero_base_to_the_bit(field, seed):
             assert np.array_equal(x.value, y.value)
             assert ((x.error_bound, x.nodes, x.depth, x.closed)
                     == (y.error_bound, y.nodes, y.depth, y.closed))
+
+
+def test_homogeneous_variation_system_returns_zero_at_once():
+    # the complex seed-32 batch system without its base: 4 overlapping
+    # maps of variation factor 0.565, whose iterates from an atom pass the
+    # component cap before tol 1e-3 certifies; its fixed point is zero,
+    # exactly
+    sys, _ = _batch_system(np.random.default_rng(32), "complex")
+    assert len(sys.maps) == 4 and factors(sys).variation < 0.6
+    bare = IFSystem(sys.maps, sys.operators, dim=sys.dim, field="complex")
+    atom = VectorMeasure(atoms=[(0.25, np.ones(sys.dim))], field="complex")
+    res = iterate_fixed_point(bare, atom, tol=1e-4)
+    assert res.measure.is_zero() and res.measure.field == "complex"
+    assert res.measure.dim == sys.dim
+    assert (res.iterations, res.error_bound, res.norm) == (1, 0.0, "variation")
+    assert np.array_equal(res.total, np.zeros(sys.dim))
+    with pytest.raises(IterationLimit, match="not certified in 0 iterations"):
+        iterate_fixed_point(bare, atom, tol=1e-4, max_iter=0)
