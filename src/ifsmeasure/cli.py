@@ -108,21 +108,21 @@ def export_cumulative(mu: VectorMeasure, samples: int, path) -> int:
         left = np.nextafter(mu.atom_points, -np.inf)
         ts.append(left[left >= 0.0])
     grid = _unique(np.concatenate(ts))
-    values = mu.cumulative_all(grid)
+    prefixes = mu._prefixes()
     if mu.field == "complex":
         cols = [f"F{k + 1}_{part}" for k in range(mu.dim) for part in ("re", "im")]
-        values = np.stack([values.real, values.imag], axis=2).reshape(len(grid), -1)
     else:
         cols = [f"F{k + 1}" for k in range(mu.dim)]
-    table = np.column_stack([grid, values])
     # imported on first use: scenarios without an export never load it
     from ._floatcsv import csv_bytes
     with open(path, "wb") as fh:
         fh.write(("t," + ",".join(cols) + "\n").encode())
-        # format and write a chunk at a time: the text of every row
-        # would hold the whole file in memory
-        for i in range(0, len(table), _EXPORT_CHUNK_ROWS):
-            fh.write(csv_bytes(table[i:i + _EXPORT_CHUNK_ROWS]))
+        # evaluate, format and write a chunk at a time, never the whole
+        # table; a complex value's float view is its real and imaginary parts
+        for i in range(0, len(grid), _EXPORT_CHUNK_ROWS):
+            t = grid[i:i + _EXPORT_CHUNK_ROWS]
+            fh.write(csv_bytes(np.column_stack(
+                [t, mu._cumulative(t, *prefixes).view(np.float64)])))
     return len(grid)
 
 

@@ -49,6 +49,9 @@ __all__ = ["VectorMeasure", "pushforward", "apply_operator", "combine",
 # size of the first partial selection in prune; it grows fourfold until
 # the budget runs out inside it
 _PRUNE_START = 1 << 17
+# values of each side in a block of the step distances and of
+# ``_exact_sum``: their temporaries stay this size however large the input
+_BLOCK = 1 << 14
 
 
 def _take(idx, *arrays):
@@ -74,6 +77,22 @@ def _variation(wts, lo, hi, dens) -> float:
     """The variation norm of canonical coefficient arrays."""
     return (float(_row_norms(wts).sum())
             + float((_row_norms(dens) * (hi - lo)).sum()))
+
+
+def _column_sums(a, w=None):
+    """``(a * w[:, None]).sum(axis=0)`` (w None: ``a.sum(axis=0)``) to the
+    bit: numpy adds a (n, k >= 2) array's rows in order from +0.0, as a
+    column's cumulative sum plus 0.0 does, twice as fast."""
+    if a.shape[1] < 2 or not len(a):
+        return (a if w is None else a * w[:, None]).sum(axis=0)
+    return np.array([np.cumsum(a[:, j] if w is None else a[:, j] * w)[-1]
+                     for j in range(a.shape[1])]) + 0.0
+
+
+def _require_finite(*arrays):
+    """Refuse coefficients that a sum overflowed to inf or nan."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("a coefficient overflows to a non-finite value")
 
 
 def _canonical_atoms(points, weights):
@@ -213,9 +232,8 @@ class VectorMeasure:
         _, (wts, dd) = _field_cast(
             [np.stack(c) if c else np.zeros((0, dim)) for c in (a_wts, p_d)],
             field, "coefficients in a real measure")
-        pts = np.asarray(a_pts, dtype=float)
-        lo = np.asarray(p_lo, dtype=float)
-        hi = np.asarray(p_hi, dtype=float)
+        # + 0.0: a point or end given as -0.0 is stored, and written, as 0.0
+        pts, lo, hi = (np.asarray(x, dtype=float) + 0.0 for x in (a_pts, p_lo, p_hi))
         if not all(np.isfinite(a).all() for a in (pts, wts, lo, hi, dd)):
             raise ValueError("non-finite atom point, piece endpoint or coefficient")
         self._finish(pts, wts, lo, hi, dd, dim)
@@ -230,8 +248,7 @@ class VectorMeasure:
         with np.errstate(over="ignore", invalid="ignore"):
             pts, wts = _canonical_atoms(pts, wts)
             lo, hi, dens = _canonical_pieces(lo, hi, dens)
-        if not (np.isfinite(wts).all() and np.isfinite(dens).all()):
-            raise ValueError("a coefficient overflows to a non-finite value")
+        _require_finite(wts, dens)
         self._hold(pts, wts, lo, hi, dens, dim)
 
     def _hold(self, pts, wts, lo, hi, dens, dim):
@@ -351,12 +368,11 @@ class VectorMeasure:
         return out
 
     def total(self) -> np.ndarray:
-        """mu([0, 1]): all atom weights plus density mass."""
-        out = self.atom_weights.sum(axis=0) if self.n_atoms else np.zeros(
-            self.dim, dtype=self.atom_weights.dtype)
+        """mu([0, 1]): all atom weights plus density mass (``_column_sums``)."""
+        out = _column_sums(self.atom_weights)
         if self.n_pieces:
-            out = out + (self.piece_density
-                         * (self.piece_hi - self.piece_lo)[:, None]).sum(axis=0)
+            out = out + _column_sums(self.piece_density,
+                                     self.piece_hi - self.piece_lo)
         return out
 
     def variation_norm(self) -> float:
@@ -370,19 +386,39 @@ class VectorMeasure:
     def variation_distance(self, other: "VectorMeasure") -> float:
         """``(self - other).variation_norm()`` without building the difference.
 
-        Atoms and pieces are summed as ``combine`` sums them, other's
-        coefficients negated, but no measure is built: each segment adds
-        ||d_self - d_other|| * width, its difference rounded once, to the
-        bit the density of ``self - other``.  Swapping the operands negates
-        every difference, so the distance is bitwise the same.  A
+        Atoms are summed as ``combine`` sums them, other's negated; pieces
+        in blocks cut at ``_edges`` of both sides' starts, which split no
+        segment, each block's ``_sum_runs`` giving its terms ||d_self -
+        d_other|| * width into one array, summed once.  Swapping the operands
+        negates every difference, so the distance is bitwise the same.  A
         difference that overflows raises ValueError.
         """
-        pts, wts, lo, hi, dens, _ = _linear([(1.0, self), (-1.0, other)])
+        if other.dim != self.dim:
+            raise DimensionMismatch("measures of different dimension in sum")
+        dtype = np.result_type(np.float64, self.atom_weights, other.atom_weights)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, wts = _canonical_atoms(pts, wts)
-        if not (np.isfinite(wts).all() and np.isfinite(dens).all()):
-            raise ValueError("a coefficient overflows to a non-finite value")
-        return _variation(wts, lo, hi, dens)
+            _, wts = _canonical_atoms(
+                np.concatenate([self.atom_points, other.atom_points]),
+                np.concatenate([self.atom_weights, -1.0 * other.atom_weights],
+                               dtype=dtype))
+        _require_finite(wts)
+        edges = _edges(self.piece_lo, other.piece_lo)
+        terms, n = np.empty(sum(  # one per distinct endpoint at most
+            m.n_pieces + 1 + np.count_nonzero(m.piece_lo[1:] != m.piece_hi[:-1])
+            for m in (self, other))), 0
+        for e0, e1 in zip(edges[:-1], edges[1:]):
+            runs = []
+            for sign, m in ((1.0, self), (-1.0, other)):
+                a = np.searchsorted(m.piece_hi, e0, side="right")
+                b = np.searchsorted(m.piece_lo, e1)
+                runs.append((np.maximum(m.piece_lo[a:b], e0),
+                             np.minimum(m.piece_hi[a:b], e1),
+                             sign * m.piece_density[a:b]))
+            lo, hi, dens = _sum_runs(runs, dtype)
+            _require_finite(dens)
+            terms[n:n + len(lo)] = _row_norms(dens) * (hi - lo)
+            n += len(lo)
+        return float(_row_norms(wts).sum()) + float(terms[:n].sum())
 
     def cumulative(self, t: float) -> np.ndarray:
         """mu([0, t]) as a function of the right endpoint."""
@@ -396,8 +432,10 @@ class VectorMeasure:
         mass of the pieces before k, plus d_k * min(t - lo_k, hi_k - lo_k):
         (points + atoms + pieces) log(atoms + pieces) in all.
         """
-        ts = np.asarray(ts, dtype=float)
-        atoms, mass = self._prefixes()
+        return self._cumulative(np.asarray(ts, dtype=float), *self._prefixes())
+
+    def _cumulative(self, ts, atoms, mass):
+        """``cumulative_all(ts)`` from ``_prefixes``, row by row."""
         # added to zeros, so a -0.0 prefix entry reads 0.0 in exports
         out = np.zeros((len(ts), self.dim), dtype=self.atom_weights.dtype)
         out += atoms.take(np.searchsorted(self.atom_points, ts, side="right"),
@@ -431,7 +469,8 @@ class VectorMeasure:
         and the density ``rho[j]`` on the open panel (bps[j], bps[j+1]),
         so F(t) = F[j] + (t - bps[j]) rho[j] inside it (``_panels``).
         """
-        return _panels(self)[:3]
+        bps, F, rho, _ = map(np.concatenate, zip(*_panels(self)[1]))
+        return bps, F, rho[:-1]
 
     # -- algebra ------------------------------------------------------
 
@@ -603,15 +642,22 @@ def _linear(terms):
     return (*_summed([_parts(m, a) for a, m in terms], dtype), dim)
 
 
+def _edges(*arrays):
+    """-inf, every ``_BLOCK``-th value of each sorted array, and inf: cut
+    at these, a block holds at most ``_BLOCK`` values of each array."""
+    cuts = [a[_BLOCK::_BLOCK] for a in arrays]
+    return _unique(np.concatenate([[-np.inf, np.inf], *cuts]))
+
+
 def _panels(mu: VectorMeasure, nu: VectorMeasure | None = None):
-    """``(bps, F, rho, (wts, lo, hi, dens))``: ``VectorMeasure.panels`` of
-    mu - nu (of mu when nu is None) and its coefficients, one weight row
-    per breakpoint, read off one stable merge of the atom points, the ends
-    of the pieces ``combine`` would make, 0 and 1.  A canonical measure
-    holds a point once, so a run of equal keys starts with its atoms, mu's
-    then nu's negated, whose sum is ``combine``'s weight; a run of atoms
-    that cancel is no breakpoint.  A panel lies in the last piece started
-    before it unless that piece has ended.
+    """``((lo, hi, dens), blocks)``: the pieces of mu - nu (of mu when nu
+    is None) and its ``VectorMeasure.panels`` in blocks ``(bps, F, rho,
+    w)``, a weight row per breakpoint, each one stable merge of the atom
+    points, the ends of the pieces ``combine`` would make, 0 and 1, cut at
+    ``_edges``; the cumulative sum carries across cuts.  A run of equal
+    keys starts with its atoms, mu's then nu's negated, whose sum is
+    ``combine``'s weight; a run of atoms that cancel is no breakpoint.  A
+    panel lies in the last piece started before it unless that has ended.
     """
     nu = VectorMeasure.zero(mu.dim, mu.field) if nu is None else nu
     if nu.dim != mu.dim:
@@ -621,34 +667,48 @@ def _panels(mu: VectorMeasure, nu: VectorMeasure | None = None):
     if nu.n_pieces:  # else mu's canonical pieces are the sum
         lo, hi, dens = _merged_pieces(*_sum_runs(
             [(lo, hi, dens), (nu.piece_lo, nu.piece_hi, -nu.piece_density)], dtype))
-    keys = np.concatenate([mu.atom_points, nu.atom_points, lo, hi, [0.0, 1.0]])
-    order = np.argsort(keys, kind="stable")
-    keys = keys.take(order)
-    run = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    last = np.append(run[1:], len(keys)) - 1
-    # the atoms' rows, a zero row for every other key, and one more that
-    # a run of one key adds as its second row
-    wts, n = np.zeros((len(keys) + 1, mu.dim), dtype), mu.n_atoms + nu.n_atoms
-    wts[:mu.n_atoms] = mu.atom_weights
-    np.negative(nu.atom_weights, out=wts[mu.n_atoms:n])
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = wts.take(order.take(run), axis=0) + wts.take(
-            np.where(last > run, order.take(run + 1, mode="clip"), len(keys)), axis=0)
-    if not (np.isfinite(w).all() and np.isfinite(dens).all()):
-        raise ValueError("a coefficient overflows to a non-finite value")
-    bps, w, last = _take(_rows_differ(w, 0) | (order.take(last) >= n),
-                         keys.take(run), w, last)
-    F = np.cumsum(w, axis=0) + 0.0  # as zeros + prefix: -0.0 reads 0.0
-    rho = np.zeros((len(bps) - 1, mu.dim), dtype=dtype)
-    if len(lo):
-        k = np.cumsum((order >= n) & (order < n + len(lo))).take(last) - 1
-        mass = np.cumsum(np.concatenate([rho[:1], dens * (hi - lo)[:, None]]), axis=0)
-        j = np.maximum(k, 0)
-        F += mass.take(j, axis=0) + dens.take(j, axis=0) * np.clip(
-            bps - lo.take(j), 0.0, hi.take(j) - lo.take(j))[:, None]
-        rho = np.concatenate([dens, rho[:1]]).take(
-            np.where((k >= 0) & (bps < hi.take(k)), k, len(lo))[:-1], axis=0)
-    return bps, F, rho, (w, lo, hi, dens)
+    _require_finite(dens)
+    mass = np.cumsum(np.concatenate([np.zeros((1, mu.dim), dtype),
+                                     dens * (hi - lo)[:, None]]), axis=0)
+    keys = (mu.atom_points, nu.atom_points, lo, hi, np.array([0.0, 1.0]))
+    edges = _edges(*keys)
+    cuts = [np.searchsorted(k, edges) for k in keys]
+
+    def blocks():
+        carry = np.zeros((1, mu.dim), dtype)  # + 0.0 clears its zero's sign
+        for i in range(len(edges) - 1):
+            (a, b), (c, d) = (x[i:i + 2] for x in cuts[:2])
+            part = np.concatenate([k[x[i]:x[i + 1]] for k, x in zip(keys, cuts)])
+            order = np.argsort(part, kind="stable")
+            part = part.take(order)
+            run = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))
+            last = np.append(run[1:], len(part)) - 1
+            # the atoms' rows, a zero row for every other key, and one
+            # more that a run of one key adds as its second row
+            wts, n = np.zeros((len(part) + 1, mu.dim), dtype), b - a + d - c
+            wts[:b - a] = mu.atom_weights[a:b]
+            np.negative(nu.atom_weights[c:d], out=wts[b - a:n])
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = wts.take(order.take(run), axis=0) + wts.take(np.where(
+                    last > run, order.take(run + 1, mode="clip"), len(part)), axis=0)
+            _require_finite(w)
+            bps, w = _take(_rows_differ(w, 0) | (order.take(last) >= n),
+                           part.take(run), w)
+            F = np.cumsum(np.concatenate([carry, w]), axis=0)
+            carry = F[-1:].copy()
+            F = F[1:] + 0.0  # as zeros + prefix: -0.0 reads 0.0
+            rho = np.zeros((len(bps), mu.dim), dtype)
+            if len(lo):
+                k = np.searchsorted(lo, bps, side="right") - 1
+                j = np.maximum(k, 0)
+                lo_j, hi_j = lo.take(j), hi.take(j)
+                F += mass.take(j, axis=0) + dens.take(j, axis=0) * np.clip(
+                    bps - lo_j, 0.0, hi_j - lo_j)[:, None]
+                rho = dens.take(j, axis=0)
+                rho[(k < 0) | (bps >= hi_j)] = 0.0
+            yield bps, F, rho, w
+
+    return (lo, hi, dens), blocks()
 
 
 def _smallest_first(contrib, tol):

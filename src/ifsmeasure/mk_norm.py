@@ -38,8 +38,8 @@ import numpy as np
 
 from .hilbert import (_EPS, _fold_columns, _norm, _pairings, _row_norms,
                       _squares, _up)
-from .measure import (VectorMeasure, _panels, _rows_differ, _take, _unique,
-                      _variation)
+from .measure import (_BLOCK, VectorMeasure, _panels, _rows_differ, _take,
+                      _unique)
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
@@ -138,19 +138,24 @@ def _require_zero_total(tot: float, variation, what: str) -> None:
 def _exact_sum(x: np.ndarray) -> float:
     """``math.fsum(x.tolist())`` from exact integer bins: the 27- and
     26-bit halves of each term's 53-bit mantissa (``np.frexp``) are summed
-    by exponent with ``np.bincount``, exactly below 2^26 terms, and the
-    bins as one Python int, divided once.  A zero sum (for its sign), more
-    terms or a non-finite one go to fsum.  Where only a partial sum
-    overflows, fsum raises OverflowError and this returns the sum."""
+    by exponent with ``np.bincount``, ``_BLOCK`` terms at a time, and the
+    bins as one Python int on the lowest exponent, divided once.  A zero
+    sum (for its sign), 2^26 terms or a non-finite one go to fsum.  Where
+    only a partial sum overflows, fsum raises OverflowError and this
+    returns the sum."""
     if len(x) >= 1 << 26 or not np.isfinite(x).all():
         return math.fsum(x.tolist())
-    m, e = np.frexp(x)
-    m *= 2.0 ** 27
-    hi, low = np.trunc(m), int(e.min(initial=0))
-    bins = [np.bincount(e - low, weights=w).tolist()
-            for w in (hi, (m - hi) * 2.0 ** 26)]
-    total = sum(((int(h) << 26) + int(l)) << i
-                for i, (h, l) in enumerate(zip(*bins)))
+    total, low = 0, 0
+    for i in range(0, len(x), _BLOCK):
+        m, e = np.frexp(x[i:i + _BLOCK])
+        m *= 2.0 ** 27
+        hi, base = np.trunc(m), int(e.min())
+        bins = [np.bincount(e - base, weights=w).tolist()
+                for w in (hi, (m - hi) * 2.0 ** 26)]
+        if base < low:
+            total, low = total << (low - base), base
+        total += sum(((int(h) << 26) + int(l)) << j
+                     for j, (h, l) in enumerate(zip(*bins))) << (base - low)
     if not total:
         return math.fsum(x.tolist())
     shift = low - 53
@@ -164,16 +169,25 @@ def mk_star_exact(mu: VectorMeasure, nu: VectorMeasure | None = None) -> float:
     Requires ||(mu - nu)([0, 1])|| <= 1e-12 max(1, ||mu - nu||_var);
     raises ValueError otherwise, since the supremum over the unbounded
     ball is infinite for nonzero total.  The panels come from one merge of
-    mu and nu (``_panels``), so the value is bitwise that of
-    ``mk_star_exact(mu - nu)``, and the panel terms are summed exactly
-    (``_exact_sum``).  The total is read as F(1): ``(mu - nu).total()``
+    mu and nu in blocks (``_panels``), each block's last breakpoint carried
+    into the next, so the value is bitwise that of ``mk_star_exact(mu -
+    nu)``; a block leaves its panel terms, summed exactly (``_exact_sum``),
+    and its atom norms.  The total is read as F(1): ``(mu - nu).total()``
     to the bit for dim >= 2, but summed in order for dim 1.
     """
-    bps, F, rho, (wts, *pieces) = _panels(mu, nu)
+    (lo, hi, dens), blocks = _panels(mu, nu)
+    terms, norms, last = [], [], ()
+    for bps, F, rho, w in blocks:
+        if len(last):
+            bps, F, rho = (np.concatenate(x) for x in zip(last, (bps, F, rho)))
+        last = [x[-1:].copy() for x in (bps, F, rho)]
+        terms.append(_segment_norm_integral(F[:-1], rho[:-1], np.diff(bps)))
+        norms.append(_row_norms(*_take(_rows_differ(w, 0), w)))
     _require_zero_total(  # the atoms of mu - nu are its nonzero weight rows
-        _norm(F[-1]), lambda: _variation(*_take(_rows_differ(wts, 0), wts), *pieces),
+        _norm(last[1]), lambda: (float(np.concatenate(norms).sum())
+                                 + float((_row_norms(dens) * (hi - lo)).sum())),
         "defined only for zero-total measures")
-    return _exact_sum(_segment_norm_integral(F[:-1], rho, np.diff(bps)))
+    return _exact_sum(np.concatenate(terms))
 
 
 @dataclass(frozen=True)

@@ -205,14 +205,15 @@ def _span_rows(sets):
 _NUDGE = 4
 
 
+@np.errstate(over="ignore")  # a tiny slope sends far ends to inf: clipped
 def _preimage_rows(slope, offset, lo, hi, lo_incl, hi_incl):
     """Preimages of single spans and points under t -> slope t + offset,
     clipped to [0, 1]; every argument broadcasts, so one call takes a
     column of maps against a row of spans.
 
     Returns ``(lo, hi, lo_incl, hi_incl, keep)``; ``keep`` is False where
-    the preimage is empty.  A constant map (slope 0) pulls a span back to
-    all of [0, 1] when the span holds its value and to nothing otherwise.
+    the preimage is empty.  A constant map (0 and 1 map to one float) pulls
+    a span back to all of [0, 1] if the span holds its value, else to nothing.
     A closed end of (end - offset)/slope moves at most four ulps toward
     the float where the map as ``pushforward`` rounds it, fl(fl(slope x)
     + offset), enters or leaves the span: t/3 + 2/3 sends 1 to 1, and the
@@ -226,7 +227,7 @@ def _preimage_rows(slope, offset, lo, hi, lo_incl, hi_incl):
     was interior to the unclipped preimage); a span whose ends round
     together is a point when closed and empty otherwise.
     """
-    const = slope == 0.0
+    const = slope + offset == offset
     inside = (((lo < offset) & (offset < hi)) | ((offset == lo) & lo_incl)
               | ((offset == hi) & hi_incl))
     s = np.where(const, 1.0, slope)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,14 +332,15 @@ def _reference_csv(mu, grid):
 
 
 def test_export_cumulative_complex_bytes(tmp_path, monkeypatch):
-    # cumulative_all never yields -0.0 (its sums start at +0.0), so zero
-    # parts are made negative here to pin how the writer formats them
-    real_cumulative = VectorMeasure.cumulative_all
+    # the cumulative never yields -0.0 (its sums start at +0.0), so zero
+    # parts are made negative here, in the rows both the export and
+    # cumulative_all read, to pin how the writer formats them
+    real_cumulative = VectorMeasure._cumulative
 
-    def signed_zeros(self, ts):
-        out = real_cumulative(self, ts)
+    def signed_zeros(self, ts, atoms, mass):
+        out = real_cumulative(self, ts, atoms, mass)
         return np.where(out == 0, complex(-0.0, -0.0), out)
-    monkeypatch.setattr(VectorMeasure, "cumulative_all", signed_zeros)
+    monkeypatch.setattr(VectorMeasure, "_cumulative", signed_zeros)
     mu = VectorMeasure(atoms=[(0.0, np.array([1.0, 0.0])),
                               (0.5, np.array([-1.0, 0.25 + 3.0j]))],
                        pieces=[((0.25, 0.75), np.array([0.5j, -2.0]))])
@@ -937,3 +939,25 @@ def test_an_export_file_that_cannot_be_written_is_refused(tmp_path):
 def test_a_scenario_path_that_is_a_directory_is_a_parse_error(tmp_path):
     code, report = run(str(tmp_path))
     assert code == 2 and report.startswith("error: ")
+
+
+@pytest.mark.parametrize("maps", [[[5e-324, 0.5], [0.5, 0.0]],
+                                  [[5e-324, 0.0], [0.5, 0.5]]])
+def test_maps_with_tiny_slopes_evaluate_as_they_push_forward(tmp_path, maps):
+    # a slope of 5e-324 moves no image by more than one subnormal, so set
+    # evaluation must see the map as pushforward does, without warnings
+    doc = {"kind": "ifs", "name": "tiny_slope", "dimension": 1, "maps": maps,
+           "operators": [[[0.3]], [[0.3]]],
+           "base": {"dimension": 1, "atoms": [[0.25, [1.0]]]},
+           "query_sets": {"half": {"intervals": [[0.0, 0.5]]}},
+           "commands": ["solve", "eval half", "verify"]}
+    path = tmp_path / "tiny_slope.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run(str(path), out_dir=str(tmp_path), fmt="json")
+    assert code == 0, report
+    solve, value, verify = json.loads(report)["results"]
+    assert verify["solver_vs_eval"] <= solve["error_bound"] + value["error_bound"]
+    if maps[0][1] == 0.5:  # the first map puts its whole image at 0.5
+        assert value["value"] == [2.5]

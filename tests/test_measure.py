@@ -411,3 +411,36 @@ def test_unique_is_np_unique_to_the_bit():
     a = np.array([0.5, 0.25, 0.5])
     assert measure._unique(a).tolist() == [0.25, 0.5]
     assert a.tolist() == [0.25, 0.5, 0.5]  # sorted in place
+
+
+def test_column_sums_are_sum_along_axis_zero_to_the_bit():
+    rng = np.random.default_rng(61)
+    for i in range(240):
+        dim, complex_ = 1 + i % 4, bool(i // 4 % 2)
+        n = 1 if i % 5 == 0 else int(rng.integers(2, 300))
+        a = rng.standard_normal((n, dim)) * np.ldexp(
+            1.0, rng.integers(-40, 40, (n, 1)))
+        if complex_:
+            a = a + 1j * rng.standard_normal((n, dim))
+        if i % 3 == 0:  # a column of -0.0 sums to +0.0
+            a[:, -1] = complex(-0.0, -0.0) if complex_ else -0.0
+        w = rng.uniform(0.0, 1.0, n)
+        for got, want in ((measure._column_sums(a), a.sum(axis=0)),
+                          (measure._column_sums(a, w),
+                           (a * w[:, None]).sum(axis=0))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    mu = VectorMeasure(
+        atoms=[(t, rng.standard_normal(3)) for t in rng.uniform(0, 1, 50)],
+        pieces=[((0.1, 0.4), [1.0, -2.0, 0.5]), ((0.5, 0.9), [3.0, 0.0, 1.0])])
+    want = mu.atom_weights.sum(axis=0) + (
+        mu.piece_density * (mu.piece_hi - mu.piece_lo)[:, None]).sum(axis=0)
+    assert mu.total().tobytes() == want.tobytes()
+
+
+def test_negative_zero_points_and_ends_are_stored_as_zero():
+    mu = VectorMeasure(atoms=[(-0.0, [1.0, 2.0])],
+                       pieces=[((-0.0, 0.5), [2.0, 0.0])])
+    text = json.dumps(mu.to_dict())
+    assert "-0.0" not in text
+    assert not np.signbit(np.r_[mu.atom_points, mu.piece_lo]).any()
+    assert VectorMeasure.from_dict(json.loads(text)) == mu

@@ -1,5 +1,7 @@
 """Tests for query sets and affine self-maps of [0, 1]."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,19 @@ def test_preimage_zero_slope_is_all_or_nothing():
     m = AffineMap(0.0, 0.3)
     assert preimage(m, QuerySet.closed(0.2, 0.4)) == QuerySet.unit()
     assert preimage(m, QuerySet.closed(0.5, 0.9)).is_empty
+
+
+def test_preimage_of_a_map_too_flat_to_move_its_offset_is_all_or_nothing():
+    # 5e-324 t + 0.5 rounds to 0.5 on all of [0, 1], as pushforward sends
+    # it; 5e-324 t moves 0 to the smallest subnormal and still overflows
+    # the division, so its far ends are clipped without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = AffineMap(5e-324, 0.5)
+        assert preimage(m, QuerySet.closed(0.0, 0.5)) == QuerySet.unit()
+        assert preimage(m, QuerySet.closed(0.0, 0.25)).is_empty
+        assert preimage(AffineMap(5e-324, 0.0),
+                        QuerySet.closed(0.0, 0.5)) == QuerySet.unit()
 
 
 def test_preimage_membership_agrees_with_composition():
