@@ -242,7 +242,6 @@ class _IFSJob:
             path = Path(out_dir) / f"{name}_cumulative.csv"
             rows = export_cumulative(mu, self.samples, path)
             return {"path": str(path), "rows": rows, "samples": self.samples}
-        raise ScenarioError(f"unknown ifs command {cmd!r}")
 
 
 class _KernelJob:
@@ -281,7 +280,6 @@ class _KernelJob:
         if cmd == "partition":
             n = _count(args[0] if args else 4096, 1, _MAX_CELLS, "partition")
             return {"n": n, "value": _num(partition_variation_estimate(n))}
-        raise ScenarioError(f"unknown kernel command {cmd!r}")
 
 
 class _SemigroupJob:
@@ -317,10 +315,14 @@ class _SemigroupJob:
         if cmd == "verify":
             _, res = self.solution
             return {"residual": _num(res), "error_bound": _num(self.tol)}
-        raise ScenarioError(f"unknown semigroup command {cmd!r}")
 
 
 _JOBS = {"ifs": _IFSJob, "kernel": _KernelJob, "semigroup": _SemigroupJob}
+# each kind's commands and the most arguments each takes
+_COMMANDS = {"ifs": {"factors": 0, "solve": 0, "eval": 1, "norm": 1,
+                     "verify": 0, "export": 0},
+             "kernel": {"supbound": 1, "solve": 0, "verify": 0, "partition": 1},
+             "semigroup": {"solve": 0, "verify": 0}}
 
 
 def _load_scenario(spec: str) -> tuple[dict, str]:
@@ -367,8 +369,13 @@ def run(spec: str, out_dir: str = ".", tol: float | None = None,
             parts = str(line).split()
             if not parts:
                 raise ScenarioError("empty command")
-            results.append((line, job.command(parts[0], parts[1:], out_dir,
-                                              name)))
+            cmd, *args = parts
+            most = _COMMANDS[kind].get(cmd, -1)  # -1: no such command
+            if len(args) > most:
+                raise ScenarioError(
+                    f"unknown {kind} command {cmd!r}" if most < 0 else
+                    f"{cmd} takes {('no', 'at most one')[most]} argument, got {args}")
+            results.append((line, job.command(cmd, args, out_dir, name)))
     except ScenarioError as exc:
         return 2, f"error: invalid scenario: {exc}"
     except OSError as exc:  # --out or an export file

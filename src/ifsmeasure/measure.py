@@ -73,12 +73,6 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return _take(np.concatenate(([True], a[1:] != a[:-1]))[:len(a)], a)[0]
 
 
-def _variation(wts, lo, hi, dens) -> float:
-    """The variation norm of canonical coefficient arrays."""
-    return (float(_row_norms(wts).sum())
-            + float((_row_norms(dens) * (hi - lo)).sum()))
-
-
 def _column_sums(a, w=None):
     """``(a * w[:, None]).sum(axis=0)`` (w None: ``a.sum(axis=0)``) to the
     bit: numpy adds a (n, k >= 2) array's rows in order from +0.0, as a
@@ -381,7 +375,9 @@ class VectorMeasure:
         Exact for this representation because atoms and pieces (after
         canonicalization) live on disjoint parts of the interval.
         """
-        return _variation(*_parts(self)[1:])
+        return (float(_row_norms(self.atom_weights).sum())
+                + float((_row_norms(self.piece_density)
+                         * (self.piece_hi - self.piece_lo)).sum()))
 
     def variation_distance(self, other: "VectorMeasure") -> float:
         """``(self - other).variation_norm()`` without building the difference.
@@ -469,7 +465,7 @@ class VectorMeasure:
         and the density ``rho[j]`` on the open panel (bps[j], bps[j+1]),
         so F(t) = F[j] + (t - bps[j]) rho[j] inside it (``_panels``).
         """
-        bps, F, rho, _ = map(np.concatenate, zip(*_panels(self)[1]))
+        bps, F, rho = map(np.concatenate, zip(*_panels(self)))
         return bps, F, rho[:-1]
 
     # -- algebra ------------------------------------------------------
@@ -650,10 +646,9 @@ def _edges(*arrays):
 
 
 def _panels(mu: VectorMeasure, nu: VectorMeasure | None = None):
-    """``((lo, hi, dens), blocks)``: the pieces of mu - nu (of mu when nu
-    is None) and its ``VectorMeasure.panels`` in blocks ``(bps, F, rho,
-    w)``, a weight row per breakpoint, each one stable merge of the atom
-    points, the ends of the pieces ``combine`` would make, 0 and 1, cut at
+    """The ``VectorMeasure.panels`` of mu - nu (of mu when nu is None) in
+    blocks ``(bps, F, rho)``, each one stable merge of the atom points,
+    the ends of the pieces ``combine`` would make, 0 and 1, cut at
     ``_edges``; the cumulative sum carries across cuts.  A run of equal
     keys starts with its atoms, mu's then nu's negated, whose sum is
     ``combine``'s weight; a run of atoms that cancel is no breakpoint.  A
@@ -673,42 +668,38 @@ def _panels(mu: VectorMeasure, nu: VectorMeasure | None = None):
     keys = (mu.atom_points, nu.atom_points, lo, hi, np.array([0.0, 1.0]))
     edges = _edges(*keys)
     cuts = [np.searchsorted(k, edges) for k in keys]
-
-    def blocks():
-        carry = np.zeros((1, mu.dim), dtype)  # + 0.0 clears its zero's sign
-        for i in range(len(edges) - 1):
-            (a, b), (c, d) = (x[i:i + 2] for x in cuts[:2])
-            part = np.concatenate([k[x[i]:x[i + 1]] for k, x in zip(keys, cuts)])
-            order = np.argsort(part, kind="stable")
-            part = part.take(order)
-            run = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))
-            last = np.append(run[1:], len(part)) - 1
-            # the atoms' rows, a zero row for every other key, and one
-            # more that a run of one key adds as its second row
-            wts, n = np.zeros((len(part) + 1, mu.dim), dtype), b - a + d - c
-            wts[:b - a] = mu.atom_weights[a:b]
-            np.negative(nu.atom_weights[c:d], out=wts[b - a:n])
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = wts.take(order.take(run), axis=0) + wts.take(np.where(
-                    last > run, order.take(run + 1, mode="clip"), len(part)), axis=0)
-            _require_finite(w)
-            bps, w = _take(_rows_differ(w, 0) | (order.take(last) >= n),
-                           part.take(run), w)
-            F = np.cumsum(np.concatenate([carry, w]), axis=0)
-            carry = F[-1:].copy()
-            F = F[1:] + 0.0  # as zeros + prefix: -0.0 reads 0.0
-            rho = np.zeros((len(bps), mu.dim), dtype)
-            if len(lo):
-                k = np.searchsorted(lo, bps, side="right") - 1
-                j = np.maximum(k, 0)
-                lo_j, hi_j = lo.take(j), hi.take(j)
-                F += mass.take(j, axis=0) + dens.take(j, axis=0) * np.clip(
-                    bps - lo_j, 0.0, hi_j - lo_j)[:, None]
-                rho = dens.take(j, axis=0)
-                rho[(k < 0) | (bps >= hi_j)] = 0.0
-            yield bps, F, rho, w
-
-    return (lo, hi, dens), blocks()
+    carry = np.zeros((1, mu.dim), dtype)  # + 0.0 clears its zero's sign
+    for i in range(len(edges) - 1):
+        (a, b), (c, d) = (x[i:i + 2] for x in cuts[:2])
+        part = np.concatenate([k[x[i]:x[i + 1]] for k, x in zip(keys, cuts)])
+        order = np.argsort(part, kind="stable")
+        part = part.take(order)
+        run = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))
+        last = np.append(run[1:], len(part)) - 1
+        # the atoms' rows, a zero row for every other key, and one more
+        # that a run of one key adds as its second row
+        wts, n = np.zeros((len(part) + 1, mu.dim), dtype), b - a + d - c
+        wts[:b - a] = mu.atom_weights[a:b]
+        np.negative(nu.atom_weights[c:d], out=wts[b - a:n])
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = wts.take(order.take(run), axis=0) + wts.take(np.where(
+                last > run, order.take(run + 1, mode="clip"), len(part)), axis=0)
+        _require_finite(w)
+        bps, w = _take(_rows_differ(w, 0) | (order.take(last) >= n),
+                       part.take(run), w)
+        F = np.cumsum(np.concatenate([carry, w]), axis=0)
+        carry = F[-1:].copy()
+        F = F[1:] + 0.0  # as zeros + prefix: -0.0 reads 0.0
+        rho = np.zeros((len(bps), mu.dim), dtype)
+        if len(lo):
+            k = np.searchsorted(lo, bps, side="right") - 1
+            j = np.maximum(k, 0)
+            lo_j, hi_j = lo.take(j), hi.take(j)
+            F += mass.take(j, axis=0) + dens.take(j, axis=0) * np.clip(
+                bps - lo_j, 0.0, hi_j - lo_j)[:, None]
+            rho = dens.take(j, axis=0)
+            rho[(k < 0) | (bps >= hi_j)] = 0.0
+        yield bps, F, rho
 
 
 def _smallest_first(contrib, tol):

@@ -37,9 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hilbert import (_EPS, _fold_columns, _norm, _pairings, _row_norms,
-                      _squares, _up)
-from .measure import (_BLOCK, VectorMeasure, _panels, _rows_differ, _take,
-                      _unique)
+                      _rows_differ, _squares, _up)
+from .measure import _BLOCK, VectorMeasure, _panels, _unique
 
 __all__ = ["mk_star_exact", "mk_lower_bound", "mk_upper_bound",
            "sandwich_check", "LipschitzWitness", "SandwichReport"]
@@ -171,21 +170,20 @@ def mk_star_exact(mu: VectorMeasure, nu: VectorMeasure | None = None) -> float:
     ball is infinite for nonzero total.  The panels come from one merge of
     mu and nu in blocks (``_panels``), each block's last breakpoint carried
     into the next, so the value is bitwise that of ``mk_star_exact(mu -
-    nu)``; a block leaves its panel terms, summed exactly (``_exact_sum``),
-    and its atom norms.  The total is read as F(1): ``(mu - nu).total()``
-    to the bit for dim >= 2, but summed in order for dim 1.
+    nu)``; a block leaves its panel terms, summed exactly (``_exact_sum``).
+    The total is read as F(1): ``(mu - nu).total()`` to the bit for dim
+    >= 2, but summed in order for dim 1.  Only a total above 1e-12 asks
+    ``mu.variation_distance(nu)`` (or ``mu.variation_norm()``) for more.
     """
-    (lo, hi, dens), blocks = _panels(mu, nu)
-    terms, norms, last = [], [], ()
-    for bps, F, rho, w in blocks:
+    terms, last = [], ()
+    for bps, F, rho in _panels(mu, nu):
         if len(last):
             bps, F, rho = (np.concatenate(x) for x in zip(last, (bps, F, rho)))
         last = [x[-1:].copy() for x in (bps, F, rho)]
         terms.append(_segment_norm_integral(F[:-1], rho[:-1], np.diff(bps)))
-        norms.append(_row_norms(*_take(_rows_differ(w, 0), w)))
-    _require_zero_total(  # the atoms of mu - nu are its nonzero weight rows
-        _norm(last[1]), lambda: (float(np.concatenate(norms).sum())
-                                 + float((_row_norms(dens) * (hi - lo)).sum())),
+    _require_zero_total(
+        _norm(last[1]),
+        mu.variation_norm if nu is None else lambda: mu.variation_distance(nu),
         "defined only for zero-total measures")
     return _exact_sum(np.concatenate(terms))
 

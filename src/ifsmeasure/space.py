@@ -72,13 +72,8 @@ def _canonicalize(raw_spans, raw_atoms):
                     out[-1] = Span(lo, hi, lo_incl, True)
                 continue
         out.append(s)
-    spans, atoms = [], []
-    for s in out:
-        if s.lo < s.hi:
-            spans.append(s)
-        else:
-            atoms.append(s.lo)
-    return tuple(spans), tuple(atoms)
+    return (tuple(s for s in out if s.lo < s.hi),
+            tuple(s.lo for s in out if s.lo == s.hi))
 
 
 class QuerySet:
@@ -88,17 +83,11 @@ class QuerySet:
 
     def __init__(self, intervals=(), atoms=()):
         raw = []
-        for item in intervals:
-            if isinstance(item, Span):
-                raw.append(item)
-            else:
-                t = tuple(item)
-                if len(t) == 2:
-                    raw.append(Span(float(t[0]), float(t[1])))
-                elif len(t) == 4:
-                    raw.append(Span(float(t[0]), float(t[1]), bool(t[2]), bool(t[3])))
-                else:
-                    raise ValueError(f"cannot interpret interval spec {item!r}")
+        for item in intervals:  # a Span, or (lo, hi) with flags or without
+            t = tuple(item)
+            if len(t) not in (2, 4):
+                raise ValueError(f"cannot interpret interval spec {item!r}")
+            raw.append(Span(float(t[0]), float(t[1]), *map(bool, t[2:])))
         spans, pts = _canonicalize(raw, [float(a) for a in atoms])
         object.__setattr__(self, "spans", spans)
         object.__setattr__(self, "atoms", pts)
@@ -165,7 +154,18 @@ class QuerySet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuerySet":
-        return cls(intervals=d.get("intervals", ()), atoms=d.get("atoms", ()))
+        """The set of a JSON document, whose ends and points must be numbers
+        and flags booleans; a ValueError names any other value."""
+        intervals, atoms = d.get("intervals", []), d.get("atoms", [])
+        for item in intervals:
+            if not (isinstance(item, list) and len(item) in (2, 4)
+                    and all(isinstance(f, bool) for f in item[2:])):
+                raise ValueError(f"cannot interpret interval spec {item!r}")
+        for v in [x for item in intervals for x in item[:2]] + list(atoms):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"a query set's end or point must be a "
+                                 f"number, got {v!r}")
+        return cls(intervals=intervals, atoms=atoms)
 
 
 @dataclass(frozen=True)

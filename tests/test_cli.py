@@ -529,6 +529,47 @@ def test_count_and_start_errors_name_the_value(tmp_path, doc, message):
     assert code == 2 and message in report
 
 
+def _query(q):
+    return {**_IFS, "query_sets": {"q": q}, "commands": ["eval q"]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # the string "false" once read as a closed end, and true as the point 1
+    (_query({"intervals": [[0.0, 0.5, "false", "false"]]}),
+     "cannot interpret interval spec [0.0, 0.5, 'false', 'false']"),
+    (_query({"intervals": [[0.0, 0.5, 0, 1]]}),
+     "cannot interpret interval spec [0.0, 0.5, 0, 1]"),
+    (_query({"atoms": [True]}),
+     "a query set's end or point must be a number, got True"),
+    (_query({"intervals": [[0.0, "0.5"]]}), "got '0.5'"),
+    (_query({"atoms": ["0.5"]}), "got '0.5'"),
+    (_query({"intervals": [0.0, 0.5]}), "cannot interpret interval spec 0.0"),
+    # a command that takes no argument once ran and ignored it
+    ({**_IFS, "commands": ["factors now"]},
+     "factors takes no argument, got ['now']"),
+    ({**_IFS, "commands": ["solve twice"]}, "solve takes no argument"),
+    ({**_IFS, "commands": ["norm mk_star now"]},
+     "norm takes at most one argument"),
+    ({**_SEMIGROUP, "commands": ["verify now"]}, "verify takes no argument"),
+    ({**_KERNEL, "commands": ["supbound 64 99"]},
+     "supbound takes at most one argument, got ['64', '99']"),
+    ({**_KERNEL, "commands": ["partition 8 8"]},
+     "partition takes at most one argument"),
+    ({**_KERNEL, "commands": ["solve x"]}, "solve takes no argument"),
+    ({**_KERNEL, "commands": ["eval q"]}, "unknown kernel command 'eval'"),
+])
+def test_query_set_values_and_stray_arguments_name_the_value(tmp_path, doc,
+                                                             message):
+    code, report = _run_doc(tmp_path, doc)
+    assert code == 2 and message in report
+
+
+def test_json_flags_and_integer_points_are_taken(tmp_path):
+    code, report = _run_doc(tmp_path, _query(
+        {"intervals": [[0, 0.5, False, True]], "atoms": [1]}))
+    assert code == 0 and "eval q: set=q" in report
+
+
 def _measure_widths(monkeypatch):
     """The ``dim`` of every VectorMeasure built from here on."""
     widths, init = [], VectorMeasure.__init__

@@ -10,8 +10,11 @@ the whole merge gives: ``_one_pass_panels`` and
 The pairs are generated with atoms only, pieces only and both, in dims 1
 to 3, real and complex, with shared and cancelling atoms, contiguous
 pieces whose differences merge across a cut, an empty side and the
-one-argument form; both refusals must keep their messages.  Each
-distance's traced peak, relative to its operands, is pinned.
+one-argument form; both refusals must keep their messages.  mk_star
+asks ``variation_distance`` (``variation_norm`` in the one-argument form)
+for the variation only when the total is above 1e-12, and takes no row
+norm otherwise.  Each distance's traced peak, relative to its operands,
+is pinned.
 """
 
 import math
@@ -20,11 +23,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ifsmeasure import VectorMeasure, combine, measure, mk_norm, mk_star_exact
-from ifsmeasure.hilbert import _norm
+from ifsmeasure import (VectorMeasure, combine, markov, measure, mk_norm,
+                        mk_star_exact)
+from ifsmeasure.cli import run
+from ifsmeasure.hilbert import _norm, _row_norms
 from ifsmeasure.measure import (_canonical_atoms, _linear, _merged_pieces,
-                                _rows_differ, _sum_runs, _take, _variation)
+                                _rows_differ, _sum_runs, _take)
 from ifsmeasure.mk_norm import _segment_norm_integral
+
+
+def _variation(wts, lo, hi, dens):
+    """The variation norm of canonical coefficient arrays."""
+    return (float(_row_norms(wts).sum())
+            + float((_row_norms(dens) * (hi - lo)).sum()))
 
 
 def _one_pass_panels(mu, nu):
@@ -166,7 +177,7 @@ def test_mk_star_in_blocks_is_the_one_pass_value(small_blocks):
 def test_panels_in_blocks_are_the_one_pass_panels(small_blocks):
     for a, b in _pairs(20 + small_blocks, 60):
         d = combine(1.0, a, -1.0, b)
-        bps, F, rho, _ = map(np.concatenate, zip(*measure._panels(a, b)[1]))
+        bps, F, rho = map(np.concatenate, zip(*measure._panels(a, b)))
         got = (bps, F, rho[:-1]) + d.panels()
         want = (_one_pass_panels(a, b)[:3]
                 + _one_pass_panels(d, VectorMeasure.zero(d.dim, d.field))[:3])
@@ -195,6 +206,51 @@ def test_the_total_refusal_decides_on_the_variation(small_blocks):
         want = _outcome(_one_pass_mk_star, a, b)
         assert want.startswith("ValueError: defined only") == (scale == 1.0)
         assert _outcome(mk_star_exact, a, b) == want
+
+
+@pytest.fixture
+def variation_calls(monkeypatch):
+    """The names of the calls to ``VectorMeasure.variation_distance``,
+    ``variation_norm`` and ``mk_norm``'s row norms, in order; each call
+    still answers."""
+    calls = []
+    for owner, name in ((VectorMeasure, "variation_distance"),
+                        (VectorMeasure, "variation_norm"),
+                        (mk_norm, "_row_norms")):
+        def spy(*args, _f=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_only_a_refused_total_asks_for_the_variation(variation_calls):
+    seen = {"value": 0, "refused": 0}
+    for a, b in _pairs(60, 120):
+        for args, method in (((a, b), "variation_distance"),
+                             ((a,), "variation_norm")):
+            variation_calls.clear()
+            got = _outcome(mk_star_exact, *args)
+            want = _outcome(_one_pass_mk_star, a, b if len(args) == 2
+                            else VectorMeasure.zero(a.dim, a.field))
+            assert got == want
+            refused = got.startswith("ValueError: defined only")
+            assert variation_calls == ([method] if refused else []), (args, got)
+            seen["refused" if refused else "value"] += 1
+    assert all(seen.values()), seen
+
+
+def test_the_blend_steps_ask_for_no_variation(tmp_path, monkeypatch,
+                                              variation_calls):
+    distances = []
+
+    def kept(a, b):
+        distances.append(mk_star_exact(a, b))
+        return distances[-1]
+    monkeypatch.setattr(markov, "mk_star_exact", kept)
+    code, _ = run("cantor_blend", out_dir=str(tmp_path))
+    assert code == 0 and len(distances) == 18  # verify's step among them
+    assert variation_calls == []
 
 
 def test_a_difference_that_overflows_is_refused_in_every_block(small_blocks):
@@ -238,8 +294,8 @@ def _operands(*ms):
 
 
 # traced peak of a step distance over its operands' bytes, as measured
-# (0.84 and 0.56; one pass over the whole merge took 3.33 and 2.46) plus 10%
-_MK_STAR_PEAK_RATIO = 0.92
+# (0.59 and 0.56; one pass over the whole merge took 3.33 and 2.46) plus 10%
+_MK_STAR_PEAK_RATIO = 0.65
 _VARIATION_PEAK_RATIO = 0.62
 
 

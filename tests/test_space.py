@@ -76,6 +76,16 @@ def test_query_set_serialization_round_trip():
     assert back == q
 
 
+def test_query_set_from_json_reads_flags_as_booleans():
+    q = QuerySet.from_dict({"intervals": [[0.0, 0.5, False, False]],
+                            "atoms": [1]})
+    assert q == QuerySet(intervals=[(0.0, 0.5, False, False)], atoms=[1.0])
+    for bad in ({"intervals": [[0.0, 0.5, "false", "false"]]},
+                {"atoms": [True]}, {"intervals": [[False, 0.5]]}):
+        with pytest.raises(ValueError, match="spec|got"):
+            QuerySet.from_dict(bad)
+
+
 def _brute_membership(q, ts):
     return np.array([q.contains(float(t)) for t in ts])
 
